@@ -38,7 +38,13 @@ from .risk import (
     build_report,
     rolling_var_backtest,
 )
-from .simulation import SimConfig, SimulationResult, simulate
+from .simulation import (
+    SimConfig,
+    SimulationError,
+    SimulationResult,
+    simulate,
+    validate_seed,
+)
 
 __all__ = [
     "PipelineError",
@@ -108,6 +114,10 @@ class RunConfig:
             raise PipelineError("config", f"alpha {self.alpha!r} outside (0, 1)")
         if not self.initial_value > 0.0:
             raise PipelineError("config", "initial_value must be > 0")
+        try:
+            validate_seed(self.seed)
+        except SimulationError as err:
+            raise PipelineError("config", str(err)) from None
         has_weights = self.explicit_weights is not None
         if (mode == "explicit-weights") != has_weights:
             raise PipelineError(

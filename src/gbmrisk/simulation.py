@@ -1,13 +1,16 @@
 """Correlated geometric Brownian motion simulation.
 
-Per-asset log-increments over a step of size dt are
+Per-asset log-increments over a step of size dt = T / n_steps are
 (mu_i - sigma_i^2/2)*dt + sqrt(dt) * (correlated shock)_i, where the shock
 row is z L' for independent standard normals z and the lower-triangular
 Cholesky factor L of the annualized covariance.
 
-Randomness contract: each path's normals come from a counter-based stream
-keyed by (master seed, path index), consumed step-major. Results are
-therefore bitwise identical for any execution order or worker count.
+Randomness contract: each path's normals come from the Philox stream keyed
+by (master seed, path index) with a zero counter, consumed step-major; the
+seed lies in [0, 2**64). ``simulate`` builds one Philox per chunk and
+re-keys it for every path, which yields exactly the stream a per-path
+construction (``draw_standard_normals``) gives. Results are therefore
+bitwise identical for any execution order or worker count.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ __all__ = [
     "SimulationError",
     "CholeskyError",
     "SimConfig",
+    "validate_seed",
     "CholeskyFactor",
     "SimulationResult",
     "cholesky",
@@ -55,6 +59,14 @@ class CholeskyError(SimulationError):
         self.pivot_index = pivot_index
 
 
+def validate_seed(seed: object) -> None:
+    """Reject a seed that is not an int (bools included) in [0, 2**64)."""
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise SimulationError(f"seed must be an int, got {seed!r}")
+    if not 0 <= seed < 2**64:  # seeds key a uint64 stream
+        raise SimulationError(f"seed {seed} outside [0, 2**64)")
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Monte Carlo run configuration.
@@ -74,6 +86,7 @@ class SimConfig:
     record_paths: bool = False
 
     def __post_init__(self):
+        validate_seed(self.seed)
         if self.n_paths < 1:
             raise SimulationError("n_paths must be >= 1")
         if self.steps_per_year < 1:
@@ -96,7 +109,7 @@ class SimConfig:
 
     @property
     def dt(self) -> float:
-        return 1.0 / self.steps_per_year
+        return self.horizon_years / self.n_steps
 
 
 @dataclass(frozen=True)
@@ -179,16 +192,24 @@ def repair_psd(
     decomposable matrix together with the jitter used. Indefinite input that
     survives no jitter is a hard error.
     """
+    repaired, jitter, _ = _repair_and_factor(cov, jitters)
+    return repaired, jitter
+
+
+def _repair_and_factor(
+    cov: np.ndarray, jitters: tuple[float, ...] = PSD_JITTERS
+) -> tuple[np.ndarray, float, CholeskyFactor]:
+    # repair_psd plus the factor its successful rung computed
     cov = np.asarray(cov, dtype=np.float64)
     last_error: CholeskyError | None = None
     for jitter in jitters:
         candidate = cov + jitter * np.eye(cov.shape[0])
         try:
-            cholesky(candidate)
+            factor = cholesky(candidate)
         except CholeskyError as err:
             last_error = err
             continue
-        return candidate, jitter
+        return candidate, jitter, factor
     raise CholeskyError(
         f"matrix not positive semidefinite even with jitter {jitters[-1]!r}: "
         f"{last_error}",
@@ -226,8 +247,8 @@ def simulate(
     n_assets = params.n_assets
     if config.weights.tickers != params.tickers:
         raise SimulationError("weights do not match params tickers")
-    repaired, jitter = repair_psd(params.cov)
-    l_t = cholesky(repaired).l.T.copy()
+    _, jitter, factor = _repair_and_factor(params.cov)
+    l_t = factor.l.T.copy()
 
     n_paths = config.n_paths
     n_steps = config.n_steps
@@ -248,12 +269,29 @@ def simulate(
     def run_chunk(start: int) -> None:
         stop = min(start + _CHUNK, n_paths)
         z = np.empty((stop - start, n_steps, n_assets))
+        # One bit generator per chunk, so threads never share one. Assigning
+        # this state before each path re-keys it to (seed, p) with a zero
+        # counter and an empty buffer, the state Philox(key=(seed, p)) starts
+        # in. Lists of Python ints assign faster than uint64 arrays.
+        key = [config.seed, 0]
+        fresh = {
+            "bit_generator": "Philox",
+            "state": {"counter": [0, 0, 0, 0], "key": key},
+            "buffer": [0, 0, 0, 0],
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        bit_gen = np.random.Philox()
+        gen = np.random.Generator(bit_gen)
         for p in range(start, stop):
-            z[p - start] = draw_standard_normals(
-                config.seed, p, n_steps * n_assets
-            ).reshape(n_steps, n_assets)
-        shocks = z @ l_t
-        cum_log = np.cumsum(drift + sqrt_dt * shocks, axis=1)
+            key[1] = p
+            bit_gen.state = fresh
+            gen.standard_normal(out=z[p - start])
+        cum_log = z @ l_t
+        cum_log *= sqrt_dt
+        cum_log += drift
+        np.cumsum(cum_log, axis=1, out=cum_log)
         terminal_prices[start:stop] = s0 * np.exp(cum_log[:, -1, :])
         if paths is not None:
             paths[start:stop, 0, :] = s0

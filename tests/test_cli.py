@@ -88,6 +88,16 @@ class TestRunConfig:
         with pytest.raises(PipelineError):
             RunConfig(price_csv="x", initial_value=0.0)
 
+    def test_seed_range(self, tmp_path):
+        assert RunConfig(price_csv="x", seed=2**64 - 1).seed == 2**64 - 1
+        for bad in (-1, 2**64, True, 7.0):
+            with pytest.raises(PipelineError, match="stage config: seed"):
+                RunConfig(price_csv="x", seed=bad)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"price_csv": "x", "seed": -1}))
+        with pytest.raises(PipelineError, match="stage config: seed"):
+            load_run_config(str(cfg), {})
+
 
 class TestLoadRunConfig:
     def test_file_plus_flag_overrides(self, tmp_path):
@@ -161,6 +171,17 @@ class TestRunPipeline:
         for key in ("seed", "jitter", "version", "n_steps", "alpha",
                     "initial_prices", "portfolio_mode"):
             assert key in echo
+
+    @pytest.mark.parametrize("fixture", ["crypto_like", "equity_like"])
+    def test_default_pipeline_matches_fixture_meta(self, fixture):
+        # the seed-42 default run is the contract data/*.meta.json records
+        meta = json.loads((DATA_DIR / f"{fixture}.meta.json").read_text())
+        expected = meta["default_pipeline_report"]
+        config = RunConfig(price_csv=str(DATA_DIR / f"{fixture}.csv"))
+        result = run_pipeline(config)
+        assert result.report.var_value == expected["var_value"]
+        assert result.report.chance_of_loss == expected["chance_of_loss"]
+        assert result.weights.as_dict() == expected["weights"]
 
     def test_end_to_end_independent_recomputation(self):
         # rebuild every stage with plain numpy and compare the report

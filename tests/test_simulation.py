@@ -203,6 +203,15 @@ class TestSimConfig:
         with pytest.raises(SimulationError):
             SimConfig(weights=w, initial_prices=np.array([1.0, 0.0, 2.0]))
 
+    def test_seed_range(self, three_asset_params):
+        # seeds key a uint64 stream: out-of-range values must not alias
+        w = weights_for(three_asset_params)
+        assert SimConfig(weights=w, seed=0).seed == 0
+        assert SimConfig(weights=w, seed=2**64 - 1).seed == 2**64 - 1
+        for bad in (-1, 2**64, True, 7.0, "7"):
+            with pytest.raises(SimulationError, match="seed"):
+                SimConfig(weights=w, seed=bad)
+
 
 class TestSimulate:
     def test_zero_volatility_is_deterministic_growth(self):
@@ -213,6 +222,18 @@ class TestSimulate:
         expected = 1000.0 * math.exp(0.05)
         assert np.allclose(result.terminal_portfolio_values, expected,
                            rtol=1e-12)
+
+    @pytest.mark.parametrize("horizon", [1 / 365, 1.3])
+    def test_zero_volatility_growth_spans_the_horizon(self, horizon):
+        # horizons that are not whole steps still grow by exactly exp(mu T)
+        params = make_params(("A",), [0.05], [[0.0]])
+        config = SimConfig(weights=WeightVector(("A",), np.array([1.0])),
+                           n_paths=8, horizon_years=horizon,
+                           initial_prices=np.array([40.0]))
+        result = simulate(params, config)
+        expected = 40.0 * math.exp(0.05 * horizon)
+        assert np.allclose(result.terminal_asset_prices, expected,
+                           rtol=1e-12, atol=0.0)
 
     def test_prices_positive_and_shapes(self, three_asset_params):
         config = SimConfig(weights=weights_for(three_asset_params),
@@ -273,6 +294,25 @@ class TestSimulate:
         assert np.array_equal(result.paths[:, -1, :],
                               result.terminal_asset_prices)
         assert np.all(result.paths > 0.0)
+
+    def test_streams_match_reference_across_chunks(self, three_asset_params):
+        # paths on both sides of the 4096-path chunk boundary, at the top
+        # seed, follow the per-path reference stream for (seed, path)
+        seed = 2**64 - 1
+        s0 = np.array([5.0, 6.0, 7.0])
+        config = SimConfig(weights=weights_for(three_asset_params),
+                           n_paths=4100, seed=seed, record_paths=True,
+                           initial_prices=s0)
+        result = simulate(three_asset_params, config)
+        l = cholesky(three_asset_params.cov).l
+        dt = config.dt
+        sigma = three_asset_params.sigma
+        drift = (three_asset_params.mu - sigma**2 / 2.0) * dt
+        for p in (0, 4095, 4096, 4099):
+            z = draw_standard_normals(seed, p, 252 * 3).reshape(252, 3)
+            log_path = np.cumsum(drift + math.sqrt(dt) * (z @ l.T), axis=0)
+            assert np.allclose(result.paths[p, 1:], s0 * np.exp(log_path),
+                               rtol=1e-12, atol=0.0)
 
     def test_ticker_mismatch_rejected(self, three_asset_params):
         bad = WeightVector(("X", "Y", "Z"), np.array([0.4, 0.3, 0.3]))
