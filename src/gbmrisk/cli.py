@@ -69,6 +69,13 @@ REPORT_KEYS = (
     "config_echo",
 )
 OUTPUT_DIR_ENV = "GBMRISK_OUTPUT_DIR"
+# Types of the scalar RunConfig fields; a float field also takes an int. A
+# bool is an int to Python, so it is refused unless the field is a bool.
+_SCALAR_TYPES = {
+    "trading_days": int, "n_paths": int, "seed": int,
+    "horizon_years": float, "alpha": float, "initial_value": float,
+    "risk_free": float, "record_paths": bool,
+}
 
 
 class PipelineError(Exception):
@@ -168,8 +175,9 @@ def load_run_config(
 ) -> RunConfig:
     """Build a RunConfig from an optional JSON file plus flag overrides.
 
-    Unknown file keys are an error, not silently ignored; override values
-    of None mean "flag not given".
+    Unknown file keys are an error, not silently ignored; so is a scalar of
+    the wrong JSON type (a float or bool count, a string rate, a non-bool
+    record_paths). Override values of None mean "flag not given".
     """
     known = {f.name for f in fields(RunConfig)}
     merged: dict = {}
@@ -190,6 +198,15 @@ def load_run_config(
         if key not in known:
             raise PipelineError("config", f"unknown config key: {key}")
         merged[key] = value
+    for key, value in merged.items():
+        want = _SCALAR_TYPES.get(key)
+        if want is None:
+            continue
+        accepted = (int, float) if want is float else want
+        if isinstance(value, bool) != (want is bool) or not isinstance(value, accepted):
+            raise PipelineError(
+                "config", f"{key} must be {want.__name__}, got {value!r}"
+            )
     if "tickers" in merged and merged["tickers"] is not None:
         merged["tickers"] = tuple(str(t) for t in merged["tickers"])
     if "explicit_weights" in merged and merged["explicit_weights"] is not None:

@@ -2,16 +2,20 @@
 
 Solves the minimum-variance and maximum-Sharpe portfolios over the long-only
 full-investment simplex {w : w_i >= 0, sum w_i = 1} and traces the efficient
-frontier. The workhorse is projected gradient descent with the exact
-sort-based simplex projection, fixed step 1/(2*lambda_max(cov)), iteration
-cap 10,000 and stop when the objective change drops below 1e-12. Correctness
-is anchored by an exhaustive lattice oracle, not by the solver choice.
+frontier. The one solver is projected gradient descent on a quadratic with
+an exact sort-based projection (onto the simplex, or onto {y >= 0, e.y = 1}
+for max-Sharpe's convex form), fixed step 1/(2*lambda_max), cap MAX_ITER =
+10,000 steps (hitting it sets the output's warning) and stop when the
+objective change drops below 1e-12. Correctness is anchored by an
+exhaustive lattice oracle, not by the solver choice.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -31,6 +35,7 @@ __all__ = [
     "grid_oracle_min_variance",
     "simplex_lattice",
     "project_simplex",
+    "project_hyperplane",
 ]
 
 MAX_ITER = 10_000
@@ -143,15 +148,41 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(v - tau, 0.0)
 
 
+def project_hyperplane(v: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Euclidean projection onto {y : y >= 0, e.y = 1}; needs some e_i > 0.
+
+    y = max(v - tau*e, 0), where g(tau) = e.max(v - tau*e, 0) is nonincreasing
+    and piecewise linear with breakpoints v_i/e_i; tau solves g(tau) = 1 on
+    the piece located by the sorted breakpoints. e_i may be <= 0.
+    """
+    v = np.asarray(v, dtype=np.float64)
+    e = np.asarray(e, dtype=np.float64)
+    idx = np.flatnonzero(e)
+    idx = idx[np.argsort(v[idx] / e[idx])]
+    ez = e[idx]
+    b = v[idx] / ez
+    # on piece k, between sorted breakpoints k-1 and k, g = sums[0] - tau *
+    # sums[1], summed over e_i > 0 at index >= k and e_i < 0 at index < k
+    terms = np.stack((ez * v[idx], ez * ez))
+    pos = ez > 0.0
+    sums = np.zeros((2, len(idx) + 1))
+    sums[:, :-1] = np.where(pos, terms, 0.0)[:, ::-1].cumsum(axis=1)[:, ::-1]
+    sums[:, 1:] += np.where(pos, 0.0, terms).cumsum(axis=1)
+    k = int(np.count_nonzero(sums[0, :-1] - b * sums[1, :-1] >= 1.0))
+    return np.maximum(v - (sums[0, k] - 1.0) / sums[1, k] * e, 0.0)
+
+
 def _pgd_quadratic(
     cov: np.ndarray,
     linear: np.ndarray | None = None,
     w0: np.ndarray | None = None,
-) -> np.ndarray:
-    """Minimize w'cov w + linear.w over the simplex by projected gradient.
+    project: Callable[[np.ndarray], np.ndarray] = project_simplex,
+) -> tuple[np.ndarray, bool]:
+    """Minimize w'cov w + linear.w over the set ``project`` maps onto.
 
-    Fixed step 1/(2*lambda_max); the linear term does not change the gradient's
-    Lipschitz constant.
+    Starts at ``w0`` or equal weights; fixed step 1/(2*lambda_max), which
+    the linear term does not change. Returns the point and whether the
+    objective change fell below OBJ_TOL within MAX_ITER steps.
     """
     n = cov.shape[0]
     if not np.all(np.isfinite(cov)):
@@ -161,10 +192,10 @@ def _pgd_quadratic(
     if lam_max <= 0.0:
         # zero quadratic: any point is optimal unless a linear term tilts it
         if linear is None:
-            return w
+            return w, True
         out = np.zeros(n)
         out[int(np.argmin(linear))] = 1.0
-        return out
+        return out, True
     step = 1.0 / (2.0 * lam_max)
 
     def obj(x: np.ndarray) -> float:
@@ -178,104 +209,72 @@ def _pgd_quadratic(
         grad = 2.0 * (cov @ w)
         if linear is not None:
             grad = grad + linear
-        w = project_simplex(w - step * grad)
+        w = project(w - step * grad)
         cur = obj(w)
         if abs(prev - cur) < OBJ_TOL:
-            break
+            return w, True
         prev = cur
-    return w
+    return w, False
+
+
+_UNCONVERGED = f"solver stopped at MAX_ITER={MAX_ITER} before converging"
 
 
 def min_variance(params: MarketParams) -> OptimizerOutput:
-    """Minimum Variance Portfolio over the simplex."""
-    w = _pgd_quadratic(params.cov)
+    """Minimum Variance Portfolio over the simplex; warns at MAX_ITER."""
+    w, converged = _pgd_quadratic(params.cov)
     weights = WeightVector(params.tickers, w)
-    return OptimizerOutput(weights, portfolio_stats(weights, params))
-
-
-def _numeric_gradient(f, w: np.ndarray, h: float = 1e-7) -> np.ndarray:
-    grad = np.empty_like(w)
-    for i in range(len(w)):
-        up = w.copy()
-        down = w.copy()
-        up[i] += h
-        down[i] -= h
-        grad[i] = (f(up) - f(down)) / (2.0 * h)
-    return grad
-
-
-def _pgd_numeric(f, w0: np.ndarray) -> np.ndarray:
-    """Projected gradient with backtracking line search on a generic objective."""
-    w = np.array(w0, dtype=np.float64)
-    fw = f(w)
-    for _ in range(MAX_ITER):
-        grad = _numeric_gradient(f, w)
-        step = 1.0
-        improved = False
-        while step > 1e-14:
-            cand = project_simplex(w - step * grad)
-            fc = f(cand)
-            if fc < fw:
-                improved = True
-                break
-            step *= 0.5
-        if not improved:
-            break
-        if abs(fw - fc) < OBJ_TOL:
-            w, fw = cand, fc
-            break
-        w, fw = cand, fc
-    return w
+    return OptimizerOutput(weights, portfolio_stats(weights, params),
+                           None if converged else _UNCONVERGED)
 
 
 def max_sharpe(params: MarketParams, risk_free: float = 0.0) -> OptimizerOutput:
     """Maximum Sharpe Ratio Portfolio over the simplex.
 
-    Maximizes (R_p - R_f)/sigma_p via projected gradient on the negated
-    objective with a numerical gradient, started from the equal-weight point
-    and every vertex; ties are broken by lower volatility.
+    With e = mu - r_f and max e > 0: the convex form min y'Cov y s.t. e.y = 1,
+    y >= 0, w = y / sum(y) (Cornuejols & Tutuncu, Optimization Methods in
+    Finance, ch. 8); assets with e_i <= 0 may enter as hedges. With max e <= 0
+    the ratio is minus nonnegative-linear over convex, so the best vertex is
+    optimal: argmax e_i/sigma_i, ties to lower volatility. Zero covariance
+    gives equal weights. The warning flags both cases and a MAX_ITER stop.
     """
     n = params.n_assets
-    warning = None
-    if np.all(params.mu <= risk_free):
-        warning = (
-            "no asset has expected return above the risk-free rate; "
-            "the maximum-Sharpe portfolio is not meaningful"
-        )
-    if float(np.linalg.eigvalsh(params.cov)[-1]) <= 0.0:
-        weights = WeightVector(params.tickers, np.full(n, 1.0 / n))
-        return OptimizerOutput(
-            weights,
-            portfolio_stats(weights, params, risk_free),
-            warning or "covariance is zero; Sharpe ratio undefined everywhere",
-        )
-
-    def neg_sharpe(w: np.ndarray) -> float:
-        var = float(w @ params.cov @ w)
-        if var <= 0.0:
-            return math.inf
-        return -(float(w @ params.mu) - risk_free) / math.sqrt(var)
-
-    starts = [np.full(n, 1.0 / n)]
-    for i in range(n):
-        v = np.zeros(n)
-        v[i] = 1.0
-        starts.append(v)
-    best_w: np.ndarray | None = None
-    best = (math.inf, math.inf)  # (objective, volatility) lexicographic
-    for start in starts:
-        w = _pgd_numeric(neg_sharpe, start)
-        obj = neg_sharpe(w)
-        vol = math.sqrt(max(float(w @ params.cov @ w), 0.0))
-        if obj < best[0] - OBJ_TOL or (
-            abs(obj - best[0]) <= OBJ_TOL and vol < best[1]
-        ):
-            best = (obj, vol)
-            best_w = w
-    weights = WeightVector(params.tickers, best_w)
-    return OptimizerOutput(
-        weights, portfolio_stats(weights, params, risk_free), warning
+    excess = params.mu - risk_free
+    vols = np.sqrt(np.diag(params.cov))
+    scale = np.where(vols > 0.0, vols, 1.0)
+    sharpes = excess / scale
+    beaten = excess.max() > 0.0
+    warning = None if beaten else (
+        "no asset has expected return above the risk-free rate; "
+        "the maximum-Sharpe portfolio is not meaningful"
     )
+    if float(np.linalg.eigvalsh(params.cov)[-1]) <= 0.0:
+        w = np.full(n, 1.0 / n)
+        warning = warning or "covariance is zero; Sharpe ratio undefined everywhere"
+    elif not beaten:
+        ranked = np.lexsort((vols, -np.where(vols > 0.0, sharpes, -math.inf)))
+        w = np.eye(n)[ranked[0]]
+    else:
+        # In volatility units x = sigma * y: min x'Corr x, s.x = 1, x >= 0,
+        # s the assets' own Sharpe ratios. Corr is far better conditioned
+        # than Cov, so far fewer fixed steps. Start at the best vertex.
+        corr = params.cov / np.outer(scale, scale)
+        x = np.eye(n)[np.argmax(sharpes)] / sharpes.max()
+        project = partial(project_hyperplane, e=sharpes)
+        x, converged = _pgd_quadratic(corr, w0=x, project=project)
+        # On s.x = 1 the Sharpe ratio is S = 1/sqrt(x'Corr x), so the stop
+        # rule's absolute OBJ_TOL reaches S magnified by S^3/2. A second pass
+        # on Corr scaled by S^3/2 takes the same steps but stops on S itself.
+        var = float(x @ corr @ x)
+        if converged and var > 0.0:
+            x, converged = _pgd_quadratic(corr * (0.5 * var**-1.5), w0=x,
+                                          project=project)
+        w = x / scale / np.sum(x / scale)
+        if not converged:
+            warning = _UNCONVERGED
+    weights = WeightVector(params.tickers, w)
+    return OptimizerOutput(weights, portfolio_stats(weights, params, risk_free),
+                           warning)
 
 
 def _min_variance_at_return(
@@ -294,7 +293,7 @@ def _min_variance_at_return(
     ret_tol = 1e-9 * max(1.0, abs(target)) + 1e-12
 
     def solve(g: float, w0: np.ndarray | None) -> np.ndarray:
-        return _pgd_quadratic(cov, linear=-g * mu, w0=w0)
+        return _pgd_quadratic(cov, linear=-g * mu, w0=w0)[0]
 
     w = solve(0.0, w_init)
     if abs(float(mu @ w) - target) <= ret_tol or spread == 0.0:

@@ -162,24 +162,25 @@ def cholesky(cov: np.ndarray) -> CholeskyFactor:
         raise SimulationError("matrix not symmetric")
     n = cov.shape[0]
     l = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1):
-            s = cov[i, j] - float(l[i, :j] @ l[j, :j])
-            if i == j:
-                if s < -_PIVOT_TOL:
-                    raise CholeskyError(
-                        f"matrix not positive semidefinite: pivot {i} = {s:.3e}",
-                        pivot_index=i,
-                    )
-                l[i, i] = math.sqrt(max(s, 0.0))
-            elif l[j, j] > 0.0:
-                l[i, j] = s / l[j, j]
-            elif abs(s) > _PIVOT_TOL:
-                raise CholeskyError(
-                    f"matrix not positive semidefinite: zero pivot {j} with "
-                    f"nonzero off-diagonal residual {s:.3e}",
-                    pivot_index=j,
-                )
+    for j in range(n):
+        s = cov[j, j] - float(l[j, :j] @ l[j, :j])
+        if s < -_PIVOT_TOL:
+            raise CholeskyError(
+                f"matrix not positive semidefinite: pivot {j} = {s:.3e}",
+                pivot_index=j,
+            )
+        l[j, j] = math.sqrt(max(s, 0.0))
+        below = cov[j + 1:, j] - l[j + 1:, :j] @ l[j, :j]
+        if l[j, j] > 0.0:
+            l[j + 1:, j] = below / l[j, j]
+            continue
+        residual = below[np.abs(below) > _PIVOT_TOL]
+        if residual.size:
+            raise CholeskyError(
+                f"matrix not positive semidefinite: zero pivot {j} with "
+                f"nonzero off-diagonal residual {residual[0]:.3e}",
+                pivot_index=j,
+            )
     return CholeskyFactor(l)
 
 

@@ -122,6 +122,25 @@ class TestLoadRunConfig:
         with pytest.raises(PipelineError, match="price_csv"):
             load_run_config(str(cfg), {})
 
+    @pytest.mark.parametrize("key, value", [
+        ("n_paths", 10.5), ("n_paths", True), ("trading_days", "252"),
+        ("horizon_years", True), ("alpha", "0.05"),
+        ("initial_value", True), ("risk_free", "0"),
+        ("record_paths", 1), ("record_paths", "true"),
+    ])
+    def test_wrong_json_type_rejected(self, tmp_path, key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"price_csv": "x", key: value}))
+        with pytest.raises(PipelineError, match=f"stage config: {key} must be"):
+            load_run_config(str(cfg), {})
+
+    def test_int_accepted_for_float_field(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"price_csv": "x", "initial_value": 5000,
+                                   "risk_free": 0}))
+        config = load_run_config(str(cfg), {})
+        assert (config.initial_value, config.risk_free) == (5000, 0)
+
     def test_unreadable_file_rejected(self, tmp_path):
         with pytest.raises(PipelineError, match="cannot read"):
             load_run_config(str(tmp_path / "missing.json"), {})

@@ -1,4 +1,4 @@
-"""Portfolio optimization tests: projection, solver oracles, frontier."""
+"""Portfolio optimization tests: projections, solver oracles, frontier."""
 
 from __future__ import annotations
 
@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gbmrisk.estimation import estimate_params
+from gbmrisk.market_data import load_prices, log_returns
 from gbmrisk.optimizer import (
     OptimizerError,
     WeightVector,
@@ -17,12 +19,13 @@ from gbmrisk.optimizer import (
     max_sharpe,
     min_variance,
     portfolio_stats,
+    project_hyperplane,
     project_simplex,
     quad_form_double_sum,
     simplex_lattice,
 )
 
-from conftest import make_params, random_psd
+from conftest import DATA_DIR, make_params, random_psd
 
 
 def wv(tickers, values) -> WeightVector:
@@ -91,6 +94,50 @@ class TestProjectSimplex:
     def test_idempotent(self, rng):
         w = rng.dirichlet(np.ones(5))
         assert np.allclose(project_simplex(w), w, atol=1e-12)
+
+
+def bisect_hyperplane(v: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Projection onto {y >= 0, e.y = 1} with tau found by bisection."""
+
+    def g(tau: float) -> float:
+        return float(e @ np.maximum(v - tau * e, 0.0))
+
+    lo, hi = -1.0, 1.0
+    while g(lo) < 1.0:
+        lo *= 2.0
+    while g(hi) > 1.0:
+        hi *= 2.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        if g(mid) > 1.0:
+            lo = mid
+        else:
+            hi = mid
+    return np.maximum(v - 0.5 * (lo + hi) * e, 0.0)
+
+
+class TestProjectHyperplane:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+           n=st.integers(min_value=1, max_value=12))
+    def test_matches_bisection_oracle(self, seed, n):
+        # mixed-sign e, some entries exactly zero, at least one positive
+        rng = np.random.default_rng(seed)
+        e = rng.uniform(-1.0, 1.0, size=n)
+        e[rng.random(n) < 0.15] = 0.0
+        e[rng.integers(n)] = rng.uniform(0.05, 1.0)
+        v = rng.normal(0.0, 3.0, size=n)
+        y = project_hyperplane(v, e)
+        assert np.all(y >= 0.0)
+        assert abs(float(e @ y) - 1.0) <= 1e-12
+        assert np.max(np.abs(y - bisect_hyperplane(v, e))) <= 1e-12
+
+    def test_fixed_point_on_the_set(self):
+        e = np.array([0.5, -0.25, 0.0])
+        y = np.array([3.0, 2.0, 1.0])  # e.y = 1.5 - 0.5 = 1
+        assert np.allclose(project_hyperplane(y, e), y, atol=1e-15)
 
 
 class TestPortfolioStats:
@@ -218,11 +265,79 @@ class TestMaxSharpe:
         out = max_sharpe(params, risk_free=0.05)
         assert out.warning is not None
 
+    def test_negative_excess_asset_enters_as_hedge(self):
+        # sigma 0.2 each, correlation -0.9: the tangency portfolio is
+        # proportional to inv(Cov) e = (0.091, 0.080) / (0.04 * 0.19)
+        cov = 0.04 * np.array([[1.0, -0.9], [-0.9, 1.0]])
+        params = make_params(("A", "B"), [0.1, -0.01], cov)
+        out = max_sharpe(params)
+        assert out.weights.w[1] > 0.4
+        assert out.weights.w[1] == pytest.approx(0.080 / 0.171, abs=1e-6)
+        assert out.warning is None
+
+    def test_no_asset_beats_risk_free_returns_best_vertex(self):
+        # excess (-0.5, -0.25, -0.9) over sigma (2, 1, 3): B and A tie at
+        # -0.25 and the lower volatility B wins; no lattice point does better
+        params = make_params(("A", "B", "C"), [-0.5, -0.25, -0.9],
+                             np.diag([4.0, 1.0, 9.0]))
+        out = max_sharpe(params)
+        assert out.weights.w.tolist() == [0.0, 1.0, 0.0]
+        assert out.warning is not None
+        grid = simplex_lattice(3, 0.01)
+        sharpes = (grid @ params.mu) / np.sqrt(
+            np.einsum("ij,jk,ik->i", grid, params.cov, grid))
+        assert out.stats.sharpe >= sharpes.max() - 1e-12
+
+    def test_ten_assets_frank_wolfe_gap(self):
+        # relative Frank-Wolfe gap of the convex form min y'Cov y over
+        # {y >= 0, e.y = 1} at y = w / e.w: vertices are the unit vectors
+        # over e_i for e_i > 0; the rays u_i/e_i + u_j/|e_j| (e_i > 0 > e_j)
+        # must not descend either
+        rng = np.random.default_rng(10)
+        cov = random_psd(rng, 10, scale=0.1) + 1e-3 * np.eye(10)
+        e = rng.uniform(-0.05, 0.15, size=10)
+        assert (e < 0).any()
+        out = max_sharpe(make_params([f"T{i}" for i in range(10)], e, cov))
+        assert out.warning is None
+        y = out.weights.w / float(e @ out.weights.w)
+        g = 2.0 * cov @ y
+        obj = float(y @ cov @ y)
+        pos, neg = e > 0, e < 0
+        gap = (float(g @ y) - float((g[pos] / e[pos]).min())) / obj
+        assert 0.0 <= gap <= 1e-4
+        rays = g[pos][:, None] / e[pos][:, None] + g[neg][None, :] / -e[neg][None, :]
+        assert rays.min() / obj >= -1e-4
+
     def test_zero_covariance_falls_back_with_warning(self):
         params = make_params(("A", "B"), [0.05, 0.1], np.zeros((2, 2)))
         out = max_sharpe(params)
         assert out.warning is not None
         assert abs(out.weights.w.sum() - 1.0) <= 1e-9
+
+
+class TestConvergenceWarning:
+    def test_max_iter_reported(self):
+        # two strong factors over tiny idiosyncratic variances: even the
+        # correlation matrix is ill-conditioned on the hyperplane e.y = 1,
+        # so 10,000 fixed steps settle neither problem. mu = Cov 1/n makes
+        # equal weights the (interior) tangency portfolio.
+        rng = np.random.default_rng(3)
+        n = 200
+        b = np.column_stack((rng.uniform(0.5, 1.5, n), rng.normal(0.0, 1.0, n)))
+        cov = 0.09 * b @ b.T + np.diag(rng.uniform(1e-5, 1e-4, n))
+        params = make_params([f"T{i}" for i in range(n)],
+                             cov @ np.full(n, 1.0 / n), cov)
+        for out in (min_variance(params), max_sharpe(params)):
+            assert out.warning == (
+                "solver stopped at MAX_ITER=10000 before converging"
+            )
+
+    @pytest.mark.parametrize("fixture", ["crypto_like", "equity_like"])
+    def test_fixtures_converge(self, fixture):
+        series = load_prices(str(DATA_DIR / f"{fixture}.csv"))
+        params = estimate_params(log_returns(series))
+        assert min_variance(params).warning is None
+        assert max_sharpe(params).warning is None
 
 
 class TestEfficientFrontier:

@@ -34,7 +34,32 @@ def weights_for(params, values=None) -> WeightVector:
     return WeightVector(params.tickers, w)
 
 
+def cholesky_rowwise(cov: np.ndarray) -> np.ndarray:
+    """Element-by-element Cholesky of a positive definite matrix (reference)."""
+    n = cov.shape[0]
+    l = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1):
+            s = cov[i, j] - float(l[i, :j] @ l[j, :j])
+            l[i, j] = math.sqrt(s) if i == j else s / l[j, j]
+    return l
+
+
 class TestCholesky:
+    def test_matches_rowwise_reference(self):
+        # up to 3 assets every entry sums at most two products in the same
+        # order, so the factor is bitwise the reference's (the fixtures'
+        # byte contract rests on that); beyond, matrix-vector sums may
+        # round differently
+        rng = np.random.default_rng(8)
+        for n in (1, 2, 3, 10, 50):
+            cov = random_psd(rng, n) + 1e-3 * np.eye(n)
+            l = cholesky(cov).l
+            if n <= 3:
+                assert np.array_equal(l, cholesky_rowwise(cov))
+            else:
+                assert np.max(np.abs(l - cholesky_rowwise(cov))) <= 1e-12
+
     def test_hand_oracle_2x2(self):
         # [[4,2],[2,3]] = L L' with L = [[2,0],[1,sqrt(2)]]
         factor = cholesky(np.array([[4.0, 2.0], [2.0, 3.0]]))
