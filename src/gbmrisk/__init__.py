@@ -3,22 +3,18 @@ simplex-constrained mean-variance optimization, and VaR reporting."""
 
 __version__ = "0.1.0"
 
-from .estimation import MarketParams, correlation_of, estimate_params
+from .estimation import MarketParams, estimate_params
 from .market_data import (
-    CsvPriceSource,
     PriceSeries,
     ReturnMatrix,
-    align,
     load_prices,
     log_returns,
     save_prices,
 )
 from .optimizer import (
-    FrontierPoint,
     OptimizerOutput,
     PortfolioStats,
     WeightVector,
-    efficient_frontier,
     max_sharpe,
     min_variance,
     portfolio_stats,
@@ -38,7 +34,6 @@ from .simulation import (
     SimConfig,
     SimulationResult,
     cholesky,
-    correlated_shocks,
     draw_standard_normals,
     repair_psd,
     simulate,
@@ -48,20 +43,15 @@ from .cli import PipelineError, RunConfig, compare_portfolios, run_pipeline
 __all__ = [
     "__version__",
     "MarketParams",
-    "correlation_of",
     "estimate_params",
-    "CsvPriceSource",
     "PriceSeries",
     "ReturnMatrix",
-    "align",
     "load_prices",
     "log_returns",
     "save_prices",
-    "FrontierPoint",
     "OptimizerOutput",
     "PortfolioStats",
     "WeightVector",
-    "efficient_frontier",
     "max_sharpe",
     "min_variance",
     "portfolio_stats",
@@ -77,7 +67,6 @@ __all__ = [
     "SimConfig",
     "SimulationResult",
     "cholesky",
-    "correlated_shocks",
     "draw_standard_normals",
     "repair_psd",
     "simulate",

@@ -15,7 +15,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -175,9 +175,11 @@ def load_run_config(
 ) -> RunConfig:
     """Build a RunConfig from an optional JSON file plus flag overrides.
 
-    Unknown file keys are an error, not silently ignored; so is a scalar of
+    Unknown file keys are an error, not silently ignored; so is a value of
     the wrong JSON type (a float or bool count, a string rate, a non-bool
-    record_paths). Override values of None mean "flag not given".
+    record_paths, tickers that are not a list of strings, explicit weights
+    that are not an object of numbers). Override values of None mean "flag
+    not given".
     """
     known = {f.name for f in fields(RunConfig)}
     merged: dict = {}
@@ -207,12 +209,25 @@ def load_run_config(
             raise PipelineError(
                 "config", f"{key} must be {want.__name__}, got {value!r}"
             )
-    if "tickers" in merged and merged["tickers"] is not None:
-        merged["tickers"] = tuple(str(t) for t in merged["tickers"])
-    if "explicit_weights" in merged and merged["explicit_weights"] is not None:
-        merged["explicit_weights"] = {
-            str(t): float(w) for t, w in dict(merged["explicit_weights"]).items()
-        }
+    tickers = merged.get("tickers")
+    if tickers is not None and not (
+        isinstance(tickers, (list, tuple))
+        and all(isinstance(t, str) for t in tickers)
+    ):
+        raise PipelineError(
+            "config", f"tickers must be a list of strings, got {tickers!r}"
+        )
+    weights = merged.get("explicit_weights")
+    if weights is not None:
+        if not isinstance(weights, dict) or any(
+            isinstance(w, bool) or not isinstance(w, (int, float))
+            for w in weights.values()
+        ):
+            raise PipelineError(
+                "config",
+                f"explicit_weights must be an object of numbers, got {weights!r}",
+            )
+        merged["explicit_weights"] = {t: float(w) for t, w in weights.items()}
     if "price_csv" not in merged:
         raise PipelineError("config", "price_csv is required")
     try:
@@ -223,10 +238,22 @@ def load_run_config(
         raise PipelineError("config", str(err))
 
 
-def _select(series: PriceSeries, tickers: tuple[str, ...] | None) -> PriceSeries:
-    if tickers is None:
+# _load and _fit look the layer functions up as this module's globals at
+# call time, so the benchmark's tracer (perfbench/spans.py) can swap them.
+def _load(config: RunConfig) -> PriceSeries:
+    """Load the price CSV, then keep the configured tickers in order."""
+    series = _stage("load", load_prices, config.price_csv)
+    if config.tickers is None:
         return series
-    return series.select(tickers)
+    return _stage("align", series.select, config.tickers)
+
+
+def _fit(config: RunConfig, series: PriceSeries) -> MarketParams:
+    """Daily log-returns of ``series``, then the annualized MLE fit."""
+    returns = _stage("returns", log_returns, series)
+    return _stage(
+        "estimate", estimate_params, returns, trading_days=config.trading_days
+    )
 
 
 def _explicit_weight_vector(
@@ -260,12 +287,8 @@ def _choose_weights(
 def run_pipeline(config: RunConfig, workers: int = 1) -> PipelineResult:
     """Execute load -> align -> returns -> estimate -> optimize ->
     simulate -> risk and assemble the report."""
-    series = _stage("load", load_prices, config.price_csv)
-    series = _stage("align", _select, series, config.tickers)
-    returns = _stage("returns", log_returns, series)
-    params = _stage(
-        "estimate", estimate_params, returns, trading_days=config.trading_days
-    )
+    series = _load(config)
+    params = _fit(config, series)
     weights, stats, warning = _stage("optimize", _choose_weights, config, params)
     sim_config = _stage(
         "simulate",
@@ -327,12 +350,7 @@ def _report_dict(
     }
     return {
         "weights": weights.as_dict(),
-        "stats": {
-            "expected_return": stats.expected_return,
-            "variance": stats.variance,
-            "volatility": stats.volatility,
-            "sharpe": stats.sharpe,
-        },
+        "stats": asdict(stats),
         "var_value": report.var_value,
         "potential_loss": report.potential_loss,
         "chance_of_loss": report.chance_of_loss,
@@ -451,8 +469,7 @@ def run_backtest(
     rows only, so no information later than the first forecast's own
     trailing window leaks into portfolio construction.
     """
-    series = _stage("load", load_prices, config.price_csv)
-    series = _stage("align", _select, series, config.tickers)
+    series = _load(config)
     if config.portfolio_mode == "explicit-weights":
         weights = _stage(
             "optimize", _explicit_weight_vector, series.tickers,
@@ -470,11 +487,9 @@ def run_backtest(
             dates=series.dates[: window + 1],
             prices=series.prices[: window + 1],
         )
-        head_params = _stage(
-            "estimate", estimate_params, log_returns(head),
-            trading_days=config.trading_days,
+        weights, _, _ = _stage(
+            "optimize", _choose_weights, config, _fit(config, head)
         )
-        weights, _, _ = _stage("optimize", _choose_weights, config, head_params)
     gross = series.prices / series.prices[0]
     values = config.initial_value * (gross @ weights.w)
     result = _stage(
@@ -564,20 +579,7 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    overrides = {
-        "price_csv": args.price_csv,
-        "tickers": args.tickers,
-        "trading_days": args.trading_days,
-        "n_paths": args.n_paths,
-        "horizon_years": args.horizon_years,
-        "alpha": args.alpha,
-        "initial_value": args.initial_value,
-        "risk_free": args.risk_free,
-        "seed": args.seed,
-        "portfolio_mode": args.portfolio_mode,
-        "explicit_weights": args.explicit_weights,
-        "record_paths": args.record_paths,
-    }
+    overrides = {f.name: getattr(args, f.name) for f in fields(RunConfig)}
     return load_run_config(args.config, overrides)
 
 
@@ -626,30 +628,19 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "estimate":
             config = _config_from_args(args)
-            series = _stage("load", load_prices, config.price_csv)
-            series = _stage("align", _select, series, config.tickers)
-            returns = _stage("returns", log_returns, series)
-            params = _stage(
-                "estimate", estimate_params, returns,
-                trading_days=config.trading_days,
-            )
+            series = _load(config)
+            params = _fit(config, series)
             out_dir = resolve_out_dir(args.out_dir)
             path = out_dir / "params.json"
             _write_bytes(
-                path, _json_bytes(_params_dict(params, returns.returns.shape[0]))
+                path, _json_bytes(_params_dict(params, series.n_dates - 1))
             )
             for t, m, s in zip(params.tickers, params.mu, params.sigma):
                 print(f"{t}: mu={m:.6f} sigma={s:.6f}")
             print(f"wrote {path}")
         elif args.command == "optimize":
             config = _config_from_args(args)
-            series = _stage("load", load_prices, config.price_csv)
-            series = _stage("align", _select, series, config.tickers)
-            returns = _stage("returns", log_returns, series)
-            params = _stage(
-                "estimate", estimate_params, returns,
-                trading_days=config.trading_days,
-            )
+            params = _fit(config, _load(config))
             weights, stats, warning = _stage(
                 "optimize", _choose_weights, config, params
             )
@@ -659,12 +650,7 @@ def main(argv: list[str] | None = None) -> int:
                 "portfolio_mode": config.portfolio_mode,
                 "risk_free": config.risk_free,
                 "weights": weights.as_dict(),
-                "stats": {
-                    "expected_return": stats.expected_return,
-                    "variance": stats.variance,
-                    "volatility": stats.volatility,
-                    "sharpe": stats.sharpe,
-                },
+                "stats": asdict(stats),
                 "warning": warning,
                 "version": __version__,
             }

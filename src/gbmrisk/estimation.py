@@ -18,7 +18,7 @@ import numpy as np
 
 from .market_data import ReturnMatrix
 
-__all__ = ["EstimationError", "MarketParams", "estimate_params", "correlation_of"]
+__all__ = ["EstimationError", "MarketParams", "estimate_params"]
 
 DEFAULT_TRADING_DAYS = 252
 
@@ -89,12 +89,3 @@ def estimate_params(
     sigma = np.sqrt(np.diag(cov))
     mu = daily_mean * trading_days + np.diag(cov) / 2.0
     return MarketParams(returns.tickers, mu, sigma, cov, trading_days)
-
-
-def correlation_of(params: MarketParams) -> np.ndarray:
-    """Correlation matrix corr_ij = cov_ij / (sigma_i * sigma_j)."""
-    if np.any(params.sigma <= 0.0):
-        raise EstimationError("correlation undefined for zero volatility")
-    corr = params.cov / np.outer(params.sigma, params.sigma)
-    np.fill_diagonal(corr, 1.0)
-    return corr

@@ -1,4 +1,4 @@
-"""Historical price ingestion: wide-CSV loading, date alignment, log-returns.
+"""Historical price ingestion: wide-CSV loading and log-returns.
 
 The canonical input format is a wide CSV: UTF-8, comma-separated, first
 header cell ``date``, remaining header cells are tickers, each data row an
@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Protocol, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -19,11 +19,8 @@ __all__ = [
     "PriceDataError",
     "PriceSeries",
     "ReturnMatrix",
-    "PriceSource",
-    "CsvPriceSource",
     "load_prices",
     "save_prices",
-    "align",
     "log_returns",
 ]
 
@@ -86,9 +83,6 @@ class PriceSeries:
             idx.append(self.tickers.index(t))
         return PriceSeries(tuple(tickers), self.dates, self.prices[:, idx])
 
-    def single(self, ticker: str) -> "PriceSeries":
-        return self.select([ticker])
-
 
 @dataclass(frozen=True)
 class ReturnMatrix:
@@ -109,36 +103,6 @@ class ReturnMatrix:
     @property
     def n_assets(self) -> int:
         return len(self.tickers)
-
-
-class PriceSource(Protocol):
-    """Pluggable source of single-asset history.
-
-    Only the file-backed implementation ships here; an HTTP client can be
-    plugged in later by satisfying this protocol.
-    """
-
-    def fetch(self, ticker: str, start: str, end: str) -> PriceSeries: ...
-
-
-class CsvPriceSource:
-    """File-backed PriceSource over one wide CSV."""
-
-    def __init__(self, path: str | Path):
-        self._series = load_prices(path)
-
-    def fetch(self, ticker: str, start: str, end: str) -> PriceSeries:
-        sub = self._series.single(ticker)
-        keep = [i for i, d in enumerate(sub.dates) if start <= d <= end]
-        if not keep:
-            raise PriceDataError(
-                f"no rows for {ticker!r} in window [{start}, {end}]"
-            )
-        return PriceSeries(
-            sub.tickers,
-            tuple(sub.dates[i] for i in keep),
-            sub.prices[keep, :],
-        )
 
 
 def load_prices(path: str | Path) -> PriceSeries:
@@ -185,31 +149,6 @@ def save_prices(series: PriceSeries, path: str | Path) -> None:
         writer.writerow(["date", *series.tickers])
         for i, date in enumerate(series.dates):
             writer.writerow([date, *(repr(float(p)) for p in series.prices[i])])
-
-
-def align(series_list: Iterable[PriceSeries]) -> PriceSeries:
-    """Inner-join a list of series on dates.
-
-    Only dates present in every input survive, in increasing order. No
-    forward-filling: a date missing for any asset is dropped entirely.
-    """
-    series_list = list(series_list)
-    if not series_list:
-        raise PriceDataError("align requires at least one series")
-    common = set(series_list[0].dates)
-    for s in series_list[1:]:
-        common &= set(s.dates)
-    if not common:
-        raise PriceDataError("no dates common to all series")
-    dates = tuple(sorted(common))
-    tickers: list[str] = []
-    columns: list[np.ndarray] = []
-    for s in series_list:
-        index = {d: i for i, d in enumerate(s.dates)}
-        take = [index[d] for d in dates]
-        tickers.extend(s.tickers)
-        columns.append(s.prices[take, :])
-    return PriceSeries(tuple(tickers), dates, np.hstack(columns))
 
 
 def log_returns(series: PriceSeries) -> ReturnMatrix:

@@ -1,13 +1,13 @@
 """Simplex-constrained portfolio optimization.
 
 Solves the minimum-variance and maximum-Sharpe portfolios over the long-only
-full-investment simplex {w : w_i >= 0, sum w_i = 1} and traces the efficient
-frontier. The one solver is projected gradient descent on a quadratic with
-an exact sort-based projection (onto the simplex, or onto {y >= 0, e.y = 1}
-for max-Sharpe's convex form), fixed step 1/(2*lambda_max), cap MAX_ITER =
-10,000 steps (hitting it sets the output's warning) and stop when the
-objective change drops below 1e-12. Correctness is anchored by an
-exhaustive lattice oracle, not by the solver choice.
+full-investment simplex {w : w_i >= 0, sum w_i = 1}. The one solver is
+projected gradient descent on a quadratic with an exact sort-based
+projection (onto the simplex, or onto {y >= 0, e.y = 1} for max-Sharpe's
+convex form), fixed step 1/(2*lambda_max), cap MAX_ITER = 10,000 steps
+(hitting it sets the output's warning) and stop when the objective change
+drops below 1e-12. Correctness is anchored by an exhaustive lattice oracle
+in the tests, not by the solver choice.
 """
 
 from __future__ import annotations
@@ -26,14 +26,9 @@ __all__ = [
     "WeightVector",
     "PortfolioStats",
     "OptimizerOutput",
-    "FrontierPoint",
     "portfolio_stats",
-    "quad_form_double_sum",
     "min_variance",
     "max_sharpe",
-    "efficient_frontier",
-    "grid_oracle_min_variance",
-    "simplex_lattice",
     "project_simplex",
     "project_hyperplane",
 ]
@@ -41,7 +36,6 @@ __all__ = [
 MAX_ITER = 10_000
 OBJ_TOL = 1e-12
 WEIGHT_CLAMP = 1e-12
-GRID_MAX_ASSETS = 4
 
 
 class OptimizerError(ValueError):
@@ -93,13 +87,6 @@ class OptimizerOutput:
     warning: str | None = None
 
 
-@dataclass(frozen=True)
-class FrontierPoint:
-    target_return: float
-    weights: WeightVector
-    stats: PortfolioStats
-
-
 def _check_dims(w: WeightVector, params: MarketParams) -> None:
     if w.tickers != params.tickers:
         raise OptimizerError(
@@ -117,24 +104,6 @@ def portfolio_stats(
     vol = math.sqrt(var)
     sharpe = (ret - risk_free) / vol if vol > 0.0 else math.nan
     return PortfolioStats(ret, var, vol, sharpe)
-
-
-def quad_form_double_sum(w: WeightVector, params: MarketParams) -> float:
-    """Portfolio variance as the explicit double sum.
-
-    sum_i w_i^2 var_i + sum_i sum_{j != i} w_i w_j cov_ij. Exists solely as a
-    cross-check oracle for the matrix quadratic form.
-    """
-    _check_dims(w, params)
-    n = len(w.w)
-    total = 0.0
-    for i in range(n):
-        total += w.w[i] * w.w[i] * params.cov[i, i]
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                total += w.w[i] * w.w[j] * params.cov[i, j]
-    return total
 
 
 def project_simplex(v: np.ndarray) -> np.ndarray:
@@ -174,15 +143,14 @@ def project_hyperplane(v: np.ndarray, e: np.ndarray) -> np.ndarray:
 
 def _pgd_quadratic(
     cov: np.ndarray,
-    linear: np.ndarray | None = None,
     w0: np.ndarray | None = None,
     project: Callable[[np.ndarray], np.ndarray] = project_simplex,
 ) -> tuple[np.ndarray, bool]:
-    """Minimize w'cov w + linear.w over the set ``project`` maps onto.
+    """Minimize w'cov w over the set ``project`` maps onto.
 
-    Starts at ``w0`` or equal weights; fixed step 1/(2*lambda_max), which
-    the linear term does not change. Returns the point and whether the
-    objective change fell below OBJ_TOL within MAX_ITER steps.
+    Starts at ``w0`` or equal weights; fixed step 1/(2*lambda_max). Returns
+    the point and whether the objective change fell below OBJ_TOL within
+    MAX_ITER steps.
     """
     n = cov.shape[0]
     if not np.all(np.isfinite(cov)):
@@ -190,27 +158,12 @@ def _pgd_quadratic(
     w = np.full(n, 1.0 / n) if w0 is None else np.array(w0, dtype=np.float64)
     lam_max = float(np.linalg.eigvalsh(cov)[-1])
     if lam_max <= 0.0:
-        # zero quadratic: any point is optimal unless a linear term tilts it
-        if linear is None:
-            return w, True
-        out = np.zeros(n)
-        out[int(np.argmin(linear))] = 1.0
-        return out, True
+        return w, True  # zero quadratic: any point is optimal
     step = 1.0 / (2.0 * lam_max)
-
-    def obj(x: np.ndarray) -> float:
-        val = float(x @ cov @ x)
-        if linear is not None:
-            val += float(linear @ x)
-        return val
-
-    prev = obj(w)
+    prev = float(w @ cov @ w)
     for _ in range(MAX_ITER):
-        grad = 2.0 * (cov @ w)
-        if linear is not None:
-            grad = grad + linear
-        w = project(w - step * grad)
-        cur = obj(w)
+        w = project(w - step * (2.0 * (cov @ w)))
+        cur = float(w @ cov @ w)
         if abs(prev - cur) < OBJ_TOL:
             return w, True
         prev = cur
@@ -275,123 +228,3 @@ def max_sharpe(params: MarketParams, risk_free: float = 0.0) -> OptimizerOutput:
     weights = WeightVector(params.tickers, w)
     return OptimizerOutput(weights, portfolio_stats(weights, params, risk_free),
                            warning)
-
-
-def _min_variance_at_return(
-    params: MarketParams, target: float, w_init: np.ndarray | None
-) -> np.ndarray | None:
-    """Minimum-variance weights with expected return pinned to ``target``.
-
-    Solved through the Lagrangian dual: for multiplier g, the inner problem
-    min w'Cov w - g mu.w over the simplex reuses the quadratic machinery, and
-    the achieved return mu.w(g) is nondecreasing in g, so g is found by
-    bisection. Returns None when the target cannot be met.
-    """
-    mu = params.mu
-    cov = params.cov
-    spread = float(mu.max() - mu.min())
-    ret_tol = 1e-9 * max(1.0, abs(target)) + 1e-12
-
-    def solve(g: float, w0: np.ndarray | None) -> np.ndarray:
-        return _pgd_quadratic(cov, linear=-g * mu, w0=w0)[0]
-
-    w = solve(0.0, w_init)
-    if abs(float(mu @ w) - target) <= ret_tol or spread == 0.0:
-        if abs(float(mu @ w) - target) <= ret_tol:
-            return w
-        return None
-
-    lo, hi = 0.0, 0.0
-    w_lo, w_hi = w, w
-    if float(mu @ w) < target:
-        hi = max(1.0, 2.0 * float(np.abs(cov).max()))
-        w_hi = solve(hi, w)
-        while float(mu @ w_hi) < target - ret_tol and hi < 1e12:
-            hi *= 4.0
-            w_hi = solve(hi, w_hi)
-    else:
-        lo = -max(1.0, 2.0 * float(np.abs(cov).max()))
-        w_lo = solve(lo, w)
-        while float(mu @ w_lo) > target + ret_tol and lo > -1e12:
-            lo *= 4.0
-            w_lo = solve(lo, w_lo)
-
-    w_best = w_hi if abs(float(mu @ w_hi) - target) < abs(float(mu @ w_lo) - target) else w_lo
-    for _ in range(200):
-        mid = (lo + hi) / 2.0
-        w_mid = solve(mid, w_best)
-        achieved = float(mu @ w_mid)
-        if abs(achieved - target) < abs(float(mu @ w_best) - target):
-            w_best = w_mid
-        if abs(achieved - target) <= ret_tol:
-            return w_mid
-        if achieved < target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-15 * max(1.0, abs(hi)):
-            break
-    if abs(float(mu @ w_best) - target) <= 1e-6 * max(1.0, abs(target)):
-        return w_best
-    return None
-
-
-def efficient_frontier(
-    params: MarketParams, n_points: int, risk_free: float = 0.0
-) -> list[FrontierPoint]:
-    """Minimum-variance portfolios for target returns spaced over [min mu, max mu].
-
-    Infeasible targets are excluded. Volatility is non-decreasing in the
-    target above the MVP return.
-    """
-    if n_points < 2:
-        raise OptimizerError("n_points must be >= 2")
-    targets = np.linspace(float(params.mu.min()), float(params.mu.max()), n_points)
-    points: list[FrontierPoint] = []
-    w_prev: np.ndarray | None = None
-    for target in targets:
-        w = _min_variance_at_return(params, float(target), w_prev)
-        if w is None:
-            continue
-        w_prev = w
-        weights = WeightVector(params.tickers, w)
-        points.append(
-            FrontierPoint(float(target), weights, portfolio_stats(weights, params, risk_free))
-        )
-    return points
-
-
-def simplex_lattice(n_assets: int, resolution: float) -> np.ndarray:
-    """All simplex lattice points with spacing ``resolution`` (rows sum to 1)."""
-    k = round(1.0 / resolution)
-    if abs(k * resolution - 1.0) > 1e-9:
-        raise OptimizerError(f"resolution {resolution!r} does not divide 1")
-
-    def counts(parts: int, total: int) -> np.ndarray:
-        if parts == 1:
-            return np.array([[total]], dtype=np.int64)
-        blocks = []
-        for first in range(total + 1):
-            rest = counts(parts - 1, total - first)
-            blocks.append(
-                np.column_stack([np.full(len(rest), first, dtype=np.int64), rest])
-            )
-        return np.vstack(blocks)
-
-    return counts(n_assets, k) / float(k)
-
-
-def grid_oracle_min_variance(
-    params: MarketParams, resolution: float
-) -> WeightVector:
-    """Exhaustive lattice search for the minimum-variance weights.
-
-    Independent verification oracle; guarded to N <= 4 assets because the
-    lattice grows combinatorially.
-    """
-    n = params.n_assets
-    if n > GRID_MAX_ASSETS:
-        raise OptimizerError(f"grid oracle limited to {GRID_MAX_ASSETS} assets")
-    lattice = simplex_lattice(n, resolution)
-    objectives = np.einsum("pi,ij,pj->p", lattice, params.cov, lattice)
-    return WeightVector(params.tickers, lattice[int(np.argmin(objectives))])

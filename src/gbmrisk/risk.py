@@ -22,7 +22,6 @@ __all__ = [
     "quantile",
     "chance_of_loss",
     "analytic_var_single_asset",
-    "count_var_violations",
     "rolling_var_backtest",
     "build_report",
 ]
@@ -115,15 +114,6 @@ def analytic_var_single_asset(
         return s0 * math.exp(mu * horizon_years)
     z = NormalDist().inv_cdf(alpha)
     return s0 * math.exp((mu - sigma**2 / 2.0) * horizon_years + scale * z)
-
-
-def count_var_violations(realized: np.ndarray, thresholds: np.ndarray) -> int:
-    """Number of periods where the realized value fell strictly below VaR."""
-    realized = np.asarray(realized, dtype=np.float64).ravel()
-    thresholds = np.asarray(thresholds, dtype=np.float64).ravel()
-    if realized.shape != thresholds.shape:
-        raise RiskError("realized and thresholds must have equal length")
-    return int(np.count_nonzero(realized < thresholds))
 
 
 def rolling_var_backtest(

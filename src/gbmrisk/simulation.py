@@ -33,7 +33,6 @@ __all__ = [
     "SimulationResult",
     "cholesky",
     "repair_psd",
-    "correlated_shocks",
     "draw_standard_normals",
     "simulate",
 ]
@@ -216,16 +215,6 @@ def _repair_and_factor(
         f"{last_error}",
         pivot_index=last_error.pivot_index,
     )
-
-
-def correlated_shocks(factor: CholeskyFactor, z: np.ndarray) -> np.ndarray:
-    """Map independent standard normals to correlated shocks, row-wise z L'."""
-    z = np.asarray(z, dtype=np.float64)
-    if z.ndim != 2 or z.shape[1] != factor.l.shape[0]:
-        raise SimulationError(
-            f"shock matrix has {z.shape} columns, factor is {factor.l.shape}"
-        )
-    return z @ factor.l.T
 
 
 def draw_standard_normals(seed: int, path_index: int, count: int) -> np.ndarray:

@@ -18,15 +18,14 @@ from gbmrisk.cli import RunConfig, main, run_pipeline
 from gbmrisk.estimation import MarketParams
 from gbmrisk.optimizer import (
     WeightVector,
-    grid_oracle_min_variance,
     min_variance,
     portfolio_stats,
-    quad_form_double_sum,
 )
 from gbmrisk.risk import analytic_var_single_asset, quantile, rolling_var_backtest
 from gbmrisk.simulation import CholeskyError, SimConfig, cholesky, simulate
 
 from conftest import DATA_DIR, make_params, random_psd
+from oracles import grid_oracle_min_variance, quad_form_double_sum
 
 N_BIG = 100_000
 

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gbmrisk import cli
 from gbmrisk.cli import (
     PipelineError,
     RunConfig,
@@ -127,10 +128,16 @@ class TestLoadRunConfig:
         ("horizon_years", True), ("alpha", "0.05"),
         ("initial_value", True), ("risk_free", "0"),
         ("record_paths", 1), ("record_paths", "true"),
+        ("tickers", "EQA"), ("tickers", [1, 2]),
+        ("explicit_weights", {"E": True, "Q": False, "A": "0"}),
+        ("explicit_weights", [0.5, 0.5]),
     ])
     def test_wrong_json_type_rejected(self, tmp_path, key, value):
+        # explicit-weights mode, so a coerced weight map or ticker list
+        # would load or fail the mode check instead of the type check
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"price_csv": "x", key: value}))
+        cfg.write_text(json.dumps({"price_csv": "x", key: value,
+                                   "portfolio_mode": "explicit-weights"}))
         with pytest.raises(PipelineError, match=f"stage config: {key} must be"):
             load_run_config(str(cfg), {})
 
@@ -461,6 +468,18 @@ class TestCliCommands:
         assert weights.as_dict() == {"GA": 0.7, "GB": 0.3}
         assert result.n_tests == 199 - 50
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf ratios
+    def test_backtest_overflowing_returns_name_their_stage(self, tmp_path,
+                                                            capsys):
+        csv = tmp_path / "wild.csv"
+        csv.write_text("date,A\n" + "".join(
+            f"2024-01-{d + 1:02d},{1e300 if d % 2 else 1e-300!r}\n"
+            for d in range(8)
+        ))
+        code = self.run("backtest", "--price-csv", str(csv), "--window", "2")
+        assert code == 2
+        assert "stage returns" in capsys.readouterr().err
+
     def test_exit_codes(self, tmp_path, capsys):
         assert self.run("simulate", "--price-csv",
                         str(tmp_path / "missing.csv")) == 2
@@ -476,3 +495,39 @@ class TestCliCommands:
         assert exc.value.code == 0
         import gbmrisk
         assert gbmrisk.__version__ in capsys.readouterr().out
+
+
+class TestFitPath:
+    """The benchmark traces each entry point by swapping these gbmrisk.cli
+    globals, so every entry point must call each of them through the module,
+    exactly once."""
+
+    LAYERS = ("load_prices", "log_returns", "estimate_params")
+
+    @pytest.fixture
+    def calls(self, monkeypatch) -> dict:
+        counts = dict.fromkeys(self.LAYERS, 0)
+        for name in self.LAYERS:
+            real = getattr(cli, name)
+
+            def counted(*args, _name=name, _real=real, **kwargs):
+                counts[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(cli, name, counted)
+        return counts
+
+    @pytest.mark.parametrize(
+        "entry", ["run_pipeline", "estimate", "optimize", "run_backtest"]
+    )
+    def test_entry_calls_each_layer_once(self, entry, calls, tmp_path):
+        csv = str(DATA_DIR / "equity_like.csv")
+        config = RunConfig(price_csv=csv, n_paths=50)
+        if entry == "run_pipeline":
+            run_pipeline(config)
+        elif entry == "run_backtest":
+            run_backtest(config, window=100)
+        else:
+            assert main([entry, "--price-csv", csv,
+                         "--out-dir", str(tmp_path)]) == 0
+        assert calls == dict.fromkeys(self.LAYERS, 1)

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from gbmrisk.estimation import (
     EstimationError,
     MarketParams,
-    correlation_of,
     estimate_params,
 )
 from gbmrisk.market_data import ReturnMatrix
@@ -140,27 +139,3 @@ class TestMarketParamsInvariants:
     def test_rejects_nonfinite(self):
         with pytest.raises(EstimationError):
             make_params(("A",), [np.nan], [[1.0]])
-
-
-class TestCorrelation:
-    def test_matches_numpy_corrcoef(self, rng):
-        r = rng.multivariate_normal(
-            [0.0, 0.0, 0.0],
-            np.array([[1.0, 0.6, 0.2], [0.6, 1.0, 0.4], [0.2, 0.4, 1.0]]) * 1e-4,
-            size=400,
-        )
-        params = estimate_params(returns_of(r))
-        corr = correlation_of(params)
-        assert np.allclose(corr, np.corrcoef(r, rowvar=False), atol=1e-12)
-
-    def test_unit_diagonal_and_symmetry(self, three_asset_params):
-        corr = correlation_of(three_asset_params)
-        assert np.array_equal(np.diag(corr), np.ones(3))
-        assert np.array_equal(corr, corr.T)
-        assert np.all(np.abs(corr) <= 1.0 + 1e-12)
-
-    def test_zero_volatility_rejected(self):
-        params = make_params(("A", "B"), [0.0, 0.0],
-                             [[0.0, 0.0], [0.0, 1.0]])
-        with pytest.raises(EstimationError):
-            correlation_of(params)

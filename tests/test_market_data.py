@@ -1,4 +1,4 @@
-"""Price ingestion, validation, alignment, and log-return tests."""
+"""Price ingestion, validation, ticker selection, and log-return tests."""
 
 from __future__ import annotations
 
@@ -10,11 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gbmrisk.market_data import (
-    CsvPriceSource,
     PriceDataError,
     PriceSeries,
     ReturnMatrix,
-    align,
     load_prices,
     log_returns,
     save_prices,
@@ -73,10 +71,6 @@ class TestPriceSeries:
         s = series(["A"], ["2024-01-02"], [[1.0]])
         with pytest.raises(PriceDataError):
             s.select(["Z"])
-
-    def test_single(self):
-        s = series(["A", "B"], ["2024-01-02"], [[1.0, 2.0]])
-        assert s.single("B").tickers == ("B",)
 
 
 class TestCsvIO:
@@ -144,42 +138,6 @@ class TestCsvIO:
         save_prices(s, path)
         loaded = load_prices(path)
         assert np.array_equal(loaded.prices, s.prices)
-
-
-class TestCsvPriceSource:
-    def test_fetch_window_is_inclusive(self, tmp_path):
-        path = tmp_path / "p.csv"
-        path.write_text(
-            "date,A\n2024-01-02,1.0\n2024-01-03,2.0\n2024-01-04,3.0\n"
-        )
-        source = CsvPriceSource(path)
-        got = source.fetch("A", "2024-01-03", "2024-01-04")
-        assert got.dates == ("2024-01-03", "2024-01-04")
-
-    def test_fetch_empty_window_errors(self, tmp_path):
-        path = tmp_path / "p.csv"
-        path.write_text("date,A\n2024-01-02,1.0\n")
-        source = CsvPriceSource(path)
-        with pytest.raises(PriceDataError):
-            source.fetch("A", "2025-01-01", "2025-12-31")
-
-
-class TestAlign:
-    def test_inner_join_on_dates(self):
-        a = series(["A"], ["2024-01-02", "2024-01-03", "2024-01-04"],
-                   [[1.0], [2.0], [3.0]])
-        b = series(["B"], ["2024-01-03", "2024-01-04", "2024-01-05"],
-                   [[10.0], [20.0], [30.0]])
-        joined = align([a, b])
-        assert joined.tickers == ("A", "B")
-        assert joined.dates == ("2024-01-03", "2024-01-04")
-        assert joined.prices.tolist() == [[2.0, 10.0], [3.0, 20.0]]
-
-    def test_empty_intersection_errors(self):
-        a = series(["A"], ["2024-01-02"], [[1.0]])
-        b = series(["B"], ["2024-01-03"], [[2.0]])
-        with pytest.raises(PriceDataError):
-            align([a, b])
 
 
 class TestLogReturns:

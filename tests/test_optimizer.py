@@ -1,4 +1,4 @@
-"""Portfolio optimization tests: projections, solver oracles, frontier."""
+"""Portfolio optimization tests: projections and solver oracles."""
 
 from __future__ import annotations
 
@@ -14,18 +14,19 @@ from gbmrisk.market_data import load_prices, log_returns
 from gbmrisk.optimizer import (
     OptimizerError,
     WeightVector,
-    efficient_frontier,
-    grid_oracle_min_variance,
     max_sharpe,
     min_variance,
     portfolio_stats,
     project_hyperplane,
     project_simplex,
-    quad_form_double_sum,
-    simplex_lattice,
 )
 
 from conftest import DATA_DIR, make_params, random_psd
+from oracles import (
+    grid_oracle_min_variance,
+    quad_form_double_sum,
+    simplex_lattice,
+)
 
 
 def wv(tickers, values) -> WeightVector:
@@ -338,35 +339,6 @@ class TestConvergenceWarning:
         params = estimate_params(log_returns(series))
         assert min_variance(params).warning is None
         assert max_sharpe(params).warning is None
-
-
-class TestEfficientFrontier:
-    def test_targets_hit_and_variance_dominates_mvp(self, three_asset_params):
-        points = efficient_frontier(three_asset_params, n_points=9)
-        assert len(points) >= 5
-        mvp_var = min_variance(three_asset_params).stats.variance
-        for pt in points:
-            assert pt.stats.expected_return == pytest.approx(
-                pt.target_return, abs=1e-6
-            )
-            assert pt.stats.variance >= mvp_var - 1e-9
-
-    def test_variance_monotone_above_mvp_return(self, three_asset_params):
-        points = efficient_frontier(three_asset_params, n_points=11)
-        mvp_ret = min_variance(three_asset_params).stats.expected_return
-        upper = [p for p in points if p.target_return >= mvp_ret - 1e-12]
-        variances = [p.stats.variance for p in upper]
-        assert all(b >= a - 1e-9 for a, b in zip(variances, variances[1:]))
-
-    def test_endpoints_span_mu_range(self, three_asset_params):
-        points = efficient_frontier(three_asset_params, n_points=5)
-        mu = three_asset_params.mu
-        assert points[0].target_return == pytest.approx(mu.min(), abs=1e-12)
-        assert points[-1].target_return == pytest.approx(mu.max(), abs=1e-9)
-
-    def test_rejects_too_few_points(self, three_asset_params):
-        with pytest.raises(OptimizerError):
-            efficient_frontier(three_asset_params, n_points=1)
 
 
 class TestGridOracle:

@@ -16,7 +16,6 @@ from gbmrisk.risk import (
     analytic_var_single_asset,
     build_report,
     chance_of_loss,
-    count_var_violations,
     quantile,
     rolling_var_backtest,
 )
@@ -113,17 +112,6 @@ class TestAnalyticVar:
             analytic_var_single_asset(100.0, 0.05, -0.2, 1.0, 0.05)
         with pytest.raises(RiskError):
             analytic_var_single_asset(100.0, 0.05, 0.2, -1.0, 0.05)
-
-
-class TestCountViolations:
-    def test_counts_strict(self):
-        realized = np.array([9.0, 10.0, 11.0])
-        thresholds = np.array([10.0, 10.0, 10.0])
-        assert count_var_violations(realized, thresholds) == 1
-
-    def test_length_mismatch(self):
-        with pytest.raises(RiskError):
-            count_var_violations(np.ones(3), np.ones(4))
 
 
 class TestRollingBacktest:

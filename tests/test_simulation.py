@@ -1,4 +1,4 @@
-"""Simulation tests: factorization, shock correlation, path generation."""
+"""Simulation tests: factorization, per-path streams, path generation."""
 
 from __future__ import annotations
 
@@ -17,7 +17,6 @@ from gbmrisk.simulation import (
     SimConfig,
     SimulationError,
     cholesky,
-    correlated_shocks,
     draw_standard_normals,
     repair_psd,
     simulate,
@@ -142,30 +141,6 @@ class TestRepairPsd:
     def test_strongly_indefinite_raises(self):
         with pytest.raises(CholeskyError):
             repair_psd(np.array([[1.0, 2.0], [2.0, 1.0]]))
-
-
-class TestCorrelatedShocks:
-    def test_shape_and_linearity(self):
-        factor = cholesky(np.array([[4.0, 2.0], [2.0, 3.0]]))
-        z = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-        shocks = correlated_shocks(factor, z)
-        assert shocks.shape == (3, 2)
-        # row z = e1 picks up L's first column transposed
-        assert np.allclose(shocks[0], factor.l[:, 0], atol=1e-15)
-        assert np.allclose(shocks[2], shocks[0] + shocks[1], atol=1e-15)
-
-    def test_dimension_mismatch(self):
-        factor = cholesky(np.eye(2))
-        with pytest.raises(SimulationError):
-            correlated_shocks(factor, np.zeros((5, 3)))
-
-    def test_sample_covariance_approaches_target(self):
-        target = np.array([[1.0, 0.6], [0.6, 1.5]])
-        factor = cholesky(target)
-        z = np.random.default_rng(11).standard_normal((200_000, 2))
-        shocks = correlated_shocks(factor, z)
-        sample = np.cov(shocks, rowvar=False)
-        assert np.max(np.abs(sample - target)) < 0.02
 
 
 class TestDrawStandardNormals:
