@@ -111,6 +111,12 @@ class RunConfig:
             object.__setattr__(self, "tickers", tuple(self.tickers))
         if not self.price_csv:
             raise PipelineError("config", "price_csv is required")
+        for key, want in _SCALAR_TYPES.items():
+            value = getattr(self, key)
+            if want is float and not math.isfinite(value):
+                raise PipelineError(
+                    "config", f"{key} must be finite, got {value!r}"
+                )
         if self.trading_days < 1:
             raise PipelineError("config", "trading_days must be >= 1")
         if self.n_paths < 1:
@@ -413,11 +419,10 @@ def write_report_files(result: PipelineResult, out_dir: Path) -> list[Path]:
     if paths is not None:
         tickers = result.params.tickers
         rows = ["path,step,ticker,price"]
-        n_paths, n_rows, _ = paths.shape
-        for p in range(n_paths):
-            for step in range(n_rows):
-                for a, ticker in enumerate(tickers):
-                    rows.append(f"{p},{step},{ticker},{float(paths[p, step, a])!r}")
+        for p in range(paths.shape[0]):
+            for step, prices in enumerate(paths[p].tolist()):
+                for ticker, price in zip(tickers, prices):
+                    rows.append(f"{p},{step},{ticker},{price!r}")
         paths_path = out_dir / "paths.csv"
         _write_bytes(paths_path, ("\n".join(rows) + "\n").encode("utf-8"))
         written.append(paths_path)

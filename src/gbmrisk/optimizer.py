@@ -1,21 +1,22 @@
 """Simplex-constrained portfolio optimization.
 
 Solves the minimum-variance and maximum-Sharpe portfolios over the long-only
-full-investment simplex {w : w_i >= 0, sum w_i = 1}. The one solver is
-projected gradient descent on a quadratic with an exact sort-based
-projection (onto the simplex, or onto {y >= 0, e.y = 1} for max-Sharpe's
-convex form), fixed step 1/(2*lambda_max), cap MAX_ITER = 10,000 steps
-(hitting it sets the output's warning) and stop when the objective change
-drops below 1e-12. Correctness is anchored by an exhaustive lattice oracle
-in the tests, not by the solver choice.
+full-investment simplex {w : w_i >= 0, sum w_i = 1}. Both run in volatility
+units x = sigma * w, where the quadratic is the correlation matrix, as one
+convex problem min x'Corr x over {x >= 0, e.x = 1}: e = 1/sigma for the
+minimum variance, the assets' Sharpe ratios for max-Sharpe (Cornuejols &
+Tutuncu, Optimization Methods in Finance, ch. 8). The one solver is projected
+gradient descent with the exact sort-based projection onto that set
+(Condat, Math. Prog. 2016), fixed step 1/(2*lambda_max), cap MAX_ITER =
+10,000 steps (hitting it sets the output's warning) and stop when the
+objective change drops below 1e-12. Correctness is anchored by an
+exhaustive lattice oracle in the tests, not by the solver choice.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -29,7 +30,6 @@ __all__ = [
     "portfolio_stats",
     "min_variance",
     "max_sharpe",
-    "project_simplex",
     "project_hyperplane",
 ]
 
@@ -106,17 +106,6 @@ def portfolio_stats(
     return PortfolioStats(ret, var, vol, sharpe)
 
 
-def project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex (sort-based)."""
-    v = np.asarray(v, dtype=np.float64)
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    ks = np.arange(1, len(v) + 1)
-    rho = np.nonzero(u - css / ks > 0)[0][-1]
-    tau = css[rho] / (rho + 1.0)
-    return np.maximum(v - tau, 0.0)
-
-
 def project_hyperplane(v: np.ndarray, e: np.ndarray) -> np.ndarray:
     """Euclidean projection onto {y : y >= 0, e.y = 1}; needs some e_i > 0.
 
@@ -141,42 +130,51 @@ def project_hyperplane(v: np.ndarray, e: np.ndarray) -> np.ndarray:
     return np.maximum(v - (sums[0, k] - 1.0) / sums[1, k] * e, 0.0)
 
 
-def _pgd_quadratic(
-    cov: np.ndarray,
-    w0: np.ndarray | None = None,
-    project: Callable[[np.ndarray], np.ndarray] = project_simplex,
-) -> tuple[np.ndarray, bool]:
-    """Minimize w'cov w over the set ``project`` maps onto.
+def _vol_units(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-asset volatility (1 where it is 0) and Cov / outer(scale, scale)."""
+    vols = np.sqrt(np.diag(cov))
+    scale = np.where(vols > 0.0, vols, 1.0)
+    return scale, cov / np.outer(scale, scale)
 
-    Starts at ``w0`` or equal weights; fixed step 1/(2*lambda_max). Returns
-    the point and whether the objective change fell below OBJ_TOL within
-    MAX_ITER steps.
+
+def _pgd_quadratic(
+    q: np.ndarray, e: np.ndarray, x0: np.ndarray
+) -> tuple[np.ndarray, bool]:
+    """Minimize x'q x over {x >= 0, e.x = 1}, starting at ``x0``.
+
+    Fixed step 1/(2*lambda_max). Returns the point and whether the objective
+    change fell below OBJ_TOL within MAX_ITER steps.
     """
-    n = cov.shape[0]
-    if not np.all(np.isfinite(cov)):
+    if not np.all(np.isfinite(q)):
         raise OptimizerError("non-finite covariance")
-    w = np.full(n, 1.0 / n) if w0 is None else np.array(w0, dtype=np.float64)
-    lam_max = float(np.linalg.eigvalsh(cov)[-1])
+    x = np.array(x0, dtype=np.float64)
+    lam_max = float(np.linalg.eigvalsh(q)[-1])
     if lam_max <= 0.0:
-        return w, True  # zero quadratic: any point is optimal
+        return x, True  # zero quadratic: any point is optimal
     step = 1.0 / (2.0 * lam_max)
-    prev = float(w @ cov @ w)
+    prev = float(x @ q @ x)
     for _ in range(MAX_ITER):
-        w = project(w - step * (2.0 * (cov @ w)))
-        cur = float(w @ cov @ w)
+        x = project_hyperplane(x - step * (2.0 * (q @ x)), e)
+        cur = float(x @ q @ x)
         if abs(prev - cur) < OBJ_TOL:
-            return w, True
+            return x, True
         prev = cur
-    return w, False
+    return x, False
 
 
 _UNCONVERGED = f"solver stopped at MAX_ITER={MAX_ITER} before converging"
 
 
 def min_variance(params: MarketParams) -> OptimizerOutput:
-    """Minimum Variance Portfolio over the simplex; warns at MAX_ITER."""
-    w, converged = _pgd_quadratic(params.cov)
-    weights = WeightVector(params.tickers, w)
+    """Minimum Variance Portfolio over the simplex; warns at MAX_ITER.
+
+    Solves min x'Corr x over {x >= 0, (1/sigma).x = 1}, x = sigma * w (so
+    x'Corr x = w'Cov w), from equal weights: Corr is far better conditioned
+    than Cov, so far fewer fixed steps reach the stop rule.
+    """
+    scale, corr = _vol_units(params.cov)
+    x, converged = _pgd_quadratic(corr, 1.0 / scale, scale / params.n_assets)
+    weights = WeightVector(params.tickers, x / scale / np.sum(x / scale))
     return OptimizerOutput(weights, portfolio_stats(weights, params),
                            None if converged else _UNCONVERGED)
 
@@ -193,8 +191,7 @@ def max_sharpe(params: MarketParams, risk_free: float = 0.0) -> OptimizerOutput:
     """
     n = params.n_assets
     excess = params.mu - risk_free
-    vols = np.sqrt(np.diag(params.cov))
-    scale = np.where(vols > 0.0, vols, 1.0)
+    scale, corr = _vol_units(params.cov)
     sharpes = excess / scale
     beaten = excess.max() > 0.0
     warning = None if beaten else (
@@ -205,23 +202,20 @@ def max_sharpe(params: MarketParams, risk_free: float = 0.0) -> OptimizerOutput:
         w = np.full(n, 1.0 / n)
         warning = warning or "covariance is zero; Sharpe ratio undefined everywhere"
     elif not beaten:
-        ranked = np.lexsort((vols, -np.where(vols > 0.0, sharpes, -math.inf)))
+        live = np.diag(params.cov) > 0.0
+        ranked = np.lexsort((scale, -np.where(live, sharpes, -math.inf)))
         w = np.eye(n)[ranked[0]]
     else:
         # In volatility units x = sigma * y: min x'Corr x, s.x = 1, x >= 0,
-        # s the assets' own Sharpe ratios. Corr is far better conditioned
-        # than Cov, so far fewer fixed steps. Start at the best vertex.
-        corr = params.cov / np.outer(scale, scale)
+        # s the assets' own Sharpe ratios. Start at the best vertex.
         x = np.eye(n)[np.argmax(sharpes)] / sharpes.max()
-        project = partial(project_hyperplane, e=sharpes)
-        x, converged = _pgd_quadratic(corr, w0=x, project=project)
+        x, converged = _pgd_quadratic(corr, sharpes, x)
         # On s.x = 1 the Sharpe ratio is S = 1/sqrt(x'Corr x), so the stop
         # rule's absolute OBJ_TOL reaches S magnified by S^3/2. A second pass
         # on Corr scaled by S^3/2 takes the same steps but stops on S itself.
         var = float(x @ corr @ x)
         if converged and var > 0.0:
-            x, converged = _pgd_quadratic(corr * (0.5 * var**-1.5), w0=x,
-                                          project=project)
+            x, converged = _pgd_quadratic(corr * (0.5 * var**-1.5), sharpes, x)
         w = x / scale / np.sum(x / scale)
         if not converged:
             warning = _UNCONVERGED

@@ -81,13 +81,26 @@ class TestRunConfig:
             RunConfig(price_csv="x", portfolio_mode="mvp",
                       explicit_weights={"A": 1.0})
 
-    def test_range_validation(self):
+    def test_range_validation(self, tmp_path):
         with pytest.raises(PipelineError):
             RunConfig(price_csv="x", alpha=1.5)
         with pytest.raises(PipelineError):
             RunConfig(price_csv="x", n_paths=0)
         with pytest.raises(PipelineError):
             RunConfig(price_csv="x", initial_value=0.0)
+        # non-finite floats stop at stage config, not in a later stage or
+        # in a report that looks successful
+        for key, bad in (("risk_free", math.nan), ("risk_free", math.inf),
+                         ("horizon_years", math.inf),
+                         ("initial_value", math.inf), ("alpha", math.nan)):
+            with pytest.raises(PipelineError,
+                               match=f"stage config: {key} must be finite"):
+                RunConfig(price_csv="x", **{key: bad})
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"price_csv": "x", "risk_free": NaN}')
+        with pytest.raises(PipelineError,
+                           match="stage config: risk_free must be finite"):
+            load_run_config(str(cfg), {})
 
     def test_seed_range(self, tmp_path):
         assert RunConfig(price_csv="x", seed=2**64 - 1).seed == 2**64 - 1
