@@ -30,11 +30,9 @@ from .risk import (
 )
 from .simulation import (
     CholeskyError,
-    CholeskyFactor,
     SimConfig,
     SimulationResult,
     cholesky,
-    draw_standard_normals,
     repair_psd,
     simulate,
 )
@@ -63,11 +61,9 @@ __all__ = [
     "quantile",
     "rolling_var_backtest",
     "CholeskyError",
-    "CholeskyFactor",
     "SimConfig",
     "SimulationResult",
     "cholesky",
-    "draw_standard_normals",
     "repair_psd",
     "simulate",
     "PipelineError",

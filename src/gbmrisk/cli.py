@@ -69,10 +69,11 @@ REPORT_KEYS = (
     "config_echo",
 )
 OUTPUT_DIR_ENV = "GBMRISK_OUTPUT_DIR"
-# Types of the scalar RunConfig fields; a float field also takes an int. A
-# bool is an int to Python, so it is refused unless the field is a bool.
+# Types of the scalar RunConfig fields, which also type their flags; a float
+# field also takes an int, kept as given. A bool is an int to Python, so it
+# is refused unless the field is a bool.
 _SCALAR_TYPES = {
-    "trading_days": int, "n_paths": int, "seed": int,
+    "price_csv": str, "trading_days": int, "n_paths": int, "seed": int,
     "horizon_years": float, "alpha": float, "initial_value": float,
     "risk_free": float, "record_paths": bool,
 }
@@ -89,7 +90,8 @@ class PipelineError(Exception):
 @dataclass(frozen=True)
 class RunConfig:
     """One pipeline run. Defaults: 10,000 paths over one year in 1/252
-    steps, 5% VaR, $100,000 start."""
+    steps, 5% VaR, $100,000 start. Every field is checked here, whether it
+    came from a library call, a JSON file or a flag."""
 
     price_csv: str
     tickers: tuple[str, ...] | None = None
@@ -107,16 +109,45 @@ class RunConfig:
     def __post_init__(self):
         mode = _canonical_mode(self.portfolio_mode)
         object.__setattr__(self, "portfolio_mode", mode)
-        if self.tickers is not None:
-            object.__setattr__(self, "tickers", tuple(self.tickers))
-        if not self.price_csv:
-            raise PipelineError("config", "price_csv is required")
         for key, want in _SCALAR_TYPES.items():
             value = getattr(self, key)
-            if want is float and not math.isfinite(value):
+            accepted = (int, float) if want is float else want
+            if isinstance(value, bool) != (want is bool) or not isinstance(
+                value, accepted
+            ):
+                raise PipelineError(
+                    "config", f"{key} must be {want.__name__}, got {value!r}"
+                )
+            if isinstance(value, float) and not math.isfinite(value):
                 raise PipelineError(
                     "config", f"{key} must be finite, got {value!r}"
                 )
+        if self.tickers is not None:
+            if not isinstance(self.tickers, (list, tuple)) or not all(
+                isinstance(t, str) for t in self.tickers
+            ):
+                raise PipelineError(
+                    "config",
+                    f"tickers must be a list of strings, got {self.tickers!r}",
+                )
+            object.__setattr__(self, "tickers", tuple(self.tickers))
+        weights = self.explicit_weights
+        if weights is not None:
+            if not isinstance(weights, dict) or any(
+                not isinstance(t, str)
+                or isinstance(w, bool)
+                or not isinstance(w, (int, float))
+                for t, w in weights.items()
+            ):
+                raise PipelineError(
+                    "config",
+                    f"explicit_weights must be an object of numbers, got {weights!r}",
+                )
+            object.__setattr__(
+                self, "explicit_weights", {t: float(w) for t, w in weights.items()}
+            )
+        if not self.price_csv:
+            raise PipelineError("config", "price_csv is required")
         if self.trading_days < 1:
             raise PipelineError("config", "trading_days must be >= 1")
         if self.n_paths < 1:
@@ -181,11 +212,9 @@ def load_run_config(
 ) -> RunConfig:
     """Build a RunConfig from an optional JSON file plus flag overrides.
 
-    Unknown file keys are an error, not silently ignored; so is a value of
-    the wrong JSON type (a float or bool count, a string rate, a non-bool
-    record_paths, tickers that are not a list of strings, explicit weights
-    that are not an object of numbers). Override values of None mean "flag
-    not given".
+    Unknown keys are an error, not silently ignored. Override values of None
+    mean "flag not given". RunConfig itself checks every value, so a file,
+    a flag and a library caller meet the same rules.
     """
     known = {f.name for f in fields(RunConfig)}
     merged: dict = {}
@@ -206,42 +235,9 @@ def load_run_config(
         if key not in known:
             raise PipelineError("config", f"unknown config key: {key}")
         merged[key] = value
-    for key, value in merged.items():
-        want = _SCALAR_TYPES.get(key)
-        if want is None:
-            continue
-        accepted = (int, float) if want is float else want
-        if isinstance(value, bool) != (want is bool) or not isinstance(value, accepted):
-            raise PipelineError(
-                "config", f"{key} must be {want.__name__}, got {value!r}"
-            )
-    tickers = merged.get("tickers")
-    if tickers is not None and not (
-        isinstance(tickers, (list, tuple))
-        and all(isinstance(t, str) for t in tickers)
-    ):
-        raise PipelineError(
-            "config", f"tickers must be a list of strings, got {tickers!r}"
-        )
-    weights = merged.get("explicit_weights")
-    if weights is not None:
-        if not isinstance(weights, dict) or any(
-            isinstance(w, bool) or not isinstance(w, (int, float))
-            for w in weights.values()
-        ):
-            raise PipelineError(
-                "config",
-                f"explicit_weights must be an object of numbers, got {weights!r}",
-            )
-        merged["explicit_weights"] = {t: float(w) for t, w in weights.items()}
     if "price_csv" not in merged:
         raise PipelineError("config", "price_csv is required")
-    try:
-        return RunConfig(**merged)
-    except PipelineError:
-        raise
-    except (TypeError, ValueError) as err:
-        raise PipelineError("config", str(err))
+    return RunConfig(**merged)
 
 
 # _load and _fit look the layer functions up as this module's globals at
@@ -474,6 +470,8 @@ def run_backtest(
     rows only, so no information later than the first forecast's own
     trailing window leaks into portfolio construction.
     """
+    if window < 2:
+        raise PipelineError("backtest", f"window must be >= 2, got {window}")
     series = _load(config)
     if config.portfolio_mode == "explicit-weights":
         weights = _stage(
@@ -555,31 +553,27 @@ def _parse_weight_map(text: str) -> dict[str, float]:
     return mapping
 
 
+_FLAG_PARSERS = {"tickers": _parse_ticker_list, "explicit_weights": _parse_weight_map}
+_FLAG_HELP = {
+    "price_csv": "price history CSV (date column first)",
+    "tickers": "comma-separated ordered ticker subset",
+    "portfolio_mode": "mvp, max_sharpe, or explicit-weights",
+    "explicit_weights": "TICKER=W,TICKER=W,... (explicit-weights mode)",
+}
+
+
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
+    # One --kebab-case flag per RunConfig field, typed by _SCALAR_TYPES.
     parser.add_argument("--config", help="JSON config file; flags override it")
-    parser.add_argument("--price-csv", help="price history CSV (date column first)")
-    parser.add_argument(
-        "--tickers", type=_parse_ticker_list,
-        help="comma-separated ordered ticker subset",
-    )
-    parser.add_argument("--trading-days", type=int)
-    parser.add_argument("--n-paths", type=int)
-    parser.add_argument("--horizon-years", type=float)
-    parser.add_argument("--alpha", type=float)
-    parser.add_argument("--initial-value", type=float)
-    parser.add_argument("--risk-free", type=float)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument(
-        "--portfolio-mode",
-        help="mvp, max_sharpe, or explicit-weights",
-    )
-    parser.add_argument(
-        "--explicit-weights", type=_parse_weight_map,
-        help="TICKER=W,TICKER=W,... (explicit-weights mode)",
-    )
-    parser.add_argument(
-        "--record-paths", action=argparse.BooleanOptionalAction, default=None
-    )
+    for f in fields(RunConfig):
+        flag = "--" + f.name.replace("_", "-")
+        if _SCALAR_TYPES.get(f.name) is bool:
+            parser.add_argument(
+                flag, action=argparse.BooleanOptionalAction, default=None
+            )
+            continue
+        kind = _FLAG_PARSERS.get(f.name, _SCALAR_TYPES.get(f.name))
+        parser.add_argument(flag, type=kind, help=_FLAG_HELP.get(f.name))
     parser.add_argument("--out-dir", help=f"output directory (or ${OUTPUT_DIR_ENV})")
 
 

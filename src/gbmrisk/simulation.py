@@ -8,9 +8,9 @@ Cholesky factor L of the annualized covariance.
 Randomness contract: each path's normals come from the Philox stream keyed
 by (master seed, path index) with a zero counter, consumed step-major; the
 seed lies in [0, 2**64). ``simulate`` builds one Philox per chunk and
-re-keys it for every path, which yields exactly the stream a per-path
-construction (``draw_standard_normals``) gives. Results are therefore
-bitwise identical for any execution order or worker count.
+re-keys it for every path, which yields exactly the stream a fresh
+``Philox(key=(seed, path))`` gives. Results are therefore bitwise
+identical for any execution order or worker count.
 """
 
 from __future__ import annotations
@@ -29,11 +29,9 @@ __all__ = [
     "CholeskyError",
     "SimConfig",
     "validate_seed",
-    "CholeskyFactor",
     "SimulationResult",
     "cholesky",
     "repair_psd",
-    "draw_standard_normals",
     "simulate",
 ]
 
@@ -112,23 +110,6 @@ class SimConfig:
 
 
 @dataclass(frozen=True)
-class CholeskyFactor:
-    """Lower-triangular factor L with L L' equal to the decomposed matrix."""
-
-    l: np.ndarray
-
-    def __post_init__(self):
-        l = np.asarray(self.l, dtype=np.float64)
-        object.__setattr__(self, "l", l)
-        if l.ndim != 2 or l.shape[0] != l.shape[1]:
-            raise SimulationError("factor must be square")
-        if np.any(np.triu(l, k=1) != 0.0):
-            raise SimulationError("factor must be lower-triangular")
-        if np.any(np.diag(l) < 0.0):
-            raise SimulationError("factor diagonal must be nonnegative")
-
-
-@dataclass(frozen=True)
 class SimulationResult:
     """Terminal prices and portfolio values for every path.
 
@@ -140,13 +121,13 @@ class SimulationResult:
     terminal_asset_prices: np.ndarray
     terminal_portfolio_values: np.ndarray
     config_echo: SimConfig
-    params_echo: MarketParams
     jitter: float = 0.0
     paths: np.ndarray | None = None
 
 
-def cholesky(cov: np.ndarray) -> CholeskyFactor:
-    """Lower-triangular Cholesky factorization of a symmetric PSD matrix.
+def cholesky(cov: np.ndarray) -> np.ndarray:
+    """Lower-triangular Cholesky factor L, with L L' = cov, of a symmetric
+    PSD matrix.
 
     A pivot below -1e-10 (or an inconsistent zero pivot) raises CholeskyError
     naming the failing index; pivots in [-1e-10, 0] are clamped to zero so
@@ -180,7 +161,7 @@ def cholesky(cov: np.ndarray) -> CholeskyFactor:
                 f"nonzero off-diagonal residual {residual[0]:.3e}",
                 pivot_index=j,
             )
-    return CholeskyFactor(l)
+    return l
 
 
 def repair_psd(
@@ -198,7 +179,7 @@ def repair_psd(
 
 def _repair_and_factor(
     cov: np.ndarray, jitters: tuple[float, ...] = PSD_JITTERS
-) -> tuple[np.ndarray, float, CholeskyFactor]:
+) -> tuple[np.ndarray, float, np.ndarray]:
     # repair_psd plus the factor its successful rung computed
     cov = np.asarray(cov, dtype=np.float64)
     last_error: CholeskyError | None = None
@@ -217,15 +198,6 @@ def _repair_and_factor(
     )
 
 
-def draw_standard_normals(seed: int, path_index: int, count: int) -> np.ndarray:
-    """Standard normals from the counter-based stream for (seed, path_index)."""
-    key = np.array(
-        [seed & 0xFFFFFFFFFFFFFFFF, path_index & 0xFFFFFFFFFFFFFFFF],
-        dtype=np.uint64,
-    )
-    return np.random.Generator(np.random.Philox(key=key)).standard_normal(count)
-
-
 def simulate(
     params: MarketParams, config: SimConfig, workers: int = 1
 ) -> SimulationResult:
@@ -238,7 +210,7 @@ def simulate(
     if config.weights.tickers != params.tickers:
         raise SimulationError("weights do not match params tickers")
     _, jitter, factor = _repair_and_factor(params.cov)
-    l_t = factor.l.T.copy()
+    l_t = factor.T.copy()
 
     n_paths = config.n_paths
     n_steps = config.n_steps
@@ -303,7 +275,6 @@ def simulate(
         terminal_asset_prices=terminal_prices,
         terminal_portfolio_values=portfolio_values,
         config_echo=config,
-        params_echo=params,
         jitter=jitter,
         paths=paths,
     )

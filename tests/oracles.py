@@ -1,6 +1,7 @@
-"""Independent reference implementations the tests compare the optimizer
+"""Independent reference implementations the tests compare the package
 against: the explicit double-sum variance and an exhaustive simplex-lattice
-search for the minimum-variance weights."""
+search for the minimum-variance weights, and the per-path normal stream
+that simulate must reproduce."""
 
 from __future__ import annotations
 
@@ -64,3 +65,13 @@ def grid_oracle_min_variance(
     lattice = simplex_lattice(n, resolution)
     objectives = np.einsum("pi,ij,pj->p", lattice, params.cov, lattice)
     return WeightVector(params.tickers, lattice[int(np.argmin(objectives))])
+
+
+def draw_standard_normals(seed: int, path_index: int, count: int) -> np.ndarray:
+    """Standard normals from a fresh Philox keyed by (seed, path_index): the
+    per-path stream that simulate's re-keyed generator must reproduce."""
+    key = np.array(
+        [seed & 0xFFFFFFFFFFFFFFFF, path_index & 0xFFFFFFFFFFFFFFFF],
+        dtype=np.uint64,
+    )
+    return np.random.Generator(np.random.Philox(key=key)).standard_normal(count)

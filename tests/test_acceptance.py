@@ -136,7 +136,7 @@ def test_criterion_04_cholesky_reconstruction_and_rejection():
         eigvals, eigvecs = np.linalg.eigh(cov)
         cov = (eigvecs * np.maximum(eigvals, 0.0)) @ eigvecs.T
         cov = (cov + cov.T) / 2.0
-        l = cholesky(cov).l
+        l = cholesky(cov)
         worst = max(worst, float(np.max(np.abs(l @ l.T - cov))))
     assert worst < 1e-10
 

@@ -7,8 +7,11 @@ raw counter-based streams) and must agree with the package's report.
 
 from __future__ import annotations
 
+import argparse
+import importlib.util
 import json
 import math
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +36,21 @@ def write_constant_csv(path: Path, days: int = 30, price: float = 50.0) -> None:
     for d in range(days):
         rows.append(f"2024-02-{d + 1:02d},{price}")
     path.write_text("\n".join(rows) + "\n")
+
+
+def config_entry_points(tmp_path: Path, kw: dict):
+    """The two ways to build a RunConfig from ``kw``: the library constructor
+    and load_run_config, from a JSON file when JSON holds every value and
+    from flag overrides otherwise."""
+    yield lambda: RunConfig(**kw)
+    try:
+        text = json.dumps(kw)
+    except TypeError:
+        yield lambda: load_run_config(None, kw)
+        return
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    yield lambda: load_run_config(str(cfg), {})
 
 
 def write_gbm_csv(path: Path, n_rows: int, seed: int, tickers=("GA", "GB"),
@@ -144,22 +162,27 @@ class TestLoadRunConfig:
         ("tickers", "EQA"), ("tickers", [1, 2]),
         ("explicit_weights", {"E": True, "Q": False, "A": "0"}),
         ("explicit_weights", [0.5, 0.5]),
+        ("explicit_weights", {"E": True, "Q": False, "A": False}),
+        ("trading_days", 252.0), ("record_paths", "no"),
+        ("price_csv", Path("data/crypto_like.csv")),
     ])
     def test_wrong_json_type_rejected(self, tmp_path, key, value):
-        # explicit-weights mode, so a coerced weight map or ticker list
-        # would load or fail the mode check instead of the type check
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"price_csv": "x", key: value,
-                                   "portfolio_mode": "explicit-weights"}))
-        with pytest.raises(PipelineError, match=f"stage config: {key} must be"):
-            load_run_config(str(cfg), {})
+        # RunConfig and load_run_config callers meet one check. Explicit-weights
+        # mode, so a coerced weight map or ticker list would load or fail
+        # the mode check instead of the type check.
+        kw = {"price_csv": "x", key: value, "portfolio_mode": "explicit-weights"}
+        for build in config_entry_points(tmp_path, kw):
+            with pytest.raises(PipelineError,
+                               match=f"stage config: {key} must be"):
+                build()
 
     def test_int_accepted_for_float_field(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"price_csv": "x", "initial_value": 5000,
-                                   "risk_free": 0}))
-        config = load_run_config(str(cfg), {})
-        assert (config.initial_value, config.risk_free) == (5000, 0)
+        # kept as the int given, so the report echoes 5000, not 5000.0
+        kw = {"price_csv": "x", "initial_value": 5000, "risk_free": 0}
+        for build in config_entry_points(tmp_path, kw):
+            config = build()
+            assert (config.initial_value, config.risk_free) == (5000, 0)
+            assert type(config.initial_value) is type(config.risk_free) is int
 
     def test_unreadable_file_rejected(self, tmp_path):
         with pytest.raises(PipelineError, match="cannot read"):
@@ -481,6 +504,24 @@ class TestCliCommands:
         assert weights.as_dict() == {"GA": 0.7, "GB": 0.3}
         assert result.n_tests == 199 - 50
 
+    @pytest.mark.parametrize("mode", ["mvp", "explicit-weights"])
+    @pytest.mark.parametrize("window", [1, 0, -3])
+    def test_backtest_short_window_rejected_before_any_fit(self, window, mode,
+                                                           monkeypatch):
+        def no_load(config):
+            raise AssertionError("prices loaded for an invalid window")
+
+        monkeypatch.setattr(cli, "_load", no_load)
+        weights = {"CRA": 0.2, "CRB": 0.3, "CRC": 0.5}
+        config = RunConfig(
+            price_csv=str(DATA_DIR / "crypto_like.csv"), portfolio_mode=mode,
+            explicit_weights=weights if mode == "explicit-weights" else None,
+        )
+        with pytest.raises(PipelineError,
+                           match=f"stage backtest: window must be >= 2, "
+                                 f"got {window}"):
+            run_backtest(config, window=window)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf ratios
     def test_backtest_overflowing_returns_name_their_stage(self, tmp_path,
                                                             capsys):
@@ -501,6 +542,42 @@ class TestCliCommands:
         cfg.write_text(json.dumps({"price_csv": "x", "bogus": 1}))
         assert self.run("simulate", "--config", str(cfg)) == 2
         assert "unknown config keys" in capsys.readouterr().err
+
+    RUN_FLAGS = {
+        "-h", "--help", "--config", "--out-dir", "--price-csv", "--tickers",
+        "--trading-days", "--n-paths", "--horizon-years", "--alpha",
+        "--initial-value", "--risk-free", "--seed", "--portfolio-mode",
+        "--explicit-weights", "--record-paths", "--no-record-paths",
+    }
+
+    @pytest.mark.parametrize("command, extras", [
+        ("estimate", set()), ("optimize", set()),
+        ("simulate", {"--workers"}), ("backtest", {"--window"}),
+    ])
+    def test_run_flags_are_pinned(self, command, extras):
+        parser = cli.build_parser()
+        commands = next(a for a in parser._actions
+                        if isinstance(a, argparse._SubParsersAction)).choices
+        got = {s for a in commands[command]._actions for s in a.option_strings}
+        assert got == self.RUN_FLAGS | extras
+        # an absent flag reads as None, so it never overrides the file
+        args = parser.parse_args([command])
+        assert all(getattr(args, f.name) is None for f in fields(RunConfig))
+        args = parser.parse_args([
+            command, "--price-csv", "p.csv", "--tickers", "A, B",
+            "--trading-days", "250", "--n-paths", "9", "--horizon-years", "2",
+            "--alpha", "0.1", "--initial-value", "5", "--risk-free", "0.01",
+            "--seed", "3", "--portfolio-mode", "explicit-weights",
+            "--explicit-weights", "A=0.25,B=0.75", "--no-record-paths",
+        ])
+        assert {f.name: getattr(args, f.name) for f in fields(RunConfig)} == {
+            "price_csv": "p.csv", "tickers": ("A", "B"), "trading_days": 250,
+            "n_paths": 9, "horizon_years": 2.0, "alpha": 0.1,
+            "initial_value": 5.0, "risk_free": 0.01, "seed": 3,
+            "portfolio_mode": "explicit-weights",
+            "explicit_weights": {"A": 0.25, "B": 0.75}, "record_paths": False,
+        }
+        assert type(args.horizon_years) is float and type(args.seed) is int
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -544,3 +621,20 @@ class TestFitPath:
             assert main([entry, "--price-csv", csv,
                          "--out-dir", str(tmp_path)]) == 0
         assert calls == dict.fromkeys(self.LAYERS, 1)
+
+
+def test_run_benchmark_script_smoke(tmp_path, monkeypatch, capsys):
+    script = DATA_DIR.parent / "scripts" / "run_benchmark.py"
+    spec = importlib.util.spec_from_file_location("run_benchmark", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    monkeypatch.chdir(DATA_DIR.parent)  # the script's default --data-dir
+    assert module.main(["--n-paths", "50", "--out-dir", str(tmp_path)]) == 0
+    rows = [line.split()[:2] for line in capsys.readouterr().out.splitlines()
+            if line.startswith(("crypto_like ", "equity_like "))]
+    pairs = [[fx, mode] for fx in ("crypto_like", "equity_like")
+             for mode in ("mvp", "max_sharpe")]
+    assert rows == pairs
+    for fixture, mode in pairs:
+        for name in ("report.json", "percentiles.csv"):
+            assert (tmp_path / fixture / mode / name).is_file()

@@ -13,16 +13,15 @@ from scipy import stats as scipy_stats
 from gbmrisk.optimizer import WeightVector
 from gbmrisk.simulation import (
     CholeskyError,
-    CholeskyFactor,
     SimConfig,
     SimulationError,
     cholesky,
-    draw_standard_normals,
     repair_psd,
     simulate,
 )
 
 from conftest import make_params, random_psd
+from oracles import draw_standard_normals
 
 SQRT2 = 1.4142135623730951
 
@@ -53,7 +52,7 @@ class TestCholesky:
         rng = np.random.default_rng(8)
         for n in (1, 2, 3, 10, 50):
             cov = random_psd(rng, n) + 1e-3 * np.eye(n)
-            l = cholesky(cov).l
+            l = cholesky(cov)
             if n <= 3:
                 assert np.array_equal(l, cholesky_rowwise(cov))
             else:
@@ -62,22 +61,22 @@ class TestCholesky:
     def test_hand_oracle_2x2(self):
         # [[4,2],[2,3]] = L L' with L = [[2,0],[1,sqrt(2)]]
         factor = cholesky(np.array([[4.0, 2.0], [2.0, 3.0]]))
-        assert factor.l[0, 0] == pytest.approx(2.0, abs=1e-15)
-        assert factor.l[1, 0] == pytest.approx(1.0, abs=1e-15)
-        assert factor.l[1, 1] == pytest.approx(SQRT2, rel=1e-15)
-        assert factor.l[0, 1] == 0.0
+        assert factor[0, 0] == pytest.approx(2.0, abs=1e-15)
+        assert factor[1, 0] == pytest.approx(1.0, abs=1e-15)
+        assert factor[1, 1] == pytest.approx(SQRT2, rel=1e-15)
+        assert factor[0, 1] == 0.0
 
     def test_identity_and_scalar(self):
-        assert np.array_equal(cholesky(np.eye(3)).l, np.eye(3))
-        assert cholesky(np.array([[9.0]])).l[0, 0] == 3.0
+        assert np.array_equal(cholesky(np.eye(3)), np.eye(3))
+        assert cholesky(np.array([[9.0]]))[0, 0] == 3.0
 
     def test_zero_matrix_is_psd(self):
-        assert np.array_equal(cholesky(np.zeros((2, 2))).l, np.zeros((2, 2)))
+        assert np.array_equal(cholesky(np.zeros((2, 2))), np.zeros((2, 2)))
 
     def test_rank_deficient_psd_accepted(self):
         # ones matrix has rank 1; factor is [[1,0],[1,0]]
         factor = cholesky(np.ones((2, 2)))
-        assert np.allclose(factor.l @ factor.l.T, np.ones((2, 2)), atol=1e-15)
+        assert np.allclose(factor @ factor.T, np.ones((2, 2)), atol=1e-15)
 
     def test_indefinite_rejected_with_pivot_index(self):
         with pytest.raises(CholeskyError) as exc:
@@ -100,14 +99,8 @@ class TestCholesky:
             n = int(rng.integers(1, 9))
             rank = int(rng.integers(1, n + 1))
             cov = random_psd(rng, n, rank=rank)
-            l = cholesky(cov).l
+            l = cholesky(cov)
             assert np.max(np.abs(l @ l.T - cov)) < 1e-10
-
-    def test_factor_validation(self):
-        with pytest.raises(SimulationError):
-            CholeskyFactor(np.array([[1.0, 0.5], [0.0, 1.0]]))  # upper junk
-        with pytest.raises(SimulationError):
-            CholeskyFactor(np.array([[-1.0, 0.0], [0.0, 1.0]]))  # neg diag
 
 
 class TestRepairPsd:
@@ -304,7 +297,7 @@ class TestSimulate:
                            n_paths=4100, seed=seed, record_paths=True,
                            initial_prices=s0)
         result = simulate(three_asset_params, config)
-        l = cholesky(three_asset_params.cov).l
+        l = cholesky(three_asset_params.cov)
         dt = config.dt
         sigma = three_asset_params.sigma
         drift = (three_asset_params.mu - sigma**2 / 2.0) * dt
