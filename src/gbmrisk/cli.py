@@ -143,9 +143,17 @@ class RunConfig:
                     "config",
                     f"explicit_weights must be an object of numbers, got {weights!r}",
                 )
-            object.__setattr__(
-                self, "explicit_weights", {t: float(w) for t, w in weights.items()}
-            )
+            try:
+                as_floats = {t: float(w) for t, w in weights.items()}
+                finite = all(map(math.isfinite, as_floats.values()))
+            except OverflowError:  # an int too large for a float
+                finite = False
+            if not finite:
+                raise PipelineError(
+                    "config",
+                    f"explicit_weights must be finite numbers, got {weights!r}",
+                )
+            object.__setattr__(self, "explicit_weights", as_floats)
         if not self.price_csv:
             raise PipelineError("config", "price_csv is required")
         if self.trading_days < 1:
@@ -398,7 +406,12 @@ def resolve_out_dir(flag_value: str | None) -> Path:
 
 
 def write_report_files(result: PipelineResult, out_dir: Path) -> list[Path]:
-    """Emit report.json, percentiles.csv, and (when recorded) paths.csv."""
+    """Emit report.json, percentiles.csv, and (when recorded) paths.csv.
+
+    paths.csv (``path,step,ticker,price``, one row per price, floats as
+    ``repr``) is streamed to disk one path at a time, so the writer's memory
+    stays bounded by one path's text whatever the path count.
+    """
     written = []
     report_path = out_dir / "report.json"
     _write_bytes(report_path, _json_bytes(result.report_json))
@@ -413,14 +426,21 @@ def write_report_files(result: PipelineResult, out_dir: Path) -> list[Path]:
 
     paths = result.simulation.paths
     if paths is not None:
-        tickers = result.params.tickers
-        rows = ["path,step,ticker,price"]
-        for p in range(paths.shape[0]):
-            for step, prices in enumerate(paths[p].tolist()):
-                for ticker, price in zip(tickers, prices):
-                    rows.append(f"{p},{step},{ticker},{price!r}")
+        # "{step},{ticker}," in the order paths[p].ravel() yields prices
+        cells = [
+            f"{step},{ticker},"
+            for step in range(paths.shape[1])
+            for ticker in result.params.tickers
+        ]
         paths_path = out_dir / "paths.csv"
-        _write_bytes(paths_path, ("\n".join(rows) + "\n").encode("utf-8"))
+        with open(paths_path, "w", encoding="utf-8", newline="") as handle:
+            handle.write("path,step,ticker,price\n")
+            for p in range(paths.shape[0]):
+                lead = f"{p},"
+                handle.write("".join([
+                    f"{lead}{cell}{price!r}\n"
+                    for cell, price in zip(cells, paths[p].ravel().tolist())
+                ]))
         written.append(paths_path)
     return written
 

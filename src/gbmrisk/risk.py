@@ -67,14 +67,22 @@ class BacktestResult:
 
 def quantile(values: np.ndarray, alpha: float) -> float:
     """Linear-interpolation quantile: sort ascending, index h = alpha*(n-1)."""
+    return _interpolate(_sorted_sample(values), alpha)
+
+
+def _sorted_sample(values: np.ndarray) -> np.ndarray:
     values = np.asarray(values, dtype=np.float64).ravel()
     if values.size == 0:
         raise RiskError("quantile of empty sample")
     if not np.all(np.isfinite(values)):
         raise RiskError("non-finite sample value")
+    return np.sort(values)
+
+
+def _interpolate(s: np.ndarray, alpha: float) -> float:
+    # the alpha-quantile of an ascending sample, as quantile defines it
     if not 0.0 <= alpha <= 1.0:
         raise RiskError(f"quantile level {alpha!r} outside [0, 1]")
-    s = np.sort(values)
     h = alpha * (s.size - 1)
     lo = math.floor(h)
     hi = math.ceil(h)
@@ -170,13 +178,14 @@ def build_report(result: SimulationResult, alpha: float = 0.05) -> RiskReport:
     values = result.terminal_portfolio_values
     initial_value = result.config_echo.initial_value
     levels = sorted(set(DEFAULT_PERCENTILES) | {alpha})
-    var_value = quantile(values, alpha)
+    ordered = _sorted_sample(values)  # one sort serves every level
+    var_value = _interpolate(ordered, alpha)
     return RiskReport(
         var_level=alpha,
         var_value=var_value,
         potential_loss=initial_value - var_value,
         chance_of_loss=chance_of_loss(values, initial_value),
-        percentiles={level: quantile(values, level) for level in levels},
+        percentiles={level: _interpolate(ordered, level) for level in levels},
         initial_value=initial_value,
         n_paths=values.size,
         seed=result.config_echo.seed,

@@ -114,8 +114,10 @@ class SimulationResult:
     """Terminal prices and portfolio values for every path.
 
     ``paths`` is populated (n_paths, n_steps+1, n_assets) only when the
-    config sets record_paths. ``jitter`` echoes the PSD repair applied to
-    the covariance before decomposition.
+    config sets record_paths; each chunk's slice is filled in place, and
+    ``write_report_files`` streams it to ``paths.csv`` one path at a time.
+    ``jitter`` echoes the PSD repair applied to the covariance before
+    decomposition.
     """
 
     terminal_asset_prices: np.ndarray
@@ -256,8 +258,11 @@ def simulate(
         np.cumsum(cum_log, axis=1, out=cum_log)
         terminal_prices[start:stop] = s0 * np.exp(cum_log[:, -1, :])
         if paths is not None:
-            paths[start:stop, 0, :] = s0
-            paths[start:stop, 1:, :] = s0 * np.exp(cum_log)
+            # filled in place: no chunk-sized temporaries beside ``paths``
+            block = paths[start:stop]
+            block[:, 0, :] = s0
+            np.exp(cum_log, out=block[:, 1:, :])
+            block[:, 1:, :] *= s0
 
     chunk_starts = range(0, n_paths, _CHUNK)
     if workers > 1:

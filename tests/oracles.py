@@ -1,7 +1,8 @@
 """Independent reference implementations the tests compare the package
 against: the explicit double-sum variance and an exhaustive simplex-lattice
-search for the minimum-variance weights, and the per-path normal stream
-that simulate must reproduce."""
+search for the minimum-variance weights, the per-path normal stream that
+simulate must reproduce, and the all-rows paths.csv formatter whose bytes
+the streaming writer must reproduce."""
 
 from __future__ import annotations
 
@@ -75,3 +76,14 @@ def draw_standard_normals(seed: int, path_index: int, count: int) -> np.ndarray:
         dtype=np.uint64,
     )
     return np.random.Generator(np.random.Philox(key=key)).standard_normal(count)
+
+
+def reference_paths_csv(paths: np.ndarray, tickers: tuple[str, ...]) -> bytes:
+    """paths.csv built the direct way: every row string in one list, joined
+    and encoded once. Costs memory in proportion to the whole file."""
+    rows = ["path,step,ticker,price"]
+    for p in range(paths.shape[0]):
+        for step, prices in enumerate(paths[p].tolist()):
+            for ticker, price in zip(tickers, prices):
+                rows.append(f"{p},{step},{ticker},{price!r}")
+    return ("\n".join(rows) + "\n").encode("utf-8")

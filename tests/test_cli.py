@@ -8,9 +8,11 @@ raw counter-based streams) and must agree with the package's report.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import importlib.util
 import json
 import math
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -29,6 +31,7 @@ from gbmrisk.cli import (
 )
 
 from conftest import DATA_DIR
+from oracles import reference_paths_csv
 
 
 def write_constant_csv(path: Path, days: int = 30, price: float = 50.0) -> None:
@@ -165,6 +168,8 @@ class TestLoadRunConfig:
         ("explicit_weights", {"E": True, "Q": False, "A": False}),
         ("trading_days", 252.0), ("record_paths", "no"),
         ("price_csv", Path("data/crypto_like.csv")),
+        ("explicit_weights", {"EQA": 10**400, "EQB": 0, "EQC": 0}),
+        ("explicit_weights", {"EQA": math.nan, "EQB": 0, "EQC": 0}),
     ])
     def test_wrong_json_type_rejected(self, tmp_path, key, value):
         # RunConfig and load_run_config callers meet one check. Explicit-weights
@@ -585,6 +590,53 @@ class TestCliCommands:
         assert exc.value.code == 0
         import gbmrisk
         assert gbmrisk.__version__ in capsys.readouterr().out
+
+
+class TestPathsCsv:
+    """paths.csv is streamed one path at a time; its bytes are pinned."""
+
+    @pytest.mark.parametrize("fixture, digest", [
+        ("crypto_like",
+         "3932fb09c5004580e56a0d1fe26cf8f22e09dc2210cdf91a13511f09df8d10c1"),
+        ("equity_like",
+         "161bff09c3737376f683b4eca5364daeb11485c81bb5bdd37ec55ba776bef8fd"),
+    ], ids=["crypto_like", "equity_like"])
+    def test_bytes_are_pinned(self, fixture, digest, tmp_path):
+        assert main([
+            "simulate", "--price-csv", str(DATA_DIR / f"{fixture}.csv"),
+            "--n-paths", "300", "--seed", "42", "--record-paths",
+            "--out-dir", str(tmp_path),
+        ]) == 0
+        data = (tmp_path / "paths.csv").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest
+
+    @pytest.mark.parametrize("kw", [
+        {"tickers": ["EQB"], "portfolio_mode": "explicit-weights",
+         "explicit_weights": {"EQB": 1.0}, "n_paths": 40},
+        {"horizon_years": 2 / 252, "n_paths": 25},
+    ], ids=["one-asset", "two-steps"])
+    def test_matches_reference_writer(self, kw, tmp_path):
+        config = RunConfig(price_csv=str(DATA_DIR / "equity_like.csv"),
+                           record_paths=True, **kw)
+        result = run_pipeline(config)
+        cli.write_report_files(result, tmp_path)
+        expected = reference_paths_csv(result.simulation.paths,
+                                       result.params.tickers)
+        assert (tmp_path / "paths.csv").read_bytes() == expected
+
+    def test_writer_memory_is_bounded(self, tmp_path):
+        # the all-rows writer peaks at ~22 MB here, in proportion to the file
+        config = RunConfig(price_csv=str(DATA_DIR / "crypto_like.csv"),
+                           n_paths=200, record_paths=True)
+        result = run_pipeline(config)
+        tracemalloc.start()
+        try:
+            cli.write_report_files(result, tmp_path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "paths.csv").stat().st_size > 4_000_000
+        assert peak < 1_000_000
 
 
 class TestFitPath:
