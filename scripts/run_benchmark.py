@@ -34,7 +34,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out-dir", default="results")
     parser.add_argument("--n-paths", type=int, default=10_000)
     parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--workers", type=int, default=1)
+    parser.add_argument(
+        "--workers", type=int,
+        help="simulation threads (default: one per available CPU)",
+    )
     args = parser.parse_args(argv)
     data_dir = Path(args.data_dir)
     out_root = resolve_out_dir(args.out_dir)

@@ -294,7 +294,9 @@ def _choose_weights(
     return out.weights, out.stats, out.warning
 
 
-def run_pipeline(config: RunConfig, workers: int = 1) -> PipelineResult:
+def run_pipeline(
+    config: RunConfig, workers: int | None = None
+) -> PipelineResult:
     """Execute load -> align -> returns -> estimate -> optimize ->
     simulate -> risk and assemble the report."""
     series = _load(config)
@@ -450,7 +452,7 @@ def compare_portfolios(
     config_b: RunConfig,
     label_a: str = "a",
     label_b: str = "b",
-    workers: int = 1,
+    workers: int | None = None,
 ) -> dict:
     """Run both configs and tabulate VaR and chance of loss side by side."""
     def side(tag: str, label: str, config: RunConfig) -> dict:
@@ -580,6 +582,10 @@ _FLAG_HELP = {
     "portfolio_mode": "mvp, max_sharpe, or explicit-weights",
     "explicit_weights": "TICKER=W,TICKER=W,... (explicit-weights mode)",
 }
+_WORKERS_HELP = (
+    "simulation threads (default: one per available CPU; 1 runs serially); "
+    "results are bitwise identical for any value"
+)
 
 
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
@@ -619,17 +625,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_simulate = sub.add_parser("simulate", help="run the full pipeline")
     _add_run_flags(p_simulate)
-    p_simulate.add_argument(
-        "--workers", type=int, default=1,
-        help="simulation worker threads (results are identical for any value)",
-    )
+    p_simulate.add_argument("--workers", type=int, help=_WORKERS_HELP)
 
     p_compare = sub.add_parser("compare", help="run two configs side by side")
     p_compare.add_argument("--config-a", required=True)
     p_compare.add_argument("--config-b", required=True)
     p_compare.add_argument("--label-a")
     p_compare.add_argument("--label-b")
-    p_compare.add_argument("--workers", type=int, default=1)
+    p_compare.add_argument("--workers", type=int, help=_WORKERS_HELP)
     p_compare.add_argument("--out-dir")
 
     p_backtest = sub.add_parser("backtest", help="count rolling VaR violations")

@@ -9,13 +9,19 @@ Randomness contract: each path's normals come from the Philox stream keyed
 by (master seed, path index) with a zero counter, consumed step-major; the
 seed lies in [0, 2**64). ``simulate`` builds one Philox per chunk and
 re-keys it for every path, which yields exactly the stream a fresh
-``Philox(key=(seed, path))`` gives. Results are therefore bitwise
-identical for any execution order or worker count.
+``Philox(key=(seed, path))`` gives, and each path's shock rows are computed
+apart from every other path's. Results are therefore bitwise identical for
+any chunk size, execution order or worker count.
+
+Chunks run on ``workers`` threads; by default one per CPU this process may
+run on, never more than there are chunks. ``workers=1`` forces a serial
+run.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -37,7 +43,10 @@ __all__ = [
 
 PSD_JITTERS = (0.0, 1e-12, 1e-10, 1e-8)
 _PIVOT_TOL = 1e-10
-_CHUNK = 4096  # paths per vectorized block; fixed so chunking never alters results
+# Paths per vectorized block, the unit of work a thread takes. Results do
+# not depend on it; it sets load balance across threads and per-thread
+# memory (two arrays of _CHUNK * n_steps * n_assets floats).
+_CHUNK = 1024
 
 DEFAULT_N_PATHS = 10_000
 DEFAULT_STEPS_PER_YEAR = 252
@@ -200,14 +209,28 @@ def _repair_and_factor(
     )
 
 
+def _available_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where supported)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def simulate(
-    params: MarketParams, config: SimConfig, workers: int = 1
+    params: MarketParams, config: SimConfig, workers: int | None = None
 ) -> SimulationResult:
     """Generate correlated GBM paths and assemble terminal portfolio values.
 
     Deterministic given (params, config): the per-path streams make the
-    output independent of chunking and of ``workers``.
+    output independent of chunking and of ``workers``: an int >= 1, or None
+    for one thread per CPU this process may run on.
     """
+    if workers is None:
+        workers = _available_cpus()
+    elif isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
+        raise SimulationError(
+            f"workers must be None or an int >= 1, got {workers!r}"
+        )
     n_assets = params.n_assets
     if config.weights.tickers != params.tickers:
         raise SimulationError("weights do not match params tickers")
@@ -265,6 +288,7 @@ def simulate(
             block[:, 1:, :] *= s0
 
     chunk_starts = range(0, n_paths, _CHUNK)
+    workers = min(workers, len(chunk_starts))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(run_chunk, chunk_starts))

@@ -548,6 +548,16 @@ class TestCliCommands:
         assert self.run("simulate", "--config", str(cfg)) == 2
         assert "unknown config keys" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_bad_worker_count_exits_2(self, tmp_path, capsys, workers):
+        out = tmp_path / "out"
+        assert self.run("simulate", "--price-csv",
+                        str(DATA_DIR / "equity_like.csv"), "--n-paths", "50",
+                        "--workers", workers, "--out-dir", str(out)) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: stage simulate: workers must be")
+        assert not out.exists()
+
     RUN_FLAGS = {
         "-h", "--help", "--config", "--out-dir", "--price-csv", "--tickers",
         "--trading-days", "--n-paths", "--horizon-years", "--alpha",

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
+from gbmrisk import simulation
 from gbmrisk.optimizer import WeightVector
 from gbmrisk.simulation import (
     CholeskyError,
@@ -260,6 +262,51 @@ class TestSimulate:
         assert np.array_equal(serial.terminal_portfolio_values,
                               threaded.terminal_portfolio_values)
 
+    @pytest.mark.parametrize("workers", [0, -3, True, 2.0, "2"])
+    def test_bad_worker_count_rejected(self, three_asset_params, workers):
+        config = SimConfig(weights=weights_for(three_asset_params), n_paths=10)
+        with pytest.raises(SimulationError, match="workers"):
+            simulate(three_asset_params, config, workers=workers)
+
+    def test_single_chunk_starts_no_pool(self, three_asset_params,
+                                         monkeypatch):
+        # workers are clamped to the chunk count, so one chunk runs serially
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a single-chunk run started a thread pool")
+
+        monkeypatch.setattr(simulation, "ThreadPoolExecutor", no_pool)
+        config = SimConfig(weights=weights_for(three_asset_params), n_paths=100)
+        result = simulate(three_asset_params, config, workers=8)
+        assert result.terminal_asset_prices.shape == (100, 3)
+
+    @pytest.fixture(scope="class", params=[3, 50])
+    def chunk_reference(self, request):
+        # 4,100 paths of 12 steps leave a partial last chunk at every chunk
+        # size tried below; the reference is a serial run in 4,096-path chunks
+        n = request.param
+        cov = random_psd(np.random.default_rng(n), n, scale=0.05)
+        params = make_params([f"T{i}" for i in range(n)],
+                             np.linspace(0.02, 0.12, n), cov)
+        config = SimConfig(weights=weights_for(params), n_paths=4100,
+                           steps_per_year=12, seed=11, record_paths=True)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulation, "_CHUNK", 4096)
+            return params, config, simulate(params, config, workers=1)
+
+    @pytest.mark.parametrize("workers", [1, 2, None])
+    @pytest.mark.parametrize("chunk", [1, 333, 1024, 4096])
+    def test_chunk_and_worker_invariance(self, chunk_reference, chunk,
+                                         workers, monkeypatch):
+        params, config, reference = chunk_reference
+        monkeypatch.setattr(simulation, "_CHUNK", chunk)
+        recorded = simulate(params, config, workers=workers)
+        plain = simulate(params, replace(config, record_paths=False),
+                         workers=workers)
+        assert np.array_equal(recorded.paths, reference.paths)
+        for result in (recorded, plain):
+            assert np.array_equal(result.terminal_asset_prices,
+                                  reference.terminal_asset_prices)
+
     def test_seed_changes_output(self, three_asset_params):
         w = weights_for(three_asset_params)
         a = simulate(three_asset_params, SimConfig(weights=w, n_paths=100,
@@ -289,8 +336,9 @@ class TestSimulate:
         assert np.all(result.paths > 0.0)
 
     def test_streams_match_reference_across_chunks(self, three_asset_params):
-        # paths on both sides of the 4096-path chunk boundary, at the top
-        # seed, follow the per-path reference stream for (seed, path)
+        # paths on both sides of a chunk boundary (4096 is a multiple of the
+        # chunk size), at the top seed, follow the reference stream for
+        # (seed, path)
         seed = 2**64 - 1
         s0 = np.array([5.0, 6.0, 7.0])
         config = SimConfig(weights=weights_for(three_asset_params),
