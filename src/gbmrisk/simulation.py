@@ -13,6 +13,10 @@ re-keys it for every path, which yields exactly the stream a fresh
 apart from every other path's. Results are therefore bitwise identical for
 any chunk size, execution order or worker count.
 
+A chunk is as many whole paths as fit in ``_CHUNK_NORMALS`` normals, and
+at least one: 1,024 paths at 252 steps x 3 assets, fewer with more assets or
+steps. Per-thread memory thus stays bounded, and a wide run of few paths
+still splits into several chunks.
 Chunks run on ``workers`` threads; by default one per CPU this process may
 run on, never more than there are chunks. ``workers=1`` forces a serial
 run.
@@ -43,10 +47,12 @@ __all__ = [
 
 PSD_JITTERS = (0.0, 1e-12, 1e-10, 1e-8)
 _PIVOT_TOL = 1e-10
-# Paths per vectorized block, the unit of work a thread takes. Results do
-# not depend on it; it sets load balance across threads and per-thread
-# memory (two arrays of _CHUNK * n_steps * n_assets floats).
-_CHUNK = 1024
+# Normals per vectorized block, the unit of work a thread takes: a chunk is
+# max(1, _CHUNK_NORMALS // (n_steps * n_assets)) whole paths. Results do not
+# depend on it; it sets load balance across threads and per-thread memory:
+# two arrays of at most _CHUNK_NORMALS floats (~6.2 MB each), unless a single
+# path draws more.
+_CHUNK_NORMALS = 1024 * 252 * 3
 
 DEFAULT_N_PATHS = 10_000
 DEFAULT_STEPS_PER_YEAR = 252
@@ -93,14 +99,18 @@ class SimConfig:
 
     def __post_init__(self):
         validate_seed(self.seed)
-        if self.n_paths < 1:
-            raise SimulationError("n_paths must be >= 1")
-        if self.steps_per_year < 1:
-            raise SimulationError("steps_per_year must be >= 1")
-        if not self.horizon_years > 0.0:
-            raise SimulationError("horizon_years must be > 0")
-        if not self.initial_value > 0.0:
-            raise SimulationError("initial_value must be > 0")
+        # bools are ints to Python, but never a count or an amount here
+        for name in ("n_paths", "steps_per_year"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise SimulationError(f"{name} must be an int >= 1, got {value!r}")
+        for name in ("horizon_years", "initial_value"):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or not 0.0 < value < math.inf):
+                raise SimulationError(
+                    f"{name} must be a finite number > 0, got {value!r}"
+                )
         if self.initial_prices is not None:
             s0 = np.asarray(self.initial_prices, dtype=np.float64)
             if s0.shape != (len(self.weights.w),):
@@ -253,8 +263,10 @@ def simulate(
         np.empty((n_paths, n_steps + 1, n_assets)) if config.record_paths else None
     )
 
+    chunk = max(1, _CHUNK_NORMALS // (n_steps * n_assets))
+
     def run_chunk(start: int) -> None:
-        stop = min(start + _CHUNK, n_paths)
+        stop = min(start + chunk, n_paths)
         z = np.empty((stop - start, n_steps, n_assets))
         # One bit generator per chunk, so threads never share one. Assigning
         # this state before each path re-keys it to (seed, p) with a zero
@@ -287,7 +299,7 @@ def simulate(
             np.exp(cum_log, out=block[:, 1:, :])
             block[:, 1:, :] *= s0
 
-    chunk_starts = range(0, n_paths, _CHUNK)
+    chunk_starts = range(0, n_paths, chunk)
     workers = min(workers, len(chunk_starts))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -198,6 +199,18 @@ class TestSimConfig:
         with pytest.raises(SimulationError):
             SimConfig(weights=w, initial_prices=np.array([1.0, 0.0, 2.0]))
 
+    @pytest.mark.parametrize("field, bad", [
+        ("n_paths", 10.5), ("n_paths", "5"), ("n_paths", True),
+        ("steps_per_year", 2.5), ("horizon_years", math.inf),
+        ("horizon_years", math.nan), ("initial_value", math.inf),
+        ("initial_value", "100"),
+    ])
+    def test_bad_type_or_non_finite_rejected(self, three_asset_params,
+                                              field, bad):
+        w = weights_for(three_asset_params)
+        with pytest.raises(SimulationError, match=field):
+            SimConfig(weights=w, **{field: bad})
+
     def test_seed_range(self, three_asset_params):
         # seeds key a uint64 stream: out-of-range values must not alias
         w = weights_for(three_asset_params)
@@ -290,15 +303,18 @@ class TestSimulate:
         config = SimConfig(weights=weights_for(params), n_paths=4100,
                            steps_per_year=12, seed=11, record_paths=True)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(simulation, "_CHUNK", 4096)
+            mp.setattr(simulation, "_CHUNK_NORMALS",
+                       4096 * config.n_steps * n)
             return params, config, simulate(params, config, workers=1)
 
     @pytest.mark.parametrize("workers", [1, 2, None])
     @pytest.mark.parametrize("chunk", [1, 333, 1024, 4096])
     def test_chunk_and_worker_invariance(self, chunk_reference, chunk,
                                          workers, monkeypatch):
+        # the unit is sized in normals; these sizes give `chunk` paths each
         params, config, reference = chunk_reference
-        monkeypatch.setattr(simulation, "_CHUNK", chunk)
+        monkeypatch.setattr(simulation, "_CHUNK_NORMALS",
+                            chunk * config.n_steps * params.n_assets)
         recorded = simulate(params, config, workers=workers)
         plain = simulate(params, replace(config, record_paths=False),
                          workers=workers)
@@ -306,6 +322,58 @@ class TestSimulate:
         for result in (recorded, plain):
             assert np.array_equal(result.terminal_asset_prices,
                                   reference.terminal_asset_prices)
+
+    def test_path_wider_than_a_unit_is_its_own_chunk(self, three_asset_params,
+                                                     monkeypatch):
+        # a path drawing more normals than a unit holds still makes a chunk
+        config = SimConfig(weights=weights_for(three_asset_params), n_paths=5)
+        reference = simulate(three_asset_params, config, workers=1)
+        monkeypatch.setattr(simulation, "_CHUNK_NORMALS", 1)
+        result = simulate(three_asset_params, config, workers=2)
+        assert np.array_equal(result.terminal_asset_prices,
+                              reference.terminal_asset_prices)
+
+    @pytest.fixture(scope="class")
+    def wide_run(self):
+        # 100 paths x 200 assets x 252 steps: the benchmark's wide universe
+        n = 200
+        cov = random_psd(np.random.default_rng(n), n, scale=0.05)
+        params = make_params([f"T{i}" for i in range(n)],
+                             np.linspace(0.02, 0.12, n), cov)
+        return params, SimConfig(weights=weights_for(params), n_paths=100)
+
+    def test_few_wide_paths_split_across_workers(self, wide_run,
+                                                 monkeypatch):
+        # a chunk is sized in normals, so 100 paths of 200 assets make
+        # several chunks and two workers take them in a pool
+        params, config = wide_run
+        serial = simulate(params, config, workers=1)
+        pools = []
+
+        class SpyPool(simulation.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                pools.append(self)
+
+        monkeypatch.setattr(simulation, "ThreadPoolExecutor", SpyPool)
+        threaded = simulate(params, config, workers=2)
+        assert len(pools) == 1
+        assert np.array_equal(threaded.terminal_asset_prices,
+                              serial.terminal_asset_prices)
+        assert np.array_equal(threaded.terminal_portfolio_values,
+                              serial.terminal_portfolio_values)
+
+    def test_chunk_memory_bounded_for_wide_runs(self, wide_run):
+        # two chunk-sized float arrays stay near 12 MB whatever the shape;
+        # 100 paths in one chunk would hold two 40 MB arrays
+        params, config = wide_run
+        tracemalloc.start()
+        try:
+            simulate(params, config, workers=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
 
     def test_seed_changes_output(self, three_asset_params):
         w = weights_for(three_asset_params)
