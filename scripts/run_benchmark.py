@@ -17,12 +17,7 @@ from __future__ import annotations
 import argparse
 from pathlib import Path
 
-from gbmrisk.cli import (
-    RunConfig,
-    resolve_out_dir,
-    run_pipeline,
-    write_report_files,
-)
+from gbmrisk.cli import RunConfig, run_pipeline, write_report_files
 
 FIXTURES = ("crypto_like", "equity_like")
 MODES = ("mvp", "max_sharpe")
@@ -40,7 +35,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
     data_dir = Path(args.data_dir)
-    out_root = resolve_out_dir(args.out_dir)
+    out_root = Path(args.out_dir)
 
     header = (
         f"{'fixture':<14} {'mode':<11} {'exp_return':>10} {'volatility':>10} "

@@ -39,11 +39,11 @@ from .risk import (
     rolling_var_backtest,
 )
 from .simulation import (
+    FIELD_RULES,
     SimConfig,
-    SimulationError,
     SimulationResult,
+    check_field,
     simulate,
-    validate_seed,
 )
 
 __all__ = [
@@ -69,14 +69,20 @@ REPORT_KEYS = (
     "config_echo",
 )
 OUTPUT_DIR_ENV = "GBMRISK_OUTPUT_DIR"
-# Types of the scalar RunConfig fields, which also type their flags; a float
-# field also takes an int, kept as given. A bool is an int to Python, so it
-# is refused unless the field is a bool.
-_SCALAR_TYPES = {
-    "price_csv": str, "trading_days": int, "n_paths": int, "seed": int,
-    "horizon_years": float, "alpha": float, "initial_value": float,
-    "risk_free": float, "record_paths": bool,
+# The rule of each scalar RunConfig field (see FIELD_RULES); a field that
+# SimConfig also has takes its rule, trading_days that of steps_per_year.
+_RULES = {
+    "price_csv": (str, bool, "non-empty"),
+    "trading_days": FIELD_RULES["steps_per_year"],
+    "n_paths": FIELD_RULES["n_paths"],
+    "seed": FIELD_RULES["seed"],
+    "horizon_years": FIELD_RULES["horizon_years"],
+    "alpha": (float, lambda a: 0 < a < 1, "in (0, 1)"),
+    "initial_value": FIELD_RULES["initial_value"],
+    "risk_free": (float,),
+    "record_paths": FIELD_RULES["record_paths"],
 }
+_SCALAR_TYPES = {key: rule[0] for key, rule in _RULES.items()}  # types the flags
 
 
 class PipelineError(Exception):
@@ -109,19 +115,8 @@ class RunConfig:
     def __post_init__(self):
         mode = _canonical_mode(self.portfolio_mode)
         object.__setattr__(self, "portfolio_mode", mode)
-        for key, want in _SCALAR_TYPES.items():
-            value = getattr(self, key)
-            accepted = (int, float) if want is float else want
-            if isinstance(value, bool) != (want is bool) or not isinstance(
-                value, accepted
-            ):
-                raise PipelineError(
-                    "config", f"{key} must be {want.__name__}, got {value!r}"
-                )
-            if isinstance(value, float) and not math.isfinite(value):
-                raise PipelineError(
-                    "config", f"{key} must be finite, got {value!r}"
-                )
+        for key, rule in _RULES.items():
+            _stage("config", check_field, key, getattr(self, key), *rule)
         if self.tickers is not None:
             if not isinstance(self.tickers, (list, tuple)) or not all(
                 isinstance(t, str) for t in self.tickers
@@ -133,43 +128,18 @@ class RunConfig:
             object.__setattr__(self, "tickers", tuple(self.tickers))
         weights = self.explicit_weights
         if weights is not None:
-            if not isinstance(weights, dict) or any(
-                not isinstance(t, str)
-                or isinstance(w, bool)
-                or not isinstance(w, (int, float))
-                for t, w in weights.items()
+            if not isinstance(weights, dict) or not all(
+                isinstance(t, str) for t in weights
             ):
                 raise PipelineError(
                     "config",
                     f"explicit_weights must be an object of numbers, got {weights!r}",
                 )
-            try:
-                as_floats = {t: float(w) for t, w in weights.items()}
-                finite = all(map(math.isfinite, as_floats.values()))
-            except OverflowError:  # an int too large for a float
-                finite = False
-            if not finite:
-                raise PipelineError(
-                    "config",
-                    f"explicit_weights must be finite numbers, got {weights!r}",
-                )
-            object.__setattr__(self, "explicit_weights", as_floats)
-        if not self.price_csv:
-            raise PipelineError("config", "price_csv is required")
-        if self.trading_days < 1:
-            raise PipelineError("config", "trading_days must be >= 1")
-        if self.n_paths < 1:
-            raise PipelineError("config", "n_paths must be >= 1")
-        if not self.horizon_years > 0.0:
-            raise PipelineError("config", "horizon_years must be > 0")
-        if not 0.0 < self.alpha < 1.0:
-            raise PipelineError("config", f"alpha {self.alpha!r} outside (0, 1)")
-        if not self.initial_value > 0.0:
-            raise PipelineError("config", "initial_value must be > 0")
-        try:
-            validate_seed(self.seed)
-        except SimulationError as err:
-            raise PipelineError("config", str(err)) from None
+            for w in weights.values():
+                _stage("config", check_field, "explicit_weights", w, float)
+            object.__setattr__(
+                self, "explicit_weights", {t: float(w) for t, w in weights.items()}
+            )
         has_weights = self.explicit_weights is not None
         if (mode == "explicit-weights") != has_weights:
             raise PipelineError(
@@ -195,8 +165,7 @@ class PipelineResult:
 
 def _canonical_mode(mode: str) -> str:
     normalized = str(mode).strip().lower().replace("-", "_")
-    by_key = {"mvp": "mvp", "max_sharpe": "max_sharpe",
-              "explicit_weights": "explicit-weights"}
+    by_key = {m.replace("-", "_"): m for m in PORTFOLIO_MODES}
     if normalized not in by_key:
         raise PipelineError(
             "config",
@@ -224,7 +193,6 @@ def load_run_config(
     mean "flag not given". RunConfig itself checks every value, so a file,
     a flag and a library caller meet the same rules.
     """
-    known = {f.name for f in fields(RunConfig)}
     merged: dict = {}
     if config_path is not None:
         try:
@@ -233,16 +201,11 @@ def load_run_config(
             raise PipelineError("config", f"cannot read {config_path}: {err}")
         if not isinstance(raw, dict):
             raise PipelineError("config", "config file must hold a JSON object")
-        unknown = sorted(set(raw) - known)
-        if unknown:
-            raise PipelineError("config", f"unknown config keys: {unknown}")
         merged.update(raw)
-    for key, value in (overrides or {}).items():
-        if value is None:
-            continue
-        if key not in known:
-            raise PipelineError("config", f"unknown config key: {key}")
-        merged[key] = value
+    merged.update({k: v for k, v in (overrides or {}).items() if v is not None})
+    unknown = sorted(set(merged) - {f.name for f in fields(RunConfig)})
+    if unknown:
+        raise PipelineError("config", f"unknown config keys: {unknown}")
     if "price_csv" not in merged:
         raise PipelineError("config", "price_csv is required")
     return RunConfig(**merged)
@@ -485,16 +448,18 @@ def _comparison_table(comparison: dict) -> str:
 
 def run_backtest(
     config: RunConfig, window: int = DEFAULT_BACKTEST_WINDOW
-) -> tuple[BacktestResult, WeightVector, dict]:
+) -> tuple[BacktestResult, WeightVector, str | None, dict]:
     """Rolling VaR backtest over the price history itself.
 
     Weights for mvp/max_sharpe modes are fitted on the first window+1 price
     rows only, so no information later than the first forecast's own
-    trailing window leaks into portfolio construction.
+    trailing window leaks into portfolio construction. Returns the backtest,
+    the weights, the solver's warning (or None) and the JSON summary.
     """
     if window < 2:
         raise PipelineError("backtest", f"window must be >= 2, got {window}")
     series = _load(config)
+    warning = None
     if config.portfolio_mode == "explicit-weights":
         weights = _stage(
             "optimize", _explicit_weight_vector, series.tickers,
@@ -512,7 +477,7 @@ def run_backtest(
             dates=series.dates[: window + 1],
             prices=series.prices[: window + 1],
         )
-        weights, _, _ = _stage(
+        weights, _, warning = _stage(
             "optimize", _choose_weights, config, _fit(config, head)
         )
     gross = series.prices / series.prices[0]
@@ -532,7 +497,7 @@ def run_backtest(
         "seed": config.seed,
         "version": __version__,
     }
-    return result, weights, summary
+    return result, weights, warning, summary
 
 
 def _params_dict(params: MarketParams, n_obs: int) -> dict:
@@ -565,11 +530,14 @@ def _parse_weight_map(text: str) -> dict[str, float]:
         if not part:
             continue
         ticker, _, value = part.partition("=")
-        if not ticker or not value:
+        try:
+            if not ticker:
+                raise ValueError(part)
+            mapping[ticker.strip()] = float(value)  # float("") fails too
+        except ValueError:
             raise argparse.ArgumentTypeError(
                 f"bad weight entry {part!r}; expected TICKER=WEIGHT"
-            )
-        mapping[ticker.strip()] = float(value)
+            ) from None
     if not mapping:
         raise argparse.ArgumentTypeError("empty weight map")
     return mapping
@@ -606,6 +574,11 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     overrides = {f.name: getattr(args, f.name) for f in fields(RunConfig)}
     return load_run_config(args.config, overrides)
+
+
+def _warn(warning: str | None, label: str = "") -> None:
+    if warning:
+        print(f"warning: {label}{warning}", file=sys.stderr)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -647,12 +620,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    out_dir = resolve_out_dir(args.out_dir)
     try:
         if args.command == "estimate":
             config = _config_from_args(args)
             series = _load(config)
             params = _fit(config, series)
-            out_dir = resolve_out_dir(args.out_dir)
             path = out_dir / "params.json"
             _write_bytes(
                 path, _json_bytes(_params_dict(params, series.n_dates - 1))
@@ -666,7 +639,6 @@ def main(argv: list[str] | None = None) -> int:
             weights, stats, warning = _stage(
                 "optimize", _choose_weights, config, params
             )
-            out_dir = resolve_out_dir(args.out_dir)
             path = out_dir / "weights.json"
             payload = {
                 "portfolio_mode": config.portfolio_mode,
@@ -679,13 +651,11 @@ def main(argv: list[str] | None = None) -> int:
             _write_bytes(path, _json_bytes(payload))
             for t, w in weights.as_dict().items():
                 print(f"{t}: {w:.6f}")
-            if warning:
-                print(f"warning: {warning}", file=sys.stderr)
+            _warn(warning)
             print(f"wrote {path}")
         elif args.command == "simulate":
             config = _config_from_args(args)
             result = run_pipeline(config, workers=args.workers)
-            out_dir = resolve_out_dir(args.out_dir)
             written = write_report_files(result, out_dir)
             report = result.report
             print(
@@ -693,8 +663,7 @@ def main(argv: list[str] | None = None) -> int:
                 f"potential loss: {report.potential_loss:.2f}  "
                 f"chance of loss: {report.chance_of_loss:.4f}"
             )
-            if result.warning:
-                print(f"warning: {result.warning}", file=sys.stderr)
+            _warn(result.warning)
             for path in written:
                 print(f"wrote {path}")
         elif args.command == "compare":
@@ -705,21 +674,22 @@ def main(argv: list[str] | None = None) -> int:
             comparison = compare_portfolios(
                 config_a, config_b, label_a, label_b, workers=args.workers
             )
-            out_dir = resolve_out_dir(args.out_dir)
             path = out_dir / "comparison.json"
             _write_bytes(path, _json_bytes(comparison))
             print(_comparison_table(comparison))
+            for row in comparison.values():
+                _warn(row["report"]["config_echo"]["warning"], f"[{row['label']}] ")
             print(f"wrote {path}")
         elif args.command == "backtest":
             config = _config_from_args(args)
-            result, _, summary = run_backtest(config, window=args.window)
-            out_dir = resolve_out_dir(args.out_dir)
+            result, _, warning, summary = run_backtest(config, window=args.window)
             path = out_dir / "backtest.json"
             _write_bytes(path, _json_bytes(summary))
             print(
                 f"violations: {result.n_violations}/{result.n_tests} "
                 f"(rate {result.violation_rate:.4f}, alpha {result.alpha})"
             )
+            _warn(warning)
             print(f"wrote {path}")
         else:  # pragma: no cover - argparse enforces the choices
             raise PipelineError("cli", f"unknown command {args.command!r}")

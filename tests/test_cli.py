@@ -29,6 +29,8 @@ from gbmrisk.cli import (
     run_backtest,
     run_pipeline,
 )
+from gbmrisk.optimizer import WeightVector
+from gbmrisk.simulation import SimConfig, SimulationError
 
 from conftest import DATA_DIR
 from oracles import reference_paths_csv
@@ -123,6 +125,32 @@ class TestRunConfig:
                            match="stage config: risk_free must be finite"):
             load_run_config(str(cfg), {})
 
+    @pytest.mark.parametrize("run_key, sim_key", [
+        ("n_paths", "n_paths"), ("trading_days", "steps_per_year"),
+        ("horizon_years", "horizon_years"), ("initial_value", "initial_value"),
+        ("seed", "seed"),
+    ])
+    def test_shared_fields_reject_what_simconfig_rejects(self, run_key,
+                                                         sim_key):
+        # one rule per run parameter: RunConfig refuses a value exactly when
+        # SimConfig does, each naming its own field
+        def rejects(build, error, name) -> bool:
+            try:
+                build()
+            except error as err:
+                assert f"{name} must be" in str(err)
+                return True
+            return False
+
+        w = WeightVector(("A",), np.array([1.0]))
+        for value in (True, "5", 0, -1, 1, 2.5, math.nan, math.inf, 10**400,
+                      2**64, 2**64 - 1):
+            run = rejects(lambda: RunConfig(price_csv="x", **{run_key: value}),
+                          PipelineError, f"stage config: {run_key}")
+            sim = rejects(lambda: SimConfig(weights=w, **{sim_key: value}),
+                          SimulationError, sim_key)
+            assert run == sim, (value, run, sim)
+
     def test_seed_range(self, tmp_path):
         assert RunConfig(price_csv="x", seed=2**64 - 1).seed == 2**64 - 1
         for bad in (-1, 2**64, True, 7.0):
@@ -170,6 +198,8 @@ class TestLoadRunConfig:
         ("price_csv", Path("data/crypto_like.csv")),
         ("explicit_weights", {"EQA": 10**400, "EQB": 0, "EQC": 0}),
         ("explicit_weights", {"EQA": math.nan, "EQB": 0, "EQC": 0}),
+        *(pytest.param(key, 10**400, id=f"{key}-10**400")
+          for key in ("initial_value", "horizon_years", "risk_free")),
     ])
     def test_wrong_json_type_rejected(self, tmp_path, key, value):
         # RunConfig and load_run_config callers meet one check. Explicit-weights
@@ -443,6 +473,15 @@ class TestCliCommands:
         report = json.loads((out / "report.json").read_text())
         assert report["weights"] == {"EQA": 0.2, "EQB": 0.3, "EQC": 0.5}
 
+    @pytest.mark.parametrize("entry", ["A=abc", "A=", "=0.5", "A"])
+    def test_malformed_weight_entry_rejected(self, entry, capsys):
+        with pytest.raises(SystemExit) as exc:
+            self.run("simulate", "--price-csv", "x.csv",
+                     "--explicit-weights", f"B=0.5,{entry}")
+        assert exc.value.code == 2
+        assert (f"bad weight entry {entry!r}; expected TICKER=WEIGHT"
+                in capsys.readouterr().err)
+
     def test_compare_identical_configs_identical_rows(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
@@ -456,6 +495,22 @@ class TestCliCommands:
         comparison = json.loads((out / "comparison.json").read_text())
         for field in ("var_value", "chance_of_loss", "potential_loss"):
             assert comparison["a"][field] == comparison["b"][field]
+
+    def test_compare_reports_each_sides_warning(self, tmp_path, capsys):
+        base = {"price_csv": str(DATA_DIR / "equity_like.csv"), "n_paths": 50}
+        calm, rich = tmp_path / "calm.json", tmp_path / "rich.json"
+        calm.write_text(json.dumps(base))
+        rich.write_text(json.dumps(
+            {**base, "portfolio_mode": "max_sharpe", "risk_free": 10}))
+        out = tmp_path / "out"
+        assert self.run("compare", "--config-a", str(calm), "--config-b",
+                        str(rich), "--label-b", "high-rf",
+                        "--out-dir", str(out)) == 0
+        comparison = json.loads((out / "comparison.json").read_text())
+        warning = comparison["b"]["report"]["config_echo"]["warning"]
+        assert warning.startswith("no asset has expected return above")
+        assert comparison["a"]["report"]["config_echo"]["warning"] is None
+        assert capsys.readouterr().err == f"warning: [high-rf] {warning}\n"
 
     def test_compare_errors_labeled_by_side(self, tmp_path):
         good = RunConfig(price_csv=str(DATA_DIR / "equity_like.csv"),
@@ -482,17 +537,32 @@ class TestCliCommands:
         assert sum(payload["weights"].values()) == pytest.approx(1.0,
                                                                  abs=1e-9)
 
+    def test_backtest_reports_solver_warning(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = self.run(
+            "backtest", "--price-csv", str(DATA_DIR / "equity_like.csv"),
+            "--portfolio-mode", "max_sharpe", "--risk-free", "10",
+            "--window", "100", "--out-dir", str(out),
+        )
+        assert code == 0
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "warning: no asset has expected return above the risk-free rate")
+        assert err.count("\n") == 1
+        # the warning goes to stderr only; backtest.json keeps its keys
+        assert "warning" not in json.loads((out / "backtest.json").read_text())
+
     def test_backtest_no_lookahead_weights(self, tmp_path):
         # weights must come from the first window+1 rows only
         csv = tmp_path / "hist.csv"
         write_gbm_csv(csv, n_rows=300, seed=10)
         config = RunConfig(price_csv=str(csv))
-        _, weights_full, _ = run_backtest(config, window=120)
+        _, weights_full, _, _ = run_backtest(config, window=120)
 
         truncated = tmp_path / "head.csv"
         lines = csv.read_text().strip().splitlines()
         truncated.write_text("\n".join(lines[: 1 + 123]) + "\n")
-        _, weights_head, _ = run_backtest(
+        _, weights_head, _, _ = run_backtest(
             RunConfig(price_csv=str(truncated)), window=120
         )
         assert np.array_equal(weights_full.w, weights_head.w)
@@ -500,7 +570,7 @@ class TestCliCommands:
     def test_backtest_explicit_weights(self, tmp_path):
         csv = tmp_path / "hist.csv"
         write_gbm_csv(csv, n_rows=200, seed=11)
-        result, weights, _ = run_backtest(
+        result, weights, _, _ = run_backtest(
             RunConfig(price_csv=str(csv),
                       portfolio_mode="explicit-weights",
                       explicit_weights={"GA": 0.7, "GB": 0.3}),

@@ -204,6 +204,8 @@ class TestSimConfig:
         ("steps_per_year", 2.5), ("horizon_years", math.inf),
         ("horizon_years", math.nan), ("initial_value", math.inf),
         ("initial_value", "100"),
+        *(pytest.param(field, 10**400, id=f"{field}-10**400")
+          for field in ("initial_value", "horizon_years")),
     ])
     def test_bad_type_or_non_finite_rejected(self, three_asset_params,
                                               field, bad):
