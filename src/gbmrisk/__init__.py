@@ -22,7 +22,6 @@ from .optimizer import (
 from .risk import (
     BacktestResult,
     RiskReport,
-    analytic_var_single_asset,
     build_report,
     chance_of_loss,
     quantile,
@@ -55,7 +54,6 @@ __all__ = [
     "portfolio_stats",
     "BacktestResult",
     "RiskReport",
-    "analytic_var_single_asset",
     "build_report",
     "chance_of_loss",
     "quantile",

@@ -38,13 +38,8 @@ from .risk import (
     build_report,
     rolling_var_backtest,
 )
-from .simulation import (
-    FIELD_RULES,
-    SimConfig,
-    SimulationResult,
-    check_field,
-    simulate,
-)
+from .rules import RULES, check, shown
+from .simulation import SimConfig, SimulationResult, simulate
 
 __all__ = [
     "PipelineError",
@@ -69,20 +64,6 @@ REPORT_KEYS = (
     "config_echo",
 )
 OUTPUT_DIR_ENV = "GBMRISK_OUTPUT_DIR"
-# The rule of each scalar RunConfig field (see FIELD_RULES); a field that
-# SimConfig also has takes its rule, trading_days that of steps_per_year.
-_RULES = {
-    "price_csv": (str, bool, "non-empty"),
-    "trading_days": FIELD_RULES["steps_per_year"],
-    "n_paths": FIELD_RULES["n_paths"],
-    "seed": FIELD_RULES["seed"],
-    "horizon_years": FIELD_RULES["horizon_years"],
-    "alpha": (float, lambda a: 0 < a < 1, "in (0, 1)"),
-    "initial_value": FIELD_RULES["initial_value"],
-    "risk_free": (float,),
-    "record_paths": FIELD_RULES["record_paths"],
-}
-_SCALAR_TYPES = {key: rule[0] for key, rule in _RULES.items()}  # types the flags
 
 
 class PipelineError(Exception):
@@ -115,8 +96,8 @@ class RunConfig:
     def __post_init__(self):
         mode = _canonical_mode(self.portfolio_mode)
         object.__setattr__(self, "portfolio_mode", mode)
-        for key, rule in _RULES.items():
-            _stage("config", check_field, key, getattr(self, key), *rule)
+        for key in _SCALAR_TYPES:
+            _stage("config", check, key, getattr(self, key), ValueError)
         if self.tickers is not None:
             if not isinstance(self.tickers, (list, tuple)) or not all(
                 isinstance(t, str) for t in self.tickers
@@ -136,7 +117,7 @@ class RunConfig:
                     f"explicit_weights must be an object of numbers, got {weights!r}",
                 )
             for w in weights.values():
-                _stage("config", check_field, "explicit_weights", w, float)
+                _stage("config", check, "explicit_weights", w, ValueError)
             object.__setattr__(
                 self, "explicit_weights", {t: float(w) for t, w in weights.items()}
             )
@@ -147,6 +128,15 @@ class RunConfig:
                 "explicit_weights must be given exactly when "
                 "portfolio_mode is explicit-weights",
             )
+
+
+# RunConfig's scalar fields, each with its rule's type, which also types the
+# flags; the explicit_weights rule is that of each weight in the map.
+_SCALAR_TYPES = {
+    f.name: RULES[f.name][0]
+    for f in fields(RunConfig)
+    if f.name in RULES and f.name != "explicit_weights"
+}
 
 
 @dataclass(frozen=True)
@@ -303,19 +293,9 @@ def _report_dict(
 ) -> dict:
     sim_config = sim.config_echo
     config_echo = {
-        "price_csv": config.price_csv,
+        **asdict(config),
         "tickers": list(params.tickers),
-        "trading_days": config.trading_days,
-        "n_paths": config.n_paths,
         "n_steps": sim_config.n_steps,
-        "horizon_years": config.horizon_years,
-        "alpha": config.alpha,
-        "initial_value": config.initial_value,
-        "risk_free": config.risk_free,
-        "seed": config.seed,
-        "portfolio_mode": config.portfolio_mode,
-        "explicit_weights": config.explicit_weights,
-        "record_paths": config.record_paths,
         "initial_prices": {
             t: float(p) for t, p in zip(params.tickers, sim_config.initial_prices)
         },
@@ -456,8 +436,7 @@ def run_backtest(
     trailing window leaks into portfolio construction. Returns the backtest,
     the weights, the solver's warning (or None) and the JSON summary.
     """
-    if window < 2:
-        raise PipelineError("backtest", f"window must be >= 2, got {window}")
+    _stage("backtest", check, "window", window, ValueError)
     series = _load(config)
     warning = None
     if config.portfolio_mode == "explicit-weights":
@@ -469,7 +448,7 @@ def run_backtest(
         if series.n_dates < window + 2:
             raise PipelineError(
                 "backtest",
-                f"need at least window + 2 = {window + 2} price rows, "
+                f"need at least window + 2 = {shown(window + 2)} price rows, "
                 f"got {series.n_dates}",
             )
         head = PriceSeries(

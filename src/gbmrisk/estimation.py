@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .market_data import ReturnMatrix
+from .rules import check
 
 __all__ = ["EstimationError", "MarketParams", "estimate_params"]
 
@@ -42,6 +43,7 @@ class MarketParams:
     trading_days: int
 
     def __post_init__(self):
+        check("trading_days", self.trading_days, EstimationError)
         object.__setattr__(self, "tickers", tuple(self.tickers))
         mu = np.asarray(self.mu, dtype=np.float64)
         sigma = np.asarray(self.sigma, dtype=np.float64)
@@ -61,8 +63,6 @@ class MarketParams:
             raise EstimationError("covariance not symmetric")
         if np.max(np.abs(np.diag(cov) - sigma**2), initial=0.0) > 1e-12:
             raise EstimationError("covariance diagonal inconsistent with sigma")
-        if self.trading_days < 1:
-            raise EstimationError("trading_days must be >= 1")
 
     @property
     def n_assets(self) -> int:
@@ -73,8 +73,7 @@ def estimate_params(
     returns: ReturnMatrix, trading_days: int = DEFAULT_TRADING_DAYS
 ) -> MarketParams:
     """MLE parameter estimation from daily log-returns, then annualization."""
-    if trading_days < 1:
-        raise EstimationError("trading_days must be >= 1")
+    check("trading_days", trading_days, EstimationError)
     r = returns.returns
     n = r.shape[0]
     if n < 2:

@@ -13,6 +13,7 @@ from statistics import NormalDist
 
 import numpy as np
 
+from .rules import check, shown
 from .simulation import SimulationResult
 
 __all__ = [
@@ -21,7 +22,6 @@ __all__ = [
     "BacktestResult",
     "quantile",
     "chance_of_loss",
-    "analytic_var_single_asset",
     "rolling_var_backtest",
     "build_report",
 ]
@@ -43,9 +43,6 @@ class RiskReport:
     potential_loss: float
     chance_of_loss: float
     percentiles: dict[float, float]
-    initial_value: float
-    n_paths: int
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -97,33 +94,6 @@ def chance_of_loss(values: np.ndarray, initial_value: float) -> float:
     return float(np.count_nonzero(values < initial_value)) / values.size
 
 
-def analytic_var_single_asset(
-    s0: float, mu: float, sigma: float, horizon_years: float, alpha: float
-) -> float:
-    """Exact alpha-quantile of terminal price for one GBM asset.
-
-    S_T is lognormal, so the quantile is
-    s0 * exp((mu - sigma^2/2) * T + sigma * sqrt(T) * z_alpha).
-    Degenerate cases: zero diffusion gives the deterministic s0*exp(mu*T);
-    alpha <= 0 gives 0.0 and alpha >= 1 gives inf (lognormal support edges).
-    """
-    if s0 <= 0.0:
-        raise RiskError("s0 must be > 0")
-    if sigma < 0.0:
-        raise RiskError("sigma must be >= 0")
-    if horizon_years < 0.0:
-        raise RiskError("horizon_years must be >= 0")
-    if alpha <= 0.0:
-        return 0.0
-    if alpha >= 1.0:
-        return math.inf
-    scale = sigma * math.sqrt(horizon_years)
-    if scale == 0.0:
-        return s0 * math.exp(mu * horizon_years)
-    z = NormalDist().inv_cdf(alpha)
-    return s0 * math.exp((mu - sigma**2 / 2.0) * horizon_years + scale * z)
-
-
 def rolling_var_backtest(
     values: np.ndarray,
     alpha: float = 0.05,
@@ -138,17 +108,16 @@ def rolling_var_backtest(
     t enters the forecast.
     """
     values = np.asarray(values, dtype=np.float64).ravel()
-    if window < 2:
-        raise RiskError("window must be >= 2")
-    if not 0.0 < alpha < 1.0:
-        raise RiskError(f"alpha {alpha!r} outside (0, 1)")
+    check("window", window, RiskError)
+    check("alpha", alpha, RiskError)
     if np.any(values <= 0.0) or not np.all(np.isfinite(values)):
         raise RiskError("values must be positive and finite")
     returns = np.log(values[1:] / values[:-1])
     n_tests = returns.size - window
     if n_tests < 1:
         raise RiskError(
-            f"need more than window + 1 = {window + 1} values, got {values.size}"
+            f"need more than window + 1 = {shown(window + 1)} values, "
+            f"got {values.size}"
         )
     z = NormalDist().inv_cdf(alpha)
     thresholds = np.empty(n_tests)
@@ -173,8 +142,7 @@ def rolling_var_backtest(
 
 def build_report(result: SimulationResult, alpha: float = 0.05) -> RiskReport:
     """Assemble the standard risk summary from a simulation result."""
-    if not 0.0 < alpha < 1.0:
-        raise RiskError(f"alpha {alpha!r} outside (0, 1)")
+    check("alpha", alpha, RiskError)
     values = result.terminal_portfolio_values
     initial_value = result.config_echo.initial_value
     levels = sorted(set(DEFAULT_PERCENTILES) | {alpha})
@@ -186,7 +154,4 @@ def build_report(result: SimulationResult, alpha: float = 0.05) -> RiskReport:
         potential_loss=initial_value - var_value,
         chance_of_loss=chance_of_loss(values, initial_value),
         percentiles={level: _interpolate(ordered, level) for level in levels},
-        initial_value=initial_value,
-        n_paths=values.size,
-        seed=result.config_echo.seed,
     )

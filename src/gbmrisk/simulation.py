@@ -5,9 +5,6 @@ Per-asset log-increments over a step of size dt = T / n_steps are
 row is z L' for independent standard normals z and the lower-triangular
 Cholesky factor L of the annualized covariance.
 
-``FIELD_RULES`` holds the one rule (type and range) of each scalar
-``SimConfig`` field; ``check_field`` applies it, here and in ``RunConfig``.
-
 Randomness contract: each path's normals come from the Philox stream keyed
 by (master seed, path index) with a zero counter, consumed step-major; the
 seed lies in [0, 2**64). ``simulate`` builds one Philox per chunk and
@@ -29,21 +26,19 @@ from __future__ import annotations
 
 import math
 import os
-import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .estimation import MarketParams
 from .optimizer import WeightVector
+from .rules import RULES, check
 
 __all__ = [
     "SimulationError",
     "CholeskyError",
     "SimConfig",
-    "FIELD_RULES",
-    "check_field",
     "SimulationResult",
     "cholesky",
     "repair_psd",
@@ -76,35 +71,6 @@ class CholeskyError(SimulationError):
         self.pivot_index = pivot_index
 
 
-# The rule of each scalar SimConfig field, as check_field's arguments: type,
-# range test and range in words; a type alone allows any value of it.
-FIELD_RULES = {
-    "n_paths": (int, lambda n: n >= 1, ">= 1"),
-    "horizon_years": (float, lambda t: t > 0, "> 0"),
-    "steps_per_year": (int, lambda n: n >= 1, ">= 1"),
-    # seeds key a uint64 stream: out-of-range values must not alias
-    "seed": (int, lambda s: 0 <= s < 2**64, "in [0, 2**64)"),
-    "initial_value": (float, lambda v: v > 0, "> 0"),
-    "record_paths": (bool,),
-}
-
-
-def check_field(
-    name: str, value: object, kind: type, in_range=None, range_text: str = ""
-) -> None:
-    """Raise SimulationError naming ``name`` unless ``value`` is a ``kind``
-    that passes ``in_range``. A bool passes only as a bool. A float field
-    takes an int too; either must be finite, that is within the float range."""
-    if isinstance(value, bool) != (kind is bool) or not isinstance(
-        value, (int, float) if kind is float else kind
-    ):
-        raise SimulationError(f"{name} must be {kind.__name__}, got {value!r}")
-    if kind is float and not abs(value) <= sys.float_info.max:
-        raise SimulationError(f"{name} must be finite, got {value!r}")
-    if in_range is not None and not in_range(value):
-        raise SimulationError(f"{name} must be {range_text}, got {value!r}")
-
-
 @dataclass(frozen=True)
 class SimConfig:
     """Monte Carlo run configuration.
@@ -112,7 +78,7 @@ class SimConfig:
     Defaults mirror the benchmark setup: 10,000 paths over one year in
     252 steps from a $100,000 start. ``initial_prices`` holds per-asset
     starting prices (all 1.0 when omitted, i.e. prices are gross returns).
-    A scalar field that breaks its ``FIELD_RULES`` entry raises a
+    A scalar field that breaks its ``gbmrisk.rules.RULES`` entry raises a
     SimulationError naming the field.
     """
 
@@ -126,8 +92,9 @@ class SimConfig:
     record_paths: bool = False
 
     def __post_init__(self):
-        for name, rule in FIELD_RULES.items():
-            check_field(name, getattr(self, name), *rule)
+        for f in fields(self):
+            if f.name in RULES:
+                check(f.name, getattr(self, f.name), SimulationError)
         if self.initial_prices is not None:
             s0 = np.asarray(self.initial_prices, dtype=np.float64)
             if s0.shape != (len(self.weights.w),):
@@ -254,8 +221,8 @@ def simulate(
     """
     if workers is None:
         workers = _available_cpus()
-    else:  # a thread count takes a path count's rule
-        check_field("workers", workers, *FIELD_RULES["n_paths"])
+    else:
+        check("workers", workers, SimulationError)
     n_assets = params.n_assets
     if config.weights.tickers != params.tickers:
         raise SimulationError("weights do not match params tickers")

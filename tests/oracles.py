@@ -1,15 +1,20 @@
 """Independent reference implementations the tests compare the package
 against: the explicit double-sum variance and an exhaustive simplex-lattice
 search for the minimum-variance weights, the per-path normal stream that
-simulate must reproduce, and the all-rows paths.csv formatter whose bytes
-the streaming writer must reproduce."""
+simulate must reproduce, the all-rows paths.csv formatter whose bytes
+the streaming writer must reproduce, and the closed-form lognormal VaR of a
+single GBM asset that the simulated VaR must approach."""
 
 from __future__ import annotations
+
+import math
+from statistics import NormalDist
 
 import numpy as np
 
 from gbmrisk.estimation import MarketParams
 from gbmrisk.optimizer import OptimizerError, WeightVector, _check_dims
+from gbmrisk.risk import RiskError
 
 GRID_MAX_ASSETS = 4
 
@@ -87,3 +92,30 @@ def reference_paths_csv(paths: np.ndarray, tickers: tuple[str, ...]) -> bytes:
             for ticker, price in zip(tickers, prices):
                 rows.append(f"{p},{step},{ticker},{price!r}")
     return ("\n".join(rows) + "\n").encode("utf-8")
+
+
+def analytic_var_single_asset(
+    s0: float, mu: float, sigma: float, horizon_years: float, alpha: float
+) -> float:
+    """Exact alpha-quantile of terminal price for one GBM asset.
+
+    S_T is lognormal, so the quantile is
+    s0 * exp((mu - sigma^2/2) * T + sigma * sqrt(T) * z_alpha).
+    Degenerate cases: zero diffusion gives the deterministic s0*exp(mu*T);
+    alpha <= 0 gives 0.0 and alpha >= 1 gives inf (lognormal support edges).
+    """
+    if s0 <= 0.0:
+        raise RiskError("s0 must be > 0")
+    if sigma < 0.0:
+        raise RiskError("sigma must be >= 0")
+    if horizon_years < 0.0:
+        raise RiskError("horizon_years must be >= 0")
+    if alpha <= 0.0:
+        return 0.0
+    if alpha >= 1.0:
+        return math.inf
+    scale = sigma * math.sqrt(horizon_years)
+    if scale == 0.0:
+        return s0 * math.exp(mu * horizon_years)
+    z = NormalDist().inv_cdf(alpha)
+    return s0 * math.exp((mu - sigma**2 / 2.0) * horizon_years + scale * z)

@@ -21,11 +21,15 @@ from gbmrisk.optimizer import (
     min_variance,
     portfolio_stats,
 )
-from gbmrisk.risk import analytic_var_single_asset, quantile, rolling_var_backtest
+from gbmrisk.risk import quantile, rolling_var_backtest
 from gbmrisk.simulation import CholeskyError, SimConfig, cholesky, simulate
 
 from conftest import DATA_DIR, make_params, random_psd
-from oracles import grid_oracle_min_variance, quad_form_double_sum
+from oracles import (
+    analytic_var_single_asset,
+    grid_oracle_min_variance,
+    quad_form_double_sum,
+)
 
 N_BIG = 100_000
 
@@ -274,7 +278,7 @@ def test_criterion_10_end_to_end_runtime():
         RunConfig(price_csv=str(DATA_DIR / "crypto_like.csv"))
     )
     elapsed = time.perf_counter() - start
-    assert result.report.n_paths == 10_000
+    assert result.simulation.terminal_portfolio_values.size == 10_000
     assert result.simulation.config_echo.n_steps == 252
     assert elapsed < 10.0
     print(f"PASS criterion 10: end-to-end pipeline in {elapsed:.2f}s < 10s")

@@ -29,11 +29,19 @@ from gbmrisk.cli import (
     run_backtest,
     run_pipeline,
 )
+from gbmrisk.estimation import EstimationError, MarketParams, estimate_params
+from gbmrisk.market_data import ReturnMatrix
 from gbmrisk.optimizer import WeightVector
-from gbmrisk.simulation import SimConfig, SimulationError
+from gbmrisk.risk import RiskError, build_report, rolling_var_backtest
+from gbmrisk.simulation import SimConfig, SimulationError, simulate
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, make_params
 from oracles import reference_paths_csv
+
+
+# values every run parameter's rule is tried on
+REJECTION_GRID = (True, "5", 0, -1, 1, 2.5, math.nan, math.inf, 10**400,
+                  2**64, 2**64 - 1, 10**5000, 2**62)
 
 
 def write_constant_csv(path: Path, days: int = 30, price: float = 50.0) -> None:
@@ -109,6 +117,9 @@ class TestRunConfig:
             RunConfig(price_csv="x", alpha=1.5)
         with pytest.raises(PipelineError):
             RunConfig(price_csv="x", n_paths=0)
+        # a count numpy cannot allocate fails here, not after load and fit
+        with pytest.raises(PipelineError, match="stage config: n_paths must be"):
+            RunConfig(price_csv="x", n_paths=2**62)
         with pytest.raises(PipelineError):
             RunConfig(price_csv="x", initial_value=0.0)
         # non-finite floats stop at stage config, not in a later stage or
@@ -143,13 +154,65 @@ class TestRunConfig:
             return False
 
         w = WeightVector(("A",), np.array([1.0]))
-        for value in (True, "5", 0, -1, 1, 2.5, math.nan, math.inf, 10**400,
-                      2**64, 2**64 - 1):
+        for value in REJECTION_GRID:
             run = rejects(lambda: RunConfig(price_csv="x", **{run_key: value}),
                           PipelineError, f"stage config: {run_key}")
             sim = rejects(lambda: SimConfig(weights=w, **{sim_key: value}),
                           SimulationError, sim_key)
             assert run == sim, (value, run, sim)
+
+    @pytest.mark.parametrize("key", ["trading_days", "alpha", "window"])
+    def test_library_entry_points_reject_what_runconfig_rejects(self, key):
+        # each library function taking a run parameter rejects exactly what
+        # the first entry point listed rejects (RunConfig where it has the
+        # field), with its own error class, naming the field; an error that
+        # does not name the rule is a later failure of a value it let through
+        def rejects(build, error, name) -> bool:
+            try:
+                build()
+            except error as err:
+                return f"{name} must be" in str(err)
+            return False
+
+        w = WeightVector(("A",), np.array([1.0]))
+        params = make_params(("A",), [0.05], [[0.04]])
+        sim = simulate(params, SimConfig(weights=w, n_paths=20))
+        returns = ReturnMatrix(("A",), np.array([[0.01], [-0.02], [0.005]]))
+        values = 100.0 + np.arange(30.0)
+        backtest_config = RunConfig(
+            price_csv=str(DATA_DIR / "crypto_like.csv"),
+            portfolio_mode="explicit-weights",
+            explicit_weights={"CRA": 0.2, "CRB": 0.3, "CRC": 0.5},
+        )
+        run_config = (lambda v: RunConfig(price_csv="x", **{key: v}),
+                      PipelineError, f"stage config: {key}")
+        entry_points = {
+            "trading_days": [
+                run_config,
+                (lambda v: MarketParams(("A",), [0.05], [0.2], [[0.04]], v),
+                 EstimationError, "trading_days"),
+                (lambda v: estimate_params(returns, trading_days=v),
+                 EstimationError, "trading_days"),
+            ],
+            "alpha": [
+                run_config,
+                (lambda v: build_report(sim, alpha=v), RiskError, "alpha"),
+                (lambda v: rolling_var_backtest(values, alpha=v, window=5),
+                 RiskError, "alpha"),
+            ],
+            "window": [
+                (lambda v: rolling_var_backtest(values, window=v),
+                 RiskError, "window"),
+                (lambda v: run_backtest(backtest_config, window=v),
+                 PipelineError, "stage backtest: window"),
+            ],
+        }[key]
+        for value in REJECTION_GRID:
+            verdicts = [rejects(lambda: build(value), error, name)
+                        for build, error, name in entry_points]
+            assert len(set(verdicts)) == 1, (key, value, verdicts)
+            if key == "window" and type(value) is float:  # a count
+                assert verdicts[0], value
 
     def test_seed_range(self, tmp_path):
         assert RunConfig(price_csv="x", seed=2**64 - 1).seed == 2**64 - 1

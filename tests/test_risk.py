@@ -13,7 +13,6 @@ from gbmrisk.optimizer import WeightVector
 from gbmrisk.risk import (
     DEFAULT_PERCENTILES,
     RiskError,
-    analytic_var_single_asset,
     build_report,
     chance_of_loss,
     quantile,
@@ -22,6 +21,7 @@ from gbmrisk.risk import (
 from gbmrisk.simulation import SimConfig, simulate
 
 from conftest import make_params
+from oracles import analytic_var_single_asset
 
 Z_05 = -1.6448536269514722  # 5% standard normal quantile
 
@@ -177,11 +177,11 @@ class TestBuildReport:
         assert report.var_level == 0.05
         assert report.var_value == pytest.approx(quantile(values, 0.05))
         assert report.potential_loss == pytest.approx(
-            report.initial_value - report.var_value
+            result.config_echo.initial_value - report.var_value
         )
         assert report.chance_of_loss == chance_of_loss(values, 100_000.0)
-        assert report.n_paths == 400
-        assert report.seed == 9
+        assert values.size == 400
+        assert result.config_echo.seed == 9
 
     def test_percentiles_include_alpha(self):
         report = build_report(self.make_result(), alpha=0.03)
