@@ -38,8 +38,8 @@ from .risk import (
     build_report,
     rolling_var_backtest,
 )
-from .rules import RULES, check, shown
-from .simulation import SimConfig, SimulationResult, simulate
+from .rules import RULES, check, shown, step_count
+from .simulation import SimConfig, SimulationResult, price_paths, simulate
 
 __all__ = [
     "PipelineError",
@@ -98,6 +98,7 @@ class RunConfig:
         object.__setattr__(self, "portfolio_mode", mode)
         for key in _SCALAR_TYPES:
             _stage("config", check, key, getattr(self, key), ValueError)
+        _stage("config", step_count, self.horizon_years, self.trading_days, ValueError)
         if self.tickers is not None:
             if not isinstance(self.tickers, (list, tuple)) or not all(
                 isinstance(t, str) for t in self.tickers
@@ -265,7 +266,6 @@ def run_pipeline(
         seed=config.seed,
         initial_value=config.initial_value,
         initial_prices=series.prices[-1],
-        record_paths=config.record_paths,
     )
     sim = _stage("simulate", simulate, params, sim_config, workers=workers)
     report = _stage("risk", build_report, sim, alpha=config.alpha)
@@ -354,8 +354,9 @@ def write_report_files(result: PipelineResult, out_dir: Path) -> list[Path]:
     """Emit report.json, percentiles.csv, and (when recorded) paths.csv.
 
     paths.csv (``path,step,ticker,price``, one row per price, floats as
-    ``repr``) is streamed to disk one path at a time, so the writer's memory
-    stays bounded by one path's text whatever the path count.
+    ``repr``) is streamed to disk one path at a time as ``price_paths``
+    rebuilds the paths from their keys, so the writer's memory stays flat
+    in the path count.
     """
     written = []
     report_path = out_dir / "report.json"
@@ -369,22 +370,22 @@ def write_report_files(result: PipelineResult, out_dir: Path) -> list[Path]:
     _write_bytes(csv_path, ("\n".join(lines) + "\n").encode("utf-8"))
     written.append(csv_path)
 
-    paths = result.simulation.paths
-    if paths is not None:
-        # "{step},{ticker}," in the order paths[p].ravel() yields prices
+    if result.config.record_paths:
+        sim_config = result.simulation.config_echo
+        # "{step},{ticker}," in the order a path's ravel() yields prices
         cells = [
             f"{step},{ticker},"
-            for step in range(paths.shape[1])
+            for step in range(sim_config.n_steps + 1)
             for ticker in result.params.tickers
         ]
         paths_path = out_dir / "paths.csv"
         with open(paths_path, "w", encoding="utf-8", newline="") as handle:
             handle.write("path,step,ticker,price\n")
-            for p in range(paths.shape[0]):
+            for p, path in enumerate(price_paths(result.params, sim_config)):
                 lead = f"{p},"
                 handle.write("".join([
                     f"{lead}{cell}{price!r}\n"
-                    for cell, price in zip(cells, paths[p].ravel().tolist())
+                    for cell, price in zip(cells, path.ravel().tolist())
                 ]))
         written.append(paths_path)
     return written

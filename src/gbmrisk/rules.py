@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import sys
 
-__all__ = ["RULES", "check", "shown"]
+__all__ = ["RULES", "check", "shown", "step_count"]
 
 # The largest count numpy can give one float64 each within sys.maxsize bytes.
 _MAX_COUNT = sys.maxsize // 8
@@ -19,6 +19,7 @@ RULES = {
     "n_paths": _COUNT,
     "steps_per_year": _COUNT,  # trading_days is the same count
     "trading_days": _COUNT,
+    "n_steps": _COUNT,  # of a run: see step_count
     "horizon_years": (float, lambda t: t > 0, "> 0"),
     # seeds key a uint64 stream: out-of-range values must not alias
     "seed": (int, lambda s: 0 <= s < 2**64, "in [0, 2**64)"),
@@ -53,3 +54,14 @@ def check(name: str, value: object, error: type[Exception]) -> None:
         raise error(f"{name} must be finite, got {shown(value)}")
     if in_range and not in_range[0](value):
         raise error(f"{name} must be {in_range[1]}, got {shown(value)}")
+
+
+def step_count(years: float, per_year: int, error: type[Exception]) -> int:
+    """A run's ``max(1, round(years * per_year))`` steps, which must keep the
+    n_steps rule; a product past the float range breaks it too."""
+    steps = years * per_year
+    steps = max(1, round(steps)) if steps <= sys.float_info.max else steps
+    if not RULES["n_steps"][1](steps):
+        raise error(f"horizon_years must be shorter: n_steps must be "
+                    f"{RULES['n_steps'][2]}, got {shown(steps)}")
+    return steps

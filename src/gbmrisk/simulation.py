@@ -7,11 +7,12 @@ Cholesky factor L of the annualized covariance.
 
 Randomness contract: each path's normals come from the Philox stream keyed
 by (master seed, path index) with a zero counter, consumed step-major; the
-seed lies in [0, 2**64). ``simulate`` builds one Philox per chunk and
-re-keys it for every path, which yields exactly the stream a fresh
-``Philox(key=(seed, path))`` gives, and each path's shock rows are computed
-apart from every other path's. Results are therefore bitwise identical for
-any chunk size, execution order or worker count.
+seed lies in [0, 2**64). One kernel serves ``simulate``, which keeps each
+path's last step, and ``price_paths``, which rebuilds whole paths: it builds
+one Philox per call and re-keys it for every path, which yields exactly the
+stream a fresh ``Philox(key=(seed, path))`` gives, and computes each path's
+shock rows apart from every other path's. Results are therefore bitwise
+identical for any chunk size, execution order or worker count.
 
 A chunk is as many whole paths as fit in ``_CHUNK_NORMALS`` normals, and
 at least one: 1,024 paths at 252 steps x 3 assets, fewer with more assets or
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
@@ -33,7 +35,7 @@ import numpy as np
 
 from .estimation import MarketParams
 from .optimizer import WeightVector
-from .rules import RULES, check
+from .rules import RULES, check, step_count
 
 __all__ = [
     "SimulationError",
@@ -41,6 +43,7 @@ __all__ = [
     "SimConfig",
     "SimulationResult",
     "cholesky",
+    "price_paths",
     "repair_psd",
     "simulate",
 ]
@@ -53,10 +56,7 @@ _PIVOT_TOL = 1e-10
 # two arrays of at most _CHUNK_NORMALS floats (~6.2 MB each), unless a single
 # path draws more.
 _CHUNK_NORMALS = 1024 * 252 * 3
-
-DEFAULT_N_PATHS = 10_000
-DEFAULT_STEPS_PER_YEAR = 252
-DEFAULT_INITIAL_VALUE = 100_000.0
+_REBUILD_PATHS = 16  # per price_paths block: small arrays, few Philox builds
 
 
 class SimulationError(ValueError):
@@ -78,34 +78,34 @@ class SimConfig:
     Defaults mirror the benchmark setup: 10,000 paths over one year in
     252 steps from a $100,000 start. ``initial_prices`` holds per-asset
     starting prices (all 1.0 when omitted, i.e. prices are gross returns).
-    A scalar field that breaks its ``gbmrisk.rules.RULES`` entry raises a
-    SimulationError naming the field.
+    A scalar field, or ``n_steps``, that breaks its ``gbmrisk.rules.RULES``
+    entry raises a SimulationError naming it.
     """
 
     weights: WeightVector
-    n_paths: int = DEFAULT_N_PATHS
+    n_paths: int = 10_000
     horizon_years: float = 1.0
-    steps_per_year: int = DEFAULT_STEPS_PER_YEAR
+    steps_per_year: int = 252
     seed: int = 42
-    initial_value: float = DEFAULT_INITIAL_VALUE
+    initial_value: float = 100_000.0
     initial_prices: np.ndarray | None = None
-    record_paths: bool = False
 
     def __post_init__(self):
         for f in fields(self):
             if f.name in RULES:
                 check(f.name, getattr(self, f.name), SimulationError)
-        if self.initial_prices is not None:
-            s0 = np.asarray(self.initial_prices, dtype=np.float64)
-            if s0.shape != (len(self.weights.w),):
-                raise SimulationError("initial_prices shape mismatch")
-            if np.any(s0 <= 0.0) or not np.all(np.isfinite(s0)):
-                raise SimulationError("initial_prices must be positive")
-            object.__setattr__(self, "initial_prices", s0)
+        step_count(self.horizon_years, self.steps_per_year, SimulationError)
+        s0 = self.initial_prices
+        s0 = np.ones(len(self.weights.w)) if s0 is None else np.asarray(s0, float)
+        if s0.shape != (len(self.weights.w),):
+            raise SimulationError("initial_prices shape mismatch")
+        if np.any(s0 <= 0.0) or not np.all(np.isfinite(s0)):
+            raise SimulationError("initial_prices must be positive")
+        object.__setattr__(self, "initial_prices", s0)
 
     @property
     def n_steps(self) -> int:
-        return max(1, round(self.horizon_years * self.steps_per_year))
+        return step_count(self.horizon_years, self.steps_per_year, SimulationError)
 
     @property
     def dt(self) -> float:
@@ -114,20 +114,15 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class SimulationResult:
-    """Terminal prices and portfolio values for every path.
-
-    ``paths`` is populated (n_paths, n_steps+1, n_assets) only when the
-    config sets record_paths; each chunk's slice is filled in place, and
-    ``write_report_files`` streams it to ``paths.csv`` one path at a time.
-    ``jitter`` echoes the PSD repair applied to the covariance before
-    decomposition.
-    """
+    """Terminal prices and portfolio values for every path; ``price_paths``
+    rebuilds whole paths from the same kernel. ``jitter`` echoes the PSD
+    repair applied to the covariance before decomposition."""
 
     terminal_asset_prices: np.ndarray
     terminal_portfolio_values: np.ndarray
     config_echo: SimConfig
     jitter: float = 0.0
-    paths: np.ndarray | None = None
+    paths: None = None  # always None; the benchmark's tracer still reads it
 
 
 def cholesky(cov: np.ndarray) -> np.ndarray:
@@ -169,26 +164,22 @@ def cholesky(cov: np.ndarray) -> np.ndarray:
     return l
 
 
-def repair_psd(
-    cov: np.ndarray, jitters: tuple[float, ...] = PSD_JITTERS
-) -> tuple[np.ndarray, float]:
+def repair_psd(cov: np.ndarray) -> tuple[np.ndarray, float]:
     """Make a sample covariance decomposable by adding the smallest jitter.
 
     Tries cov + jitter*I over the jitter ladder and returns the first
     decomposable matrix together with the jitter used. Indefinite input that
     survives no jitter is a hard error.
     """
-    repaired, jitter, _ = _repair_and_factor(cov, jitters)
+    repaired, jitter, _ = _repair_and_factor(cov)
     return repaired, jitter
 
 
-def _repair_and_factor(
-    cov: np.ndarray, jitters: tuple[float, ...] = PSD_JITTERS
-) -> tuple[np.ndarray, float, np.ndarray]:
+def _repair_and_factor(cov: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
     # repair_psd plus the factor its successful rung computed
     cov = np.asarray(cov, dtype=np.float64)
     last_error: CholeskyError | None = None
-    for jitter in jitters:
+    for jitter in PSD_JITTERS:
         candidate = cov + jitter * np.eye(cov.shape[0])
         try:
             factor = cholesky(candidate)
@@ -197,7 +188,7 @@ def _repair_and_factor(
             continue
         return candidate, jitter, factor
     raise CholeskyError(
-        f"matrix not positive semidefinite even with jitter {jitters[-1]!r}: "
+        f"matrix not positive semidefinite even with jitter {PSD_JITTERS[-1]!r}: "
         f"{last_error}",
         pivot_index=last_error.pivot_index,
     )
@@ -210,47 +201,20 @@ def _available_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def simulate(
-    params: MarketParams, config: SimConfig, workers: int | None = None
-) -> SimulationResult:
-    """Generate correlated GBM paths and assemble terminal portfolio values.
-
-    Deterministic given (params, config): the per-path streams make the
-    output independent of chunking and of ``workers``: an int >= 1, or None
-    for one thread per CPU this process may run on.
-    """
-    if workers is None:
-        workers = _available_cpus()
-    else:
-        check("workers", workers, SimulationError)
-    n_assets = params.n_assets
+def _path_kernel(params: MarketParams, config: SimConfig):
+    """The covariance jitter and ``cum_log(start, stop)``, the cumulative
+    log-increments of paths [start, stop), shape (stop - start, n_steps, n_assets)."""
     if config.weights.tickers != params.tickers:
         raise SimulationError("weights do not match params tickers")
     _, jitter, factor = _repair_and_factor(params.cov)
     l_t = factor.T.copy()
+    n_steps, n_assets = config.n_steps, params.n_assets
+    sqrt_dt = math.sqrt(config.dt)
+    drift = (params.mu - params.sigma**2 / 2.0) * config.dt
 
-    n_paths = config.n_paths
-    n_steps = config.n_steps
-    dt = config.dt
-    sqrt_dt = math.sqrt(dt)
-    drift = (params.mu - params.sigma**2 / 2.0) * dt
-    s0 = (
-        np.ones(n_assets)
-        if config.initial_prices is None
-        else config.initial_prices
-    )
-
-    terminal_prices = np.empty((n_paths, n_assets))
-    paths = (
-        np.empty((n_paths, n_steps + 1, n_assets)) if config.record_paths else None
-    )
-
-    chunk = max(1, _CHUNK_NORMALS // (n_steps * n_assets))
-
-    def run_chunk(start: int) -> None:
-        stop = min(start + chunk, n_paths)
+    def cum_log(start: int, stop: int) -> np.ndarray:
         z = np.empty((stop - start, n_steps, n_assets))
-        # One bit generator per chunk, so threads never share one. Assigning
+        # One bit generator per call, so threads never share one. Assigning
         # this state before each path re-keys it to (seed, p) with a zero
         # counter and an empty buffer, the state Philox(key=(seed, p)) starts
         # in. Lists of Python ints assign faster than uint64 arrays.
@@ -269,17 +233,37 @@ def simulate(
             key[1] = p
             bit_gen.state = fresh
             gen.standard_normal(out=z[p - start])
-        cum_log = z @ l_t
-        cum_log *= sqrt_dt
-        cum_log += drift
-        np.cumsum(cum_log, axis=1, out=cum_log)
-        terminal_prices[start:stop] = s0 * np.exp(cum_log[:, -1, :])
-        if paths is not None:
-            # filled in place: no chunk-sized temporaries beside ``paths``
-            block = paths[start:stop]
-            block[:, 0, :] = s0
-            np.exp(cum_log, out=block[:, 1:, :])
-            block[:, 1:, :] *= s0
+        out = z @ l_t
+        out *= sqrt_dt
+        out += drift
+        np.cumsum(out, axis=1, out=out)
+        return out
+
+    return jitter, cum_log
+
+
+def simulate(
+    params: MarketParams, config: SimConfig, workers: int | None = None
+) -> SimulationResult:
+    """Generate correlated GBM paths and assemble terminal portfolio values.
+
+    Deterministic given (params, config): the per-path streams make the
+    output independent of chunking and of ``workers``: an int >= 1, or None
+    for one thread per CPU this process may run on.
+    """
+    if workers is None:
+        workers = _available_cpus()
+    else:
+        check("workers", workers, SimulationError)
+    jitter, cum_log = _path_kernel(params, config)
+    n_paths = config.n_paths
+    s0 = config.initial_prices
+    terminal_prices = np.empty((n_paths, params.n_assets))
+    chunk = max(1, _CHUNK_NORMALS // (config.n_steps * params.n_assets))
+
+    def run_chunk(start: int) -> None:
+        stop = min(start + chunk, n_paths)
+        terminal_prices[start:stop] = s0 * np.exp(cum_log(start, stop)[:, -1, :])
 
     chunk_starts = range(0, n_paths, chunk)
     workers = min(workers, len(chunk_starts))
@@ -299,5 +283,18 @@ def simulate(
         terminal_portfolio_values=portfolio_values,
         config_echo=config,
         jitter=jitter,
-        paths=paths,
     )
+
+
+def price_paths(params: MarketParams, config: SimConfig) -> Iterator[np.ndarray]:
+    """Yield each path's (n_steps + 1, n_assets) prices in path order, step 0
+    being the initial prices, rebuilt from its key a block at a time; the
+    last step equals ``simulate``'s ``terminal_asset_prices`` bitwise."""
+    _, cum_log = _path_kernel(params, config)
+    for start in range(0, config.n_paths, _REBUILD_PATHS):
+        cum = cum_log(start, min(start + _REBUILD_PATHS, config.n_paths))
+        prices = np.empty((len(cum), config.n_steps + 1, params.n_assets))
+        prices[:, 0, :] = config.initial_prices
+        np.exp(cum, out=prices[:, 1:, :])
+        prices[:, 1:, :] *= config.initial_prices
+        yield from prices

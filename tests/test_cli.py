@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gbmrisk import cli
+from gbmrisk import cli, simulation
 from gbmrisk.cli import (
     PipelineError,
     RunConfig,
@@ -33,7 +33,12 @@ from gbmrisk.estimation import EstimationError, MarketParams, estimate_params
 from gbmrisk.market_data import ReturnMatrix
 from gbmrisk.optimizer import WeightVector
 from gbmrisk.risk import RiskError, build_report, rolling_var_backtest
-from gbmrisk.simulation import SimConfig, SimulationError, simulate
+from gbmrisk.simulation import (
+    SimConfig,
+    SimulationError,
+    price_paths,
+    simulate,
+)
 
 from conftest import DATA_DIR, make_params
 from oracles import reference_paths_csv
@@ -263,6 +268,9 @@ class TestLoadRunConfig:
         ("explicit_weights", {"EQA": math.nan, "EQB": 0, "EQC": 0}),
         *(pytest.param(key, 10**400, id=f"{key}-10**400")
           for key in ("initial_value", "horizon_years", "risk_free")),
+        # n_steps = round(horizon_years * trading_days) past the count rule,
+        # or past the float range
+        ("horizon_years", 1e300), ("horizon_years", 1e307),
     ])
     def test_wrong_json_type_rejected(self, tmp_path, key, value):
         # RunConfig and load_run_config callers meet one check. Explicit-weights
@@ -763,8 +771,9 @@ class TestPathsCsv:
                            record_paths=True, **kw)
         result = run_pipeline(config)
         cli.write_report_files(result, tmp_path)
-        expected = reference_paths_csv(result.simulation.paths,
-                                       result.params.tickers)
+        paths = np.stack(list(price_paths(result.params,
+                                          result.simulation.config_echo)))
+        expected = reference_paths_csv(paths, result.params.tickers)
         assert (tmp_path / "paths.csv").read_bytes() == expected
 
     def test_writer_memory_is_bounded(self, tmp_path):
@@ -780,6 +789,28 @@ class TestPathsCsv:
             tracemalloc.stop()
         assert (tmp_path / "paths.csv").stat().st_size > 4_000_000
         assert peak < 1_000_000
+
+    def test_recorded_run_memory_is_flat_in_paths(self, tmp_path,
+                                                  monkeypatch):
+        # paths are rebuilt from their keys as paths.csv streams, so nothing
+        # holds every path. 25-step paths keep the test fast; at workers=1
+        # and 1,024 paths a unit, both counts keep one equal unit in flight.
+        monkeypatch.setattr(simulation, "_CHUNK_NORMALS", 1024 * 25 * 3)
+
+        def peak(n_paths: int) -> int:
+            config = RunConfig(price_csv=str(DATA_DIR / "crypto_like.csv"),
+                               n_paths=n_paths, horizon_years=0.1,
+                               record_paths=True)
+            tracemalloc.start()
+            try:
+                cli.write_report_files(run_pipeline(config, workers=1),
+                                       tmp_path)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # holding every path would add 3,072 x 26 x 3 floats, 1.9 MB
+        assert peak(4096) - peak(1024) < 1_000_000
 
 
 class TestFitPath:
@@ -816,6 +847,24 @@ class TestFitPath:
             assert main([entry, "--price-csv", csv,
                          "--out-dir", str(tmp_path)]) == 0
         assert calls == dict.fromkeys(self.LAYERS, 1)
+
+    def test_benchmark_tracer_counts_simulate(self, monkeypatch):
+        # the tracer's simulate counter reads the result's fields; tier-1
+        # does not run perfbench's own tests, so a field it reads that goes
+        # missing fails here
+        monkeypatch.syspath_prepend(str(DATA_DIR.parent / "perfbench"))
+        spans = importlib.import_module("spans")
+        for record_paths in (False, True):
+            config = RunConfig(price_csv=str(DATA_DIR / "crypto_like.csv"),
+                               n_paths=50, record_paths=record_paths)
+            tracer = spans.Tracer()
+            with tracer.installed(0):
+                run_pipeline(config)
+            counts = [s.counts for s in tracer.spans if s.name == "simulate"]
+            assert len(counts) == 1
+            assert set(counts[0]) == {"normals", "path_streams",
+                                      "bytes_computed"}
+            assert counts[0]["normals"] == 50 * 252 * 3
 
 
 def test_run_benchmark_script_smoke(tmp_path, monkeypatch, capsys):

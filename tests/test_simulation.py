@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,6 +18,7 @@ from gbmrisk.simulation import (
     SimConfig,
     SimulationError,
     cholesky,
+    price_paths,
     repair_psd,
     simulate,
 )
@@ -33,6 +33,11 @@ def weights_for(params, values=None) -> WeightVector:
     n = params.n_assets
     w = np.full(n, 1.0 / n) if values is None else np.asarray(values)
     return WeightVector(params.tickers, w)
+
+
+def rebuilt(params, config) -> np.ndarray:
+    """Every path price_paths yields, stacked (n_paths, n_steps + 1, n_assets)."""
+    return np.stack(list(price_paths(params, config)))
 
 
 def cholesky_rowwise(cov: np.ndarray) -> np.ndarray:
@@ -206,6 +211,9 @@ class TestSimConfig:
         ("initial_value", "100"),
         *(pytest.param(field, 10**400, id=f"{field}-10**400")
           for field in ("initial_value", "horizon_years")),
+        # each factor keeps its rule, but n_steps breaks the count rule, or
+        # the product overflows to inf
+        ("horizon_years", 1e300), ("horizon_years", 1e307),
     ])
     def test_bad_type_or_non_finite_rejected(self, three_asset_params,
                                               field, bad):
@@ -297,33 +305,36 @@ class TestSimulate:
     @pytest.fixture(scope="class", params=[3, 50])
     def chunk_reference(self, request):
         # 4,100 paths of 12 steps leave a partial last chunk at every chunk
-        # size tried below; the reference is a serial run in 4,096-path chunks
+        # size tried below; the reference is a serial run, and a rebuild,
+        # in 4,096-path chunks
         n = request.param
         cov = random_psd(np.random.default_rng(n), n, scale=0.05)
         params = make_params([f"T{i}" for i in range(n)],
                              np.linspace(0.02, 0.12, n), cov)
         config = SimConfig(weights=weights_for(params), n_paths=4100,
-                           steps_per_year=12, seed=11, record_paths=True)
+                           steps_per_year=12, seed=11)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(simulation, "_CHUNK_NORMALS",
-                       4096 * config.n_steps * n)
-            return params, config, simulate(params, config, workers=1)
+            mp.setattr(simulation, "_CHUNK_NORMALS", 4096 * config.n_steps * n)
+            mp.setattr(simulation, "_REBUILD_PATHS", 4096)
+            return (params, config, simulate(params, config, workers=1),
+                    rebuilt(params, config))
 
     @pytest.mark.parametrize("workers", [1, 2, None])
     @pytest.mark.parametrize("chunk", [1, 333, 1024, 4096])
     def test_chunk_and_worker_invariance(self, chunk_reference, chunk,
                                          workers, monkeypatch):
-        # the unit is sized in normals; these sizes give `chunk` paths each
-        params, config, reference = chunk_reference
+        # the unit is sized in normals; these sizes give `chunk` paths each,
+        # and the rebuild takes blocks of as many paths
+        params, config, reference, reference_paths = chunk_reference
         monkeypatch.setattr(simulation, "_CHUNK_NORMALS",
                             chunk * config.n_steps * params.n_assets)
-        recorded = simulate(params, config, workers=workers)
-        plain = simulate(params, replace(config, record_paths=False),
-                         workers=workers)
-        assert np.array_equal(recorded.paths, reference.paths)
-        for result in (recorded, plain):
-            assert np.array_equal(result.terminal_asset_prices,
-                                  reference.terminal_asset_prices)
+        monkeypatch.setattr(simulation, "_REBUILD_PATHS", chunk)
+        result = simulate(params, config, workers=workers)
+        paths = rebuilt(params, config)
+        assert np.array_equal(paths, reference_paths)
+        assert np.array_equal(result.terminal_asset_prices,
+                              reference.terminal_asset_prices)
+        assert np.array_equal(paths[:, -1, :], result.terminal_asset_prices)
 
     def test_path_wider_than_a_unit_is_its_own_chunk(self, three_asset_params,
                                                      monkeypatch):
@@ -397,24 +408,23 @@ class TestSimulate:
     def test_recorded_paths_consistent(self, three_asset_params):
         s0 = np.array([5.0, 6.0, 7.0])
         config = SimConfig(weights=weights_for(three_asset_params),
-                           n_paths=16, record_paths=True, initial_prices=s0)
+                           n_paths=16, initial_prices=s0)
         result = simulate(three_asset_params, config)
-        assert result.paths.shape == (16, 253, 3)
-        assert np.array_equal(result.paths[:, 0, :], np.tile(s0, (16, 1)))
-        assert np.array_equal(result.paths[:, -1, :],
-                              result.terminal_asset_prices)
-        assert np.all(result.paths > 0.0)
+        paths = rebuilt(three_asset_params, config)
+        assert paths.shape == (16, 253, 3)
+        assert np.array_equal(paths[:, 0, :], np.tile(s0, (16, 1)))
+        assert np.array_equal(paths[:, -1, :], result.terminal_asset_prices)
+        assert np.all(paths > 0.0)
 
     def test_streams_match_reference_across_chunks(self, three_asset_params):
-        # paths on both sides of a chunk boundary (4096 is a multiple of the
-        # chunk size), at the top seed, follow the reference stream for
-        # (seed, path)
+        # rebuilt paths on both sides of a block boundary (4096 is a multiple
+        # of the block size), at the top seed, follow the reference stream
+        # for (seed, path)
         seed = 2**64 - 1
         s0 = np.array([5.0, 6.0, 7.0])
         config = SimConfig(weights=weights_for(three_asset_params),
-                           n_paths=4100, seed=seed, record_paths=True,
-                           initial_prices=s0)
-        result = simulate(three_asset_params, config)
+                           n_paths=4100, seed=seed, initial_prices=s0)
+        paths = rebuilt(three_asset_params, config)
         l = cholesky(three_asset_params.cov)
         dt = config.dt
         sigma = three_asset_params.sigma
@@ -422,7 +432,7 @@ class TestSimulate:
         for p in (0, 4095, 4096, 4099):
             z = draw_standard_normals(seed, p, 252 * 3).reshape(252, 3)
             log_path = np.cumsum(drift + math.sqrt(dt) * (z @ l.T), axis=0)
-            assert np.allclose(result.paths[p, 1:], s0 * np.exp(log_path),
+            assert np.allclose(paths[p, 1:], s0 * np.exp(log_path),
                                rtol=1e-12, atol=0.0)
 
     def test_ticker_mismatch_rejected(self, three_asset_params):
