@@ -1,17 +1,26 @@
 #!/usr/bin/env python3
 """Measure how a recorded-paths run scales with the path count.
 
-For each path count, one fresh child process runs the default mvp pipeline
-with record_paths on, then writes its reports (paths.csv included) to a
-temporary directory. The child times the pipeline and the write; this
-script reads the child's peak RSS from the kernel's accounting for it
-(os.wait4), so each count's peak is its own. Prints one row per count.
+For each path count, fresh child processes run the default mvp pipeline
+with record_paths on, then write their reports (paths.csv included) to a
+temporary directory; three runs per count give a median and quartiles.
+Each child times the pipeline and the write and reports two peaks from its
+own resource accounting: its own peak RSS, and the largest peak among the
+processes it started and reaped, that is the paths.csv formatting
+processes, read after the write. A run that formats in one process starts
+none and reports 0 there. A forked worker's peak includes pages it shares
+with its parent, so the two peaks are not to be added.
 
-Pass --src to measure another checkout's package, e.g. a parent commit
-unpacked with `git archive`, with the same script and settings.
+--workers sets both the simulation threads and the formatting processes
+(default: one per CPU this process may use). Pass --src to measure another
+checkout's package, e.g. a parent commit unpacked with `git archive`, with
+the same script and settings; a package whose write_report_files takes no
+workers formats in the child itself. --json FILE merges the result into
+FILE under --label, in the format of scripts/sim_scaling.py.
 
 Usage: python3 scripts/record_scaling.py [--n-paths 1000 2000 10000]
-       [--price-csv data/crypto_like.csv] [--seed 42] [--src src]
+       [--price-csv data/crypto_like.csv] [--seed 42] [--workers W]
+       [--src src] [--label change] [--json BENCH.json] [--commit REV]
 """
 
 from __future__ import annotations
@@ -19,48 +28,76 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
 import subprocess
 import sys
 import time
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+from sim_scaling import git_commit, summary
 
-# Runs in the child: argv is price_csv, n_paths, seed. Prints one JSON line.
+ROOT = Path(__file__).resolve().parent.parent
+REPEATS = 3
+MB = 1e6
+
+# Runs in the child: argv is price_csv, n_paths, seed, workers (JSON, null
+# for the default). Prints one JSON line.
 CHILD = """
-import json, sys, tempfile, time
+import inspect, json, resource, sys, tempfile, time
 from pathlib import Path
 from gbmrisk.cli import RunConfig, run_pipeline, write_report_files
 csv, n_paths, seed = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
+workers = json.loads(sys.argv[4])
 config = RunConfig(price_csv=csv, n_paths=n_paths, seed=seed, record_paths=True)
+takes_workers = "workers" in inspect.signature(write_report_files).parameters
 t0 = time.perf_counter()
-result = run_pipeline(config)
+result = run_pipeline(config, workers=workers)
 t1 = time.perf_counter()
 with tempfile.TemporaryDirectory() as out:
-    written = write_report_files(result, Path(out))
+    if takes_workers:
+        written = write_report_files(result, Path(out), workers=workers)
+    else:
+        written = write_report_files(result, Path(out))
     t2 = time.perf_counter()
     size = sum(p.stat().st_size for p in written)
-print(json.dumps({"pipeline_s": t1 - t0, "write_s": t2 - t1, "bytes": size}))
+peak = {who: resource.getrusage(who).ru_maxrss * 1024  # KiB on Linux
+        for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)}
+print(json.dumps({"pipeline_s": t1 - t0, "write_s": t2 - t1, "bytes": size,
+                  "peak_rss_b": peak[resource.RUSAGE_SELF],
+                  "workers_peak_rss_b": peak[resource.RUSAGE_CHILDREN]}))
 """
 
 
-def measure(src: Path, price_csv: str, n_paths: int, seed: int) -> dict:
-    """One child run: its timings, output size, wall time and peak RSS."""
+def run_child(src: Path, price_csv: str, n_paths: int, seed: int,
+              workers: int | None) -> dict:
+    """One child run: its timings, output size, peaks and wall time."""
     env = dict(os.environ, PYTHONPATH=str(src))
     start = time.perf_counter()
-    child = subprocess.Popen(
-        [sys.executable, "-c", CHILD, price_csv, str(n_paths), str(seed)],
-        stdout=subprocess.PIPE, env=env,
+    done = subprocess.run(
+        [sys.executable, "-c", CHILD, price_csv, str(n_paths), str(seed),
+         json.dumps(workers)],
+        stdout=subprocess.PIPE, env=env, check=False,
     )
-    out = child.stdout.read()
-    child.stdout.close()
-    _, status, usage = os.wait4(child.pid, 0)
     wall = time.perf_counter() - start
-    if os.waitstatus_to_exitcode(status) != 0:
+    if done.returncode != 0:
         raise SystemExit(f"child for {n_paths} paths failed")
-    row = json.loads(out)
-    row.update(n_paths=n_paths, wall_s=wall,
-               peak_rss_mb=usage.ru_maxrss * 1024 / 1e6)  # KiB on Linux
+    return json.loads(done.stdout) | {"wall_s": wall}
+
+
+def measure(src: Path, price_csv: str, n_paths: int, seed: int,
+            workers: int | None) -> dict:
+    """REPEATS child runs of one count: medians and quartiles of the times,
+    the largest of each peak, and the output size."""
+    runs = [run_child(src, price_csv, n_paths, seed, workers)
+            for _ in range(REPEATS)]
+    sizes = {run["bytes"] for run in runs}
+    if len(sizes) != 1:
+        raise SystemExit(f"{n_paths} paths wrote {sorted(sizes)} bytes")
+    row = {"n_paths": n_paths, "workers": workers, "bytes": sizes.pop()}
+    for key in ("pipeline_s", "write_s", "wall_s"):
+        row[key] = summary([run[key] for run in runs])
+    for key in ("peak_rss", "workers_peak_rss"):
+        row[f"{key}_mb"] = max(run[f"{key}_b"] for run in runs) / MB
     return row
 
 
@@ -70,20 +107,50 @@ def main(argv: list[str] | None = None) -> int:
                         default=[1_000, 2_000, 10_000])
     parser.add_argument("--price-csv", default=str(ROOT / "data" / "crypto_like.csv"))
     parser.add_argument("--seed", type=int, default=42)
+    parser.add_argument("--workers", type=int,
+                        help="simulation threads and paths.csv formatting "
+                        "processes (default: one per available CPU)")
     parser.add_argument("--src", default=str(ROOT / "src"))
+    parser.add_argument("--label", default="change")
+    parser.add_argument("--json", help="merge the result into this file")
+    parser.add_argument("--commit", help="commit to record (default: git)")
     args = parser.parse_args(argv)
 
     src = Path(args.src).resolve()
-    print(f"package: {src}")
+    import numpy as np
+
+    record = {
+        "commit": args.commit or git_commit(src),
+        "numpy": np.__version__,
+        "python": platform.python_version(),
+        "cpus": len(os.sched_getaffinity(0)),
+        "seed": args.seed,
+        "repeats": REPEATS,
+        "workers": args.workers,
+        "price_csv": Path(args.price_csv).name,
+        "rows": [],
+    }
+    print(f"package: {src} ({record['commit']}), {record['cpus']} CPUs, "
+          f"workers {args.workers or 'default'}")
     header = (f"{'n_paths':>8} {'pipeline_s':>10} {'write_s':>8} "
-              f"{'wall_s':>7} {'peak_rss_mb':>11} {'output_mb':>9}")
+              f"{'wall_s':>7} {'peak_rss_mb':>11} {'workers_mb':>10} "
+              f"{'output_mb':>9}")
     print(header)
     print("-" * len(header))
     for n_paths in args.n_paths:
-        row = measure(src, args.price_csv, n_paths, args.seed)
-        print(f"{n_paths:>8} {row['pipeline_s']:>10.2f} {row['write_s']:>8.2f} "
-              f"{row['wall_s']:>7.2f} {row['peak_rss_mb']:>11.1f} "
-              f"{row['bytes'] / 1e6:>9.1f}")
+        row = measure(src, args.price_csv, n_paths, args.seed, args.workers)
+        record["rows"].append(row)
+        print(f"{n_paths:>8} {row['pipeline_s']['median_s']:>10.2f} "
+              f"{row['write_s']['median_s']:>8.2f} "
+              f"{row['wall_s']['median_s']:>7.2f} {row['peak_rss_mb']:>11.1f} "
+              f"{row['workers_peak_rss_mb']:>10.1f} {row['bytes'] / MB:>9.1f}",
+              flush=True)
+
+    if args.json:
+        path = Path(args.json)
+        merged = json.loads(path.read_text()) if path.exists() else {}
+        merged[args.label] = record
+        path.write_text(json.dumps(merged, indent=2) + "\n")
     return 0
 
 

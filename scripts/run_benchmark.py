@@ -31,7 +31,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument(
         "--workers", type=int,
-        help="simulation threads (default: one per available CPU)",
+        help="simulation threads and paths.csv formatting processes "
+        "(default: one per available CPU)",
     )
     args = parser.parse_args(argv)
     data_dir = Path(args.data_dir)
@@ -53,7 +54,7 @@ def main(argv: list[str] | None = None) -> int:
             )
             result = run_pipeline(config, workers=args.workers)
             out_dir = out_root / fixture / mode
-            write_report_files(result, out_dir)
+            write_report_files(result, out_dir, workers=args.workers)
             r = result.report
             s = result.stats
             print(

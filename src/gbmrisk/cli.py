@@ -38,8 +38,9 @@ from .risk import (
     build_report,
     rolling_var_backtest,
 )
+from .paths_csv import write_paths_csv
 from .rules import RULES, check, shown, step_count
-from .simulation import SimConfig, SimulationResult, price_paths, simulate
+from .simulation import SimConfig, SimulationResult, _available_cpus, simulate
 
 __all__ = [
     "PipelineError",
@@ -350,14 +351,23 @@ def resolve_out_dir(flag_value: str | None) -> Path:
     return Path(".")
 
 
-def write_report_files(result: PipelineResult, out_dir: Path) -> list[Path]:
+def write_report_files(
+    result: PipelineResult, out_dir: Path, workers: int | None = None
+) -> list[Path]:
     """Emit report.json, percentiles.csv, and (when recorded) paths.csv.
 
-    paths.csv (``path,step,ticker,price``, one row per price, floats as
-    ``repr``) is streamed to disk one path at a time as ``price_paths``
-    rebuilds the paths from their keys, so the writer's memory stays flat
-    in the path count.
+    paths.csv is written by ``paths_csv.write_paths_csv`` on ``workers``:
+    an int >= 1, or None for one per CPU this process may run on; the bytes
+    are the same for any value. On Linux, with more than one worker and
+    more than one block of paths, this call forks the calling process.
+    Either way this process holds at most one block's rows at a time
+    (~270 KB at 252 steps x 3 assets, twice that while it formats a block
+    itself), however many paths or CPUs there are.
     """
+    if workers is None:
+        workers = _available_cpus()
+    else:
+        _stage("write", check, "workers", workers, ValueError)
     written = []
     report_path = out_dir / "report.json"
     _write_bytes(report_path, _json_bytes(result.report_json))
@@ -371,22 +381,9 @@ def write_report_files(result: PipelineResult, out_dir: Path) -> list[Path]:
     written.append(csv_path)
 
     if result.config.record_paths:
-        sim_config = result.simulation.config_echo
-        # "{step},{ticker}," in the order a path's ravel() yields prices
-        cells = [
-            f"{step},{ticker},"
-            for step in range(sim_config.n_steps + 1)
-            for ticker in result.params.tickers
-        ]
         paths_path = out_dir / "paths.csv"
-        with open(paths_path, "w", encoding="utf-8", newline="") as handle:
-            handle.write("path,step,ticker,price\n")
-            for p, path in enumerate(price_paths(result.params, sim_config)):
-                lead = f"{p},"
-                handle.write("".join([
-                    f"{lead}{cell}{price!r}\n"
-                    for cell, price in zip(cells, path.ravel().tolist())
-                ]))
+        write_paths_csv(result.params, result.simulation.config_echo,
+                        paths_path, workers)
         written.append(paths_path)
     return written
 
@@ -531,8 +528,9 @@ _FLAG_HELP = {
     "explicit_weights": "TICKER=W,TICKER=W,... (explicit-weights mode)",
 }
 _WORKERS_HELP = (
-    "simulation threads (default: one per available CPU; 1 runs serially); "
-    "results are bitwise identical for any value"
+    "simulation threads and paths.csv formatting processes (default: one "
+    "per available CPU; 1 runs serially); results are bitwise identical "
+    "for any value"
 )
 
 
@@ -636,7 +634,7 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "simulate":
             config = _config_from_args(args)
             result = run_pipeline(config, workers=args.workers)
-            written = write_report_files(result, out_dir)
+            written = write_report_files(result, out_dir, workers=args.workers)
             report = result.report
             print(
                 f"VaR({report.var_level:.0%}) value: {report.var_value:.2f}  "

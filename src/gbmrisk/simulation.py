@@ -8,10 +8,11 @@ Cholesky factor L of the annualized covariance.
 Randomness contract: each path's normals come from the Philox stream keyed
 by (master seed, path index) with a zero counter, consumed step-major; the
 seed lies in [0, 2**64). One kernel serves ``simulate``, which keeps each
-path's last step, and ``price_paths``, which rebuilds whole paths: it builds
-one Philox per call and re-keys it for every path, which yields exactly the
-stream a fresh ``Philox(key=(seed, path))`` gives, and computes each path's
-shock rows apart from every other path's. Results are therefore bitwise
+path's last step, and ``_path_prices``, which rebuilds whole paths for
+``price_paths`` and for ``gbmrisk.paths_csv``: it builds one Philox per
+call and re-keys it for every path, which yields exactly the stream a
+fresh ``Philox(key=(seed, path))`` gives, and computes each path's shock
+rows apart from every other path's. Results are therefore bitwise
 identical for any chunk size, execution order or worker count.
 
 A chunk is as many whole paths as fit in ``_CHUNK_NORMALS`` normals, and
@@ -56,7 +57,12 @@ _PIVOT_TOL = 1e-10
 # two arrays of at most _CHUNK_NORMALS floats (~6.2 MB each), unless a single
 # path draws more.
 _CHUNK_NORMALS = 1024 * 252 * 3
-_REBUILD_PATHS = 16  # per price_paths block: small arrays, few Philox builds
+# Prices per rebuild block, the unit in which whole paths are rebuilt from
+# their keys: a block is max(1, _REBUILD_CELLS // ((n_steps + 1) * n_assets))
+# whole paths, 12 at 252 steps x 3 assets (~270 KB as paths.csv rows).
+# Results do not depend on it; it trades a block's memory against the fixed
+# cost of a kernel call, one Philox build.
+_REBUILD_CELLS = 12 * 253 * 3
 
 
 class SimulationError(ValueError):
@@ -286,15 +292,34 @@ def simulate(
     )
 
 
+def _path_prices(params: MarketParams, config: SimConfig):
+    """``prices(start, stop)``: paths [start, stop) rebuilt from their keys,
+    shape (stop - start, n_steps + 1, n_assets), step 0 being the initial
+    prices. The kernel is built once, here, for every later call."""
+    _, cum_log = _path_kernel(params, config)
+    s0 = config.initial_prices
+
+    def prices(start: int, stop: int) -> np.ndarray:
+        cum = cum_log(start, stop)
+        out = np.empty((stop - start, config.n_steps + 1, params.n_assets))
+        out[:, 0, :] = s0
+        np.exp(cum, out=out[:, 1:, :])
+        out[:, 1:, :] *= s0
+        return out
+
+    return prices
+
+
+def _rebuild_paths(config: SimConfig, n_assets: int) -> int:
+    """Paths per rebuild block."""
+    return max(1, _REBUILD_CELLS // ((config.n_steps + 1) * n_assets))
+
+
 def price_paths(params: MarketParams, config: SimConfig) -> Iterator[np.ndarray]:
     """Yield each path's (n_steps + 1, n_assets) prices in path order, step 0
     being the initial prices, rebuilt from its key a block at a time; the
     last step equals ``simulate``'s ``terminal_asset_prices`` bitwise."""
-    _, cum_log = _path_kernel(params, config)
-    for start in range(0, config.n_paths, _REBUILD_PATHS):
-        cum = cum_log(start, min(start + _REBUILD_PATHS, config.n_paths))
-        prices = np.empty((len(cum), config.n_steps + 1, params.n_assets))
-        prices[:, 0, :] = config.initial_prices
-        np.exp(cum, out=prices[:, 1:, :])
-        prices[:, 1:, :] *= config.initial_prices
-        yield from prices
+    prices = _path_prices(params, config)
+    block = _rebuild_paths(config, params.n_assets)
+    for start in range(0, config.n_paths, block):
+        yield from prices(start, min(start + block, config.n_paths))

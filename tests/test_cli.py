@@ -12,14 +12,16 @@ import hashlib
 import importlib.util
 import json
 import math
+import os
 import tracemalloc
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gbmrisk import cli, simulation
+from gbmrisk import cli, paths_csv, simulation
 from gbmrisk.cli import (
     PipelineError,
     RunConfig,
@@ -42,6 +44,10 @@ from gbmrisk.simulation import (
 
 from conftest import DATA_DIR, make_params
 from oracles import reference_paths_csv
+
+
+class BlockFailed(Exception):
+    """Raised by a block formatter in a test; it names the raising pid."""
 
 
 # values every run parameter's rule is tried on
@@ -744,7 +750,8 @@ class TestCliCommands:
 
 
 class TestPathsCsv:
-    """paths.csv is streamed one path at a time; its bytes are pinned."""
+    """paths.csv is streamed a block of paths at a time; its bytes are
+    pinned."""
 
     @pytest.mark.parametrize("fixture, digest", [
         ("crypto_like",
@@ -776,6 +783,137 @@ class TestPathsCsv:
         expected = reference_paths_csv(paths, result.params.tickers)
         assert (tmp_path / "paths.csv").read_bytes() == expected
 
+    @pytest.fixture(scope="class")
+    def recorded(self):
+        """Recorded crypto_like runs, by path count."""
+        cache = {}
+
+        def run(n_paths: int):
+            if n_paths not in cache:
+                cache[n_paths] = run_pipeline(RunConfig(
+                    price_csv=str(DATA_DIR / "crypto_like.csv"),
+                    n_paths=n_paths, record_paths=True))
+            return cache[n_paths]
+
+        return run
+
+    @staticmethod
+    def block_paths(result) -> int:
+        """Paths per paths.csv block of a write of ``result``."""
+        return simulation._rebuild_paths(result.simulation.config_echo,
+                                         result.params.n_assets)
+
+    @staticmethod
+    def assert_no_children() -> None:
+        """Every process this one started has been reaped."""
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("workers", [1, 2, None])
+    @pytest.mark.parametrize("blocks, extra", [
+        (0, 1), (1, -1), (1, 0), (1, 1), (2, 3)])
+    def test_bytes_equal_for_any_worker_count(self, workers, blocks, extra,
+                                              recorded, tmp_path):
+        # path counts around the block size: 1, block - 1, block,
+        # block + 1 and 2 * block + 3
+        result = recorded(blocks * self.block_paths(recorded(1)) + extra)
+        paths = np.stack(list(price_paths(result.params,
+                                          result.simulation.config_echo)))
+        expected = reference_paths_csv(paths, result.params.tickers)
+        cli.write_report_files(result, tmp_path, workers=workers)
+        assert (tmp_path / "paths.csv").read_bytes() == expected
+
+    def test_single_block_starts_no_pool(self, recorded, tmp_path,
+                                         monkeypatch):
+        # workers are clamped to the block count, so one block runs here
+        def no_fork():
+            raise AssertionError("a single-block write forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        n_paths = self.block_paths(recorded(1))
+        cli.write_report_files(recorded(n_paths), tmp_path, workers=8)
+        assert (tmp_path / "paths.csv").stat().st_size > 0
+
+    def test_no_fork_off_linux(self, recorded, tmp_path, monkeypatch):
+        # fork without exec is unsafe on other platforms (macOS among them)
+        def no_fork():
+            raise AssertionError("forked off Linux")
+
+        result = recorded(3 * self.block_paths(recorded(1)))
+        cli.write_report_files(result, tmp_path, workers=2)
+        expected = (tmp_path / "paths.csv").read_bytes()
+        monkeypatch.setattr(os, "fork", no_fork)
+        monkeypatch.setattr(paths_csv.sys, "platform", "darwin")
+        cli.write_report_files(result, tmp_path, workers=2)
+        assert (tmp_path / "paths.csv").read_bytes() == expected
+
+    @pytest.mark.parametrize("workers", [0, True, 2.0])
+    def test_bad_worker_count_rejected(self, workers, recorded, tmp_path):
+        with pytest.raises(PipelineError,
+                           match=r"^stage write: workers must be"):
+            cli.write_report_files(recorded(1), tmp_path, workers=workers)
+
+    def test_worker_error_surfaces_and_leaves_no_children(self, recorded,
+                                                          tmp_path,
+                                                          monkeypatch):
+        # the forked formatting processes inherit the patched formatter
+        def failing_formatter(*args):
+            def format_block(start):
+                raise BlockFailed(os.getpid())
+            return format_block
+
+        monkeypatch.setattr(paths_csv, "_block_formatter", failing_formatter)
+        with pytest.raises(BlockFailed) as err:
+            cli.write_report_files(recorded(100), tmp_path, workers=2)
+        assert err.value.args[0] != os.getpid()  # raised in a child
+        assert "BlockFailed" in str(err.value.__cause__)  # its traceback
+        self.assert_no_children()
+
+    def test_worker_that_dies_is_reported(self, recorded, tmp_path,
+                                          monkeypatch):
+        real_formatter = paths_csv._block_formatter
+
+        def dying_formatter(*args):
+            format_block = real_formatter(*args)
+
+            def dies_on_third(start):
+                if start == 2 * args[2]:
+                    os._exit(3)
+                return format_block(start)
+            return dies_on_third
+
+        monkeypatch.setattr(paths_csv, "_block_formatter", dying_formatter)
+        with pytest.raises(ChildProcessError, match="ended before its block"):
+            cli.write_report_files(recorded(100), tmp_path, workers=2)
+        self.assert_no_children()
+
+    def test_writer_error_stops_the_workers(self, recorded, tmp_path,
+                                            monkeypatch):
+        # a failure in this process, with every worker still formatting or
+        # blocked on its pipe, still reaps them all
+        real_copy = paths_csv._copy_block
+        copied = []
+
+        def copy_one_then_fail(*args):
+            if copied:
+                raise BlockFailed(os.getpid())
+            copied.append(real_copy(*args))
+
+        monkeypatch.setattr(paths_csv, "_copy_block", copy_one_then_fail)
+        with pytest.raises(BlockFailed) as err:
+            cli.write_report_files(recorded(100), tmp_path, workers=2)
+        assert err.value.args[0] == os.getpid()
+        self.assert_no_children()
+
+    def test_pooled_write_leaves_no_children_or_warnings(self, recorded,
+                                                          tmp_path):
+        # Python 3.12+ warns when it forks a process that runs threads
+        # (BLAS ones included); the pool must not trip that here
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cli.write_report_files(recorded(100), tmp_path, workers=2)
+        self.assert_no_children()
+
     def test_writer_memory_is_bounded(self, tmp_path):
         # the all-rows writer peaks at ~22 MB here, in proportion to the file
         config = RunConfig(price_csv=str(DATA_DIR / "crypto_like.csv"),
@@ -789,6 +927,13 @@ class TestPathsCsv:
             tracemalloc.stop()
         assert (tmp_path / "paths.csv").stat().st_size > 4_000_000
         assert peak < 1_000_000
+
+    def test_writer_memory_is_bounded_on_many_cpus(self, tmp_path,
+                                                   monkeypatch):
+        # the formatting processes hand their rows over a pipe, so the bound
+        # above holds whatever the process count
+        monkeypatch.setattr(cli, "_available_cpus", lambda: 8)
+        self.test_writer_memory_is_bounded(tmp_path)
 
     def test_recorded_run_memory_is_flat_in_paths(self, tmp_path,
                                                   monkeypatch):

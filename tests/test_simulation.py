@@ -315,7 +315,8 @@ class TestSimulate:
                            steps_per_year=12, seed=11)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(simulation, "_CHUNK_NORMALS", 4096 * config.n_steps * n)
-            mp.setattr(simulation, "_REBUILD_PATHS", 4096)
+            mp.setattr(simulation, "_REBUILD_CELLS",
+                       4096 * (config.n_steps + 1) * n)
             return (params, config, simulate(params, config, workers=1),
                     rebuilt(params, config))
 
@@ -328,7 +329,8 @@ class TestSimulate:
         params, config, reference, reference_paths = chunk_reference
         monkeypatch.setattr(simulation, "_CHUNK_NORMALS",
                             chunk * config.n_steps * params.n_assets)
-        monkeypatch.setattr(simulation, "_REBUILD_PATHS", chunk)
+        monkeypatch.setattr(simulation, "_REBUILD_CELLS",
+                            chunk * (config.n_steps + 1) * params.n_assets)
         result = simulate(params, config, workers=workers)
         paths = rebuilt(params, config)
         assert np.array_equal(paths, reference_paths)
