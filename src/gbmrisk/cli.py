@@ -40,7 +40,7 @@ from .risk import (
 )
 from .paths_csv import write_paths_csv
 from .rules import RULES, check, shown, step_count
-from .simulation import SimConfig, SimulationResult, _available_cpus, simulate
+from .simulation import SimConfig, SimulationResult, simulate
 
 __all__ = [
     "PipelineError",
@@ -316,19 +316,13 @@ def _report_dict(
 
 
 def _sanitize(obj):
-    """Make an object JSON-safe and deterministic: numpy scalars to Python
-    scalars, non-finite floats to null."""
+    """Make an object JSON-safe: non-finite floats to null."""
     if isinstance(obj, dict):
         return {str(k): _sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_sanitize(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_sanitize(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, float)):
-        value = float(obj)
-        return value if math.isfinite(value) else None
-    if isinstance(obj, (np.integer, int)) and not isinstance(obj, bool):
-        return int(obj)
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
     return obj
 
 
@@ -356,17 +350,11 @@ def write_report_files(
 ) -> list[Path]:
     """Emit report.json, percentiles.csv, and (when recorded) paths.csv.
 
-    paths.csv is written by ``paths_csv.write_paths_csv`` on ``workers``:
-    an int >= 1, or None for one per CPU this process may run on; the bytes
-    are the same for any value. On Linux, with more than one worker and
-    more than one block of paths, this call forks the calling process.
-    Either way this process holds at most one block's rows at a time
-    (~270 KB at 252 steps x 3 assets, twice that while it formats a block
-    itself), however many paths or CPUs there are.
+    paths.csv is formatted on ``workers`` processes (an int >= 1, or None
+    for one per CPU) with the same bytes for any count; on Linux this forks
+    the calling process.
     """
-    if workers is None:
-        workers = _available_cpus()
-    else:
+    if workers is not None:
         _stage("write", check, "workers", workers, ValueError)
     written = []
     report_path = out_dir / "report.json"

@@ -1,10 +1,12 @@
 """paths.csv: the prices of every recorded path, one row per price.
 
 Rows are ``path,step,ticker,price`` with floats as ``repr``, in path, step
-and ticker order. The paths are rebuilt from their keys a block at a time
-(``simulation._rebuild_paths`` whole paths, 12 at 252 steps x 3 assets), and
-each block is formatted apart from every other, so the bytes are the same
-for any number of processes.
+and ticker order, step 0 being the initial prices. The paths are not
+stored: each is a pure function of its key, so they are rebuilt through
+``simulation._path_kernel`` a block at a time (12 whole paths at 252 steps
+x 3 assets), and each block is formatted apart from every other, so the
+bytes are the same for any block size or number of processes. A rebuilt
+path's last step equals ``simulate``'s terminal prices bitwise.
 
 On Linux, with more than one worker and more than one block, the blocks are
 formatted in forked processes, one per worker and at most one per block,
@@ -22,16 +24,30 @@ import sys
 import traceback
 from pathlib import Path
 
+import numpy as np
+
 from .estimation import MarketParams
-from .simulation import SimConfig, _path_prices, _rebuild_paths
+from .simulation import SimConfig, _available_cpus, _path_kernel
 
 __all__ = ["write_paths_csv"]
+
+# Prices per block, the unit in which whole paths are rebuilt and formatted:
+# 12 paths at 252 steps x 3 assets (~270 KB of rows), and at least one. The
+# bytes do not depend on it; it trades a block's memory against the fixed
+# cost of a kernel call, one Philox build.
+_REBUILD_CELLS = 12 * 253 * 3
+
+
+def _block_paths(sim_config: SimConfig, n_assets: int) -> int:
+    """Paths per block."""
+    return max(1, _REBUILD_CELLS // ((sim_config.n_steps + 1) * n_assets))
 
 
 def _block_formatter(params: MarketParams, sim_config: SimConfig, block: int):
     """``format_block(start)``: the paths.csv rows of paths [start,
-    start + block) as bytes."""
-    prices = _path_prices(params, sim_config)
+    start + block) as bytes. The kernel is built once, here."""
+    _, cum_log = _path_kernel(params, sim_config)
+    s0 = sim_config.initial_prices
     n_paths = sim_config.n_paths
     # "{step},{ticker}," in the order a path's ravel() yields prices
     cells = [
@@ -41,8 +57,13 @@ def _block_formatter(params: MarketParams, sim_config: SimConfig, block: int):
     ]
 
     def format_block(start: int) -> bytes:
+        stop = min(start + block, n_paths)
+        prices = np.empty((stop - start, sim_config.n_steps + 1, len(s0)))
+        prices[:, 0, :] = s0
+        np.exp(cum_log(start, stop), out=prices[:, 1:, :])
+        prices[:, 1:, :] *= s0
         rows = []
-        for p, path in enumerate(prices(start, min(start + block, n_paths)), start):
+        for p, path in enumerate(prices, start):
             lead = f"{p},"
             rows.append("".join([
                 f"{lead}{cell}{price!r}\n"
@@ -54,10 +75,13 @@ def _block_formatter(params: MarketParams, sim_config: SimConfig, block: int):
 
 
 def write_paths_csv(params: MarketParams, sim_config: SimConfig, path: Path,
-                    workers: int) -> None:
+                    workers: int | None = None) -> None:
     """Write paths.csv for a run of ``sim_config`` on ``params``, rebuilding
-    its paths from their keys, on ``workers`` (an int >= 1) processes."""
-    block = _rebuild_paths(sim_config, params.n_assets)
+    its paths from their keys, on ``workers`` processes: an int >= 1, or
+    None for one per CPU this process may run on."""
+    if workers is None:
+        workers = _available_cpus()
+    block = _block_paths(sim_config, params.n_assets)
     starts = range(0, sim_config.n_paths, block)
     format_block = _block_formatter(params, sim_config, block)
     workers = min(workers, len(starts))

@@ -7,13 +7,13 @@ Cholesky factor L of the annualized covariance.
 
 Randomness contract: each path's normals come from the Philox stream keyed
 by (master seed, path index) with a zero counter, consumed step-major; the
-seed lies in [0, 2**64). One kernel serves ``simulate``, which keeps each
-path's last step, and ``_path_prices``, which rebuilds whole paths for
-``price_paths`` and for ``gbmrisk.paths_csv``: it builds one Philox per
-call and re-keys it for every path, which yields exactly the stream a
-fresh ``Philox(key=(seed, path))`` gives, and computes each path's shock
-rows apart from every other path's. Results are therefore bitwise
-identical for any chunk size, execution order or worker count.
+seed lies in [0, 2**64). One kernel, ``_path_kernel``, serves ``simulate``,
+which keeps each path's last step, and ``gbmrisk.paths_csv``, which
+rebuilds whole paths: it builds one Philox per call and re-keys it for
+every path, which yields exactly the stream a fresh
+``Philox(key=(seed, path))`` gives, and computes each path's shock rows
+apart from every other path's. Results are therefore bitwise identical for
+any chunk size, execution order or worker count.
 
 A chunk is as many whole paths as fit in ``_CHUNK_NORMALS`` normals, and
 at least one: 1,024 paths at 252 steps x 3 assets, fewer with more assets or
@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 import os
-from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
@@ -44,7 +43,6 @@ __all__ = [
     "SimConfig",
     "SimulationResult",
     "cholesky",
-    "price_paths",
     "repair_psd",
     "simulate",
 ]
@@ -57,12 +55,6 @@ _PIVOT_TOL = 1e-10
 # two arrays of at most _CHUNK_NORMALS floats (~6.2 MB each), unless a single
 # path draws more.
 _CHUNK_NORMALS = 1024 * 252 * 3
-# Prices per rebuild block, the unit in which whole paths are rebuilt from
-# their keys: a block is max(1, _REBUILD_CELLS // ((n_steps + 1) * n_assets))
-# whole paths, 12 at 252 steps x 3 assets (~270 KB as paths.csv rows).
-# Results do not depend on it; it trades a block's memory against the fixed
-# cost of a kernel call, one Philox build.
-_REBUILD_CELLS = 12 * 253 * 3
 
 
 class SimulationError(ValueError):
@@ -120,9 +112,8 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class SimulationResult:
-    """Terminal prices and portfolio values for every path; ``price_paths``
-    rebuilds whole paths from the same kernel. ``jitter`` echoes the PSD
-    repair applied to the covariance before decomposition."""
+    """Terminal prices and portfolio values for every path; ``jitter``
+    echoes the PSD repair applied to the covariance before decomposition."""
 
     terminal_asset_prices: np.ndarray
     terminal_portfolio_values: np.ndarray
@@ -291,35 +282,3 @@ def simulate(
         jitter=jitter,
     )
 
-
-def _path_prices(params: MarketParams, config: SimConfig):
-    """``prices(start, stop)``: paths [start, stop) rebuilt from their keys,
-    shape (stop - start, n_steps + 1, n_assets), step 0 being the initial
-    prices. The kernel is built once, here, for every later call."""
-    _, cum_log = _path_kernel(params, config)
-    s0 = config.initial_prices
-
-    def prices(start: int, stop: int) -> np.ndarray:
-        cum = cum_log(start, stop)
-        out = np.empty((stop - start, config.n_steps + 1, params.n_assets))
-        out[:, 0, :] = s0
-        np.exp(cum, out=out[:, 1:, :])
-        out[:, 1:, :] *= s0
-        return out
-
-    return prices
-
-
-def _rebuild_paths(config: SimConfig, n_assets: int) -> int:
-    """Paths per rebuild block."""
-    return max(1, _REBUILD_CELLS // ((config.n_steps + 1) * n_assets))
-
-
-def price_paths(params: MarketParams, config: SimConfig) -> Iterator[np.ndarray]:
-    """Yield each path's (n_steps + 1, n_assets) prices in path order, step 0
-    being the initial prices, rebuilt from its key a block at a time; the
-    last step equals ``simulate``'s ``terminal_asset_prices`` bitwise."""
-    prices = _path_prices(params, config)
-    block = _rebuild_paths(config, params.n_assets)
-    for start in range(0, config.n_paths, block):
-        yield from prices(start, min(start + block, config.n_paths))

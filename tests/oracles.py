@@ -1,9 +1,10 @@
 """Independent reference implementations the tests compare the package
 against: the explicit double-sum variance and an exhaustive simplex-lattice
 search for the minimum-variance weights, the per-path normal stream that
-simulate must reproduce, the all-rows paths.csv formatter whose bytes
-the streaming writer must reproduce, and the closed-form lognormal VaR of a
-single GBM asset that the simulated VaR must approach."""
+simulate must reproduce, every recorded path rebuilt in one kernel call,
+the all-rows paths.csv formatter whose bytes the streaming writer must
+reproduce, and the closed-form lognormal VaR of a single GBM asset that
+the simulated VaR must approach."""
 
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ import numpy as np
 from gbmrisk.estimation import MarketParams
 from gbmrisk.optimizer import OptimizerError, WeightVector, _check_dims
 from gbmrisk.risk import RiskError
+from gbmrisk.simulation import SimConfig, _path_kernel
 
 GRID_MAX_ASSETS = 4
 
@@ -81,6 +83,16 @@ def draw_standard_normals(seed: int, path_index: int, count: int) -> np.ndarray:
         dtype=np.uint64,
     )
     return np.random.Generator(np.random.Philox(key=key)).standard_normal(count)
+
+
+def rebuilt_paths(params: MarketParams, config: SimConfig) -> np.ndarray:
+    """Every path of a run, (n_paths, n_steps + 1, n_assets), from one kernel
+    call over all of them, step 0 being the initial prices."""
+    _, cum_log = _path_kernel(params, config)
+    s0 = config.initial_prices
+    cum = cum_log(0, config.n_paths)
+    start = np.broadcast_to(s0, (config.n_paths, 1, len(s0)))
+    return np.concatenate([start, np.exp(cum) * s0], axis=1)
 
 
 def reference_paths_csv(paths: np.ndarray, tickers: tuple[str, ...]) -> bytes:

@@ -35,15 +35,10 @@ from gbmrisk.estimation import EstimationError, MarketParams, estimate_params
 from gbmrisk.market_data import ReturnMatrix
 from gbmrisk.optimizer import WeightVector
 from gbmrisk.risk import RiskError, build_report, rolling_var_backtest
-from gbmrisk.simulation import (
-    SimConfig,
-    SimulationError,
-    price_paths,
-    simulate,
-)
+from gbmrisk.simulation import SimConfig, SimulationError, simulate
 
 from conftest import DATA_DIR, make_params
-from oracles import reference_paths_csv
+from oracles import rebuilt_paths, reference_paths_csv
 
 
 class BlockFailed(Exception):
@@ -778,8 +773,7 @@ class TestPathsCsv:
                            record_paths=True, **kw)
         result = run_pipeline(config)
         cli.write_report_files(result, tmp_path)
-        paths = np.stack(list(price_paths(result.params,
-                                          result.simulation.config_echo)))
+        paths = rebuilt_paths(result.params, result.simulation.config_echo)
         expected = reference_paths_csv(paths, result.params.tickers)
         assert (tmp_path / "paths.csv").read_bytes() == expected
 
@@ -800,8 +794,8 @@ class TestPathsCsv:
     @staticmethod
     def block_paths(result) -> int:
         """Paths per paths.csv block of a write of ``result``."""
-        return simulation._rebuild_paths(result.simulation.config_echo,
-                                         result.params.n_assets)
+        return paths_csv._block_paths(result.simulation.config_echo,
+                                      result.params.n_assets)
 
     @staticmethod
     def assert_no_children() -> None:
@@ -817,8 +811,25 @@ class TestPathsCsv:
         # path counts around the block size: 1, block - 1, block,
         # block + 1 and 2 * block + 3
         result = recorded(blocks * self.block_paths(recorded(1)) + extra)
-        paths = np.stack(list(price_paths(result.params,
-                                          result.simulation.config_echo)))
+        paths = rebuilt_paths(result.params, result.simulation.config_echo)
+        expected = reference_paths_csv(paths, result.params.tickers)
+        cli.write_report_files(result, tmp_path, workers=workers)
+        assert (tmp_path / "paths.csv").read_bytes() == expected
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("block", [1, 5, None])
+    def test_bytes_equal_for_any_block_size(self, workers, block, recorded,
+                                            tmp_path, monkeypatch):
+        # blocks of 1 path, 5 paths and the default; 23 paths leave a
+        # partial last block at each size
+        result = recorded(23)
+        config = result.simulation.config_echo
+        if block is not None:
+            monkeypatch.setattr(paths_csv, "_REBUILD_CELLS",
+                                block * (config.n_steps + 1)
+                                * result.params.n_assets)
+            assert self.block_paths(result) == block
+        paths = rebuilt_paths(result.params, config)
         expected = reference_paths_csv(paths, result.params.tickers)
         cli.write_report_files(result, tmp_path, workers=workers)
         assert (tmp_path / "paths.csv").read_bytes() == expected
@@ -932,7 +943,7 @@ class TestPathsCsv:
                                                    monkeypatch):
         # the formatting processes hand their rows over a pipe, so the bound
         # above holds whatever the process count
-        monkeypatch.setattr(cli, "_available_cpus", lambda: 8)
+        monkeypatch.setattr(paths_csv, "_available_cpus", lambda: 8)
         self.test_writer_memory_is_bounded(tmp_path)
 
     def test_recorded_run_memory_is_flat_in_paths(self, tmp_path,

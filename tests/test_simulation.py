@@ -18,13 +18,12 @@ from gbmrisk.simulation import (
     SimConfig,
     SimulationError,
     cholesky,
-    price_paths,
     repair_psd,
     simulate,
 )
 
 from conftest import make_params, random_psd
-from oracles import draw_standard_normals
+from oracles import draw_standard_normals, rebuilt_paths
 
 SQRT2 = 1.4142135623730951
 
@@ -33,11 +32,6 @@ def weights_for(params, values=None) -> WeightVector:
     n = params.n_assets
     w = np.full(n, 1.0 / n) if values is None else np.asarray(values)
     return WeightVector(params.tickers, w)
-
-
-def rebuilt(params, config) -> np.ndarray:
-    """Every path price_paths yields, stacked (n_paths, n_steps + 1, n_assets)."""
-    return np.stack(list(price_paths(params, config)))
 
 
 def cholesky_rowwise(cov: np.ndarray) -> np.ndarray:
@@ -305,8 +299,8 @@ class TestSimulate:
     @pytest.fixture(scope="class", params=[3, 50])
     def chunk_reference(self, request):
         # 4,100 paths of 12 steps leave a partial last chunk at every chunk
-        # size tried below; the reference is a serial run, and a rebuild,
-        # in 4,096-path chunks
+        # size tried below; the reference is a serial run in 4,096-path
+        # chunks, and every path rebuilt in one kernel call
         n = request.param
         cov = random_psd(np.random.default_rng(n), n, scale=0.05)
         params = make_params([f"T{i}" for i in range(n)],
@@ -315,24 +309,19 @@ class TestSimulate:
                            steps_per_year=12, seed=11)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(simulation, "_CHUNK_NORMALS", 4096 * config.n_steps * n)
-            mp.setattr(simulation, "_REBUILD_CELLS",
-                       4096 * (config.n_steps + 1) * n)
             return (params, config, simulate(params, config, workers=1),
-                    rebuilt(params, config))
+                    rebuilt_paths(params, config))
 
     @pytest.mark.parametrize("workers", [1, 2, None])
     @pytest.mark.parametrize("chunk", [1, 333, 1024, 4096])
     def test_chunk_and_worker_invariance(self, chunk_reference, chunk,
                                          workers, monkeypatch):
-        # the unit is sized in normals; these sizes give `chunk` paths each,
-        # and the rebuild takes blocks of as many paths
+        # the unit is sized in normals; these sizes give `chunk` paths each
         params, config, reference, reference_paths = chunk_reference
         monkeypatch.setattr(simulation, "_CHUNK_NORMALS",
                             chunk * config.n_steps * params.n_assets)
-        monkeypatch.setattr(simulation, "_REBUILD_CELLS",
-                            chunk * (config.n_steps + 1) * params.n_assets)
         result = simulate(params, config, workers=workers)
-        paths = rebuilt(params, config)
+        paths = rebuilt_paths(params, config)
         assert np.array_equal(paths, reference_paths)
         assert np.array_equal(result.terminal_asset_prices,
                               reference.terminal_asset_prices)
@@ -412,21 +401,20 @@ class TestSimulate:
         config = SimConfig(weights=weights_for(three_asset_params),
                            n_paths=16, initial_prices=s0)
         result = simulate(three_asset_params, config)
-        paths = rebuilt(three_asset_params, config)
+        paths = rebuilt_paths(three_asset_params, config)
         assert paths.shape == (16, 253, 3)
         assert np.array_equal(paths[:, 0, :], np.tile(s0, (16, 1)))
         assert np.array_equal(paths[:, -1, :], result.terminal_asset_prices)
         assert np.all(paths > 0.0)
 
     def test_streams_match_reference_across_chunks(self, three_asset_params):
-        # rebuilt paths on both sides of a block boundary (4096 is a multiple
-        # of the block size), at the top seed, follow the reference stream
-        # for (seed, path)
+        # rebuilt paths on both sides of a 4,096-path boundary, at the top
+        # seed, follow the reference stream for (seed, path)
         seed = 2**64 - 1
         s0 = np.array([5.0, 6.0, 7.0])
         config = SimConfig(weights=weights_for(three_asset_params),
                            n_paths=4100, seed=seed, initial_prices=s0)
-        paths = rebuilt(three_asset_params, config)
+        paths = rebuilt_paths(three_asset_params, config)
         l = cholesky(three_asset_params.cov)
         dt = config.dt
         sigma = three_asset_params.sigma
