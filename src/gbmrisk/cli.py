@@ -143,7 +143,8 @@ _SCALAR_TYPES = {
 
 @dataclass(frozen=True)
 class PipelineResult:
-    """Everything a finished run produced, plus the serializable report."""
+    """Everything a finished run produced. ``report_json``, the dict that
+    report.json serializes, is derived from these fields on each read."""
 
     config: RunConfig
     params: MarketParams
@@ -152,7 +153,31 @@ class PipelineResult:
     warning: str | None
     simulation: SimulationResult
     report: RiskReport
-    report_json: dict
+
+    @property
+    def report_json(self) -> dict:
+        tickers, sim_config = self.params.tickers, self.simulation.config_echo
+        config_echo = {
+            **asdict(self.config),
+            "tickers": list(tickers),
+            "n_steps": sim_config.n_steps,
+            "initial_prices": {
+                t: float(p) for t, p in zip(tickers, sim_config.initial_prices)
+            },
+            "jitter": self.simulation.jitter,
+            "warning": self.warning,
+            "version": __version__,
+        }
+        report = self.report
+        return {
+            "weights": self.weights.as_dict(),
+            "stats": asdict(self.stats),
+            "var_value": report.var_value,
+            "potential_loss": report.potential_loss,
+            "chance_of_loss": report.chance_of_loss,
+            "percentiles": {repr(level): v for level, v in report.percentiles.items()},
+            "config_echo": config_echo,
+        }
 
 
 def _canonical_mode(mode: str) -> str:
@@ -203,8 +228,8 @@ def load_run_config(
     return RunConfig(**merged)
 
 
-# _load and _fit look the layer functions up as this module's globals at
-# call time, so the benchmark's tracer (perfbench/spans.py) can swap them.
+# _load, _fit and _choose_weights look layer functions up as module globals
+# at call time, so the benchmark's tracer (perfbench/spans.py) can swap them.
 def _load(config: RunConfig) -> PriceSeries:
     """Load the price CSV, then keep the configured tickers in order."""
     series = _stage("load", load_prices, config.price_csv)
@@ -221,9 +246,13 @@ def _fit(config: RunConfig, series: PriceSeries) -> MarketParams:
     )
 
 
-def _explicit_weight_vector(
-    tickers: tuple[str, ...], mapping: dict[str, float]
-) -> WeightVector:
+def _choose_weights(config: RunConfig, params: MarketParams) -> OptimizerOutput:
+    """The configured portfolio; explicit weights must cover every ticker."""
+    if config.portfolio_mode == "mvp":
+        return min_variance(params)
+    if config.portfolio_mode == "max_sharpe":
+        return max_sharpe(params, risk_free=config.risk_free)
+    tickers, mapping = params.tickers, config.explicit_weights
     missing = [t for t in tickers if t not in mapping]
     extra = sorted(set(mapping) - set(tickers))
     if missing or extra:
@@ -231,22 +260,10 @@ def _explicit_weight_vector(
             f"explicit weights must cover exactly {list(tickers)}; "
             f"missing {missing}, unexpected {extra}"
         )
-    return WeightVector(tickers, np.array([mapping[t] for t in tickers]))
-
-
-def _choose_weights(
-    config: RunConfig, params: MarketParams
-) -> tuple[WeightVector, PortfolioStats, str | None]:
-    if config.portfolio_mode == "mvp":
-        out: OptimizerOutput = min_variance(params)
-    elif config.portfolio_mode == "max_sharpe":
-        out = max_sharpe(params, risk_free=config.risk_free)
-    else:
-        wv = _explicit_weight_vector(params.tickers, config.explicit_weights)
-        out = OptimizerOutput(
-            weights=wv, stats=portfolio_stats(wv, params, config.risk_free)
-        )
-    return out.weights, out.stats, out.warning
+    wv = WeightVector(tickers, np.array([mapping[t] for t in tickers]))
+    return OptimizerOutput(
+        weights=wv, stats=portfolio_stats(wv, params, config.risk_free)
+    )
 
 
 def run_pipeline(
@@ -256,11 +273,11 @@ def run_pipeline(
     simulate -> risk and assemble the report."""
     series = _load(config)
     params = _fit(config, series)
-    weights, stats, warning = _stage("optimize", _choose_weights, config, params)
+    chosen = _stage("optimize", _choose_weights, config, params)
     sim_config = _stage(
         "simulate",
         SimConfig,
-        weights=weights,
+        weights=chosen.weights,
         n_paths=config.n_paths,
         horizon_years=config.horizon_years,
         steps_per_year=config.trading_days,
@@ -270,49 +287,15 @@ def run_pipeline(
     )
     sim = _stage("simulate", simulate, params, sim_config, workers=workers)
     report = _stage("risk", build_report, sim, alpha=config.alpha)
-    report_json = _report_dict(config, params, weights, stats, warning, sim, report)
     return PipelineResult(
         config=config,
         params=params,
-        weights=weights,
-        stats=stats,
-        warning=warning,
+        weights=chosen.weights,
+        stats=chosen.stats,
+        warning=chosen.warning,
         simulation=sim,
         report=report,
-        report_json=report_json,
     )
-
-
-def _report_dict(
-    config: RunConfig,
-    params: MarketParams,
-    weights: WeightVector,
-    stats: PortfolioStats,
-    warning: str | None,
-    sim: SimulationResult,
-    report: RiskReport,
-) -> dict:
-    sim_config = sim.config_echo
-    config_echo = {
-        **asdict(config),
-        "tickers": list(params.tickers),
-        "n_steps": sim_config.n_steps,
-        "initial_prices": {
-            t: float(p) for t, p in zip(params.tickers, sim_config.initial_prices)
-        },
-        "jitter": sim.jitter,
-        "warning": warning,
-        "version": __version__,
-    }
-    return {
-        "weights": weights.as_dict(),
-        "stats": asdict(stats),
-        "var_value": report.var_value,
-        "potential_loss": report.potential_loss,
-        "chance_of_loss": report.chance_of_loss,
-        "percentiles": {repr(level): v for level, v in report.percentiles.items()},
-        "config_echo": config_echo,
-    }
 
 
 def _sanitize(obj):
@@ -417,36 +400,28 @@ def run_backtest(
 ) -> tuple[BacktestResult, WeightVector, str | None, dict]:
     """Rolling VaR backtest over the price history itself.
 
-    Weights for mvp/max_sharpe modes are fitted on the first window+1 price
-    rows only, so no information later than the first forecast's own
-    trailing window leaks into portfolio construction. Returns the backtest,
-    the weights, the solver's warning (or None) and the JSON summary.
+    Every mode takes its weights from the first window+1 price rows only
+    (explicit weights are checked against a fit of those rows), so no
+    information later than the first forecast's own trailing window leaks
+    into portfolio construction. Returns the backtest, the weights, the
+    solver's warning (or None) and the JSON summary.
     """
     _stage("backtest", check, "window", window, ValueError)
     series = _load(config)
-    warning = None
-    if config.portfolio_mode == "explicit-weights":
-        weights = _stage(
-            "optimize", _explicit_weight_vector, series.tickers,
-            config.explicit_weights,
+    if series.n_dates < window + 2:
+        raise PipelineError(
+            "backtest",
+            f"need at least window + 2 = {shown(window + 2)} price rows, "
+            f"got {series.n_dates}",
         )
-    else:
-        if series.n_dates < window + 2:
-            raise PipelineError(
-                "backtest",
-                f"need at least window + 2 = {shown(window + 2)} price rows, "
-                f"got {series.n_dates}",
-            )
-        head = PriceSeries(
-            tickers=series.tickers,
-            dates=series.dates[: window + 1],
-            prices=series.prices[: window + 1],
-        )
-        weights, _, warning = _stage(
-            "optimize", _choose_weights, config, _fit(config, head)
-        )
+    head = PriceSeries(
+        tickers=series.tickers,
+        dates=series.dates[: window + 1],
+        prices=series.prices[: window + 1],
+    )
+    chosen = _stage("optimize", _choose_weights, config, _fit(config, head))
     gross = series.prices / series.prices[0]
-    values = config.initial_value * (gross @ weights.w)
+    values = config.initial_value * (gross @ chosen.weights.w)
     result = _stage(
         "risk", rolling_var_backtest, values, alpha=config.alpha, window=window
     )
@@ -457,12 +432,12 @@ def run_backtest(
         "n_violations": result.n_violations,
         "violation_rate": result.violation_rate,
         "portfolio_mode": config.portfolio_mode,
-        "weights": weights.as_dict(),
+        "weights": chosen.weights.as_dict(),
         "price_csv": config.price_csv,
         "seed": config.seed,
         "version": __version__,
     }
-    return result, weights, warning, summary
+    return result, chosen.weights, chosen.warning, summary
 
 
 def _params_dict(params: MarketParams, n_obs: int) -> dict:
@@ -555,32 +530,31 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {
+        name: sub.add_parser(name, help=text)
+        for name, text in (
+            ("estimate", "fit drift and covariance"),
+            ("optimize", "solve portfolio weights"),
+            ("simulate", "run the full pipeline"),
+            ("compare", "run two configs side by side"),
+            ("backtest", "count rolling VaR violations"),
+        )
+    }
+    for name in ("estimate", "optimize", "simulate", "backtest"):
+        _add_run_flags(commands[name])
+    commands["simulate"].add_argument("--workers", type=int, help=_WORKERS_HELP)
+    commands["backtest"].add_argument(
+        "--window", type=int, default=DEFAULT_BACKTEST_WINDOW,
+        help="trailing return window per forecast",
+    )
 
-    p_estimate = sub.add_parser("estimate", help="fit drift and covariance")
-    _add_run_flags(p_estimate)
-
-    p_optimize = sub.add_parser("optimize", help="solve portfolio weights")
-    _add_run_flags(p_optimize)
-
-    p_simulate = sub.add_parser("simulate", help="run the full pipeline")
-    _add_run_flags(p_simulate)
-    p_simulate.add_argument("--workers", type=int, help=_WORKERS_HELP)
-
-    p_compare = sub.add_parser("compare", help="run two configs side by side")
+    p_compare = commands["compare"]
     p_compare.add_argument("--config-a", required=True)
     p_compare.add_argument("--config-b", required=True)
     p_compare.add_argument("--label-a")
     p_compare.add_argument("--label-b")
     p_compare.add_argument("--workers", type=int, help=_WORKERS_HELP)
     p_compare.add_argument("--out-dir")
-
-    p_backtest = sub.add_parser("backtest", help="count rolling VaR violations")
-    _add_run_flags(p_backtest)
-    p_backtest.add_argument(
-        "--window", type=int, default=DEFAULT_BACKTEST_WINDOW,
-        help="trailing return window per forecast",
-    )
-
     return parser
 
 
@@ -602,22 +576,20 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "optimize":
             config = _config_from_args(args)
             params = _fit(config, _load(config))
-            weights, stats, warning = _stage(
-                "optimize", _choose_weights, config, params
-            )
+            chosen = _stage("optimize", _choose_weights, config, params)
             path = out_dir / "weights.json"
             payload = {
                 "portfolio_mode": config.portfolio_mode,
                 "risk_free": config.risk_free,
-                "weights": weights.as_dict(),
-                "stats": asdict(stats),
-                "warning": warning,
+                "weights": chosen.weights.as_dict(),
+                "stats": asdict(chosen.stats),
+                "warning": chosen.warning,
                 "version": __version__,
             }
             _write_bytes(path, _json_bytes(payload))
-            for t, w in weights.as_dict().items():
+            for t, w in chosen.weights.as_dict().items():
                 print(f"{t}: {w:.6f}")
-            _warn(warning)
+            _warn(chosen.warning)
             print(f"wrote {path}")
         elif args.command == "simulate":
             config = _config_from_args(args)
@@ -657,8 +629,6 @@ def main(argv: list[str] | None = None) -> int:
             )
             _warn(warning)
             print(f"wrote {path}")
-        else:  # pragma: no cover - argparse enforces the choices
-            raise PipelineError("cli", f"unknown command {args.command!r}")
     except PipelineError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

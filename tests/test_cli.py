@@ -13,6 +13,8 @@ import importlib.util
 import json
 import math
 import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from dataclasses import fields
@@ -23,6 +25,7 @@ import pytest
 
 from gbmrisk import cli, paths_csv, simulation
 from gbmrisk.cli import (
+    PORTFOLIO_MODES,
     PipelineError,
     RunConfig,
     compare_portfolios,
@@ -669,6 +672,43 @@ class TestCliCommands:
                                  f"got {window}"):
             run_backtest(config, window=window)
 
+    @pytest.mark.parametrize("mode", PORTFOLIO_MODES)
+    def test_backtest_short_history_fails_alike_in_every_mode(self, mode):
+        # equity_like holds 253 price rows, one short of window + 2
+        config = RunConfig(
+            price_csv=str(DATA_DIR / "equity_like.csv"), portfolio_mode=mode,
+            explicit_weights=({"EQA": 0.2, "EQB": 0.3, "EQC": 0.5}
+                              if mode == "explicit-weights" else None),
+        )
+        with pytest.raises(PipelineError) as exc:
+            run_backtest(config, window=252)
+        assert str(exc.value) == ("stage backtest: need at least window + 2 "
+                                  "= 254 price rows, got 253")
+
+    @pytest.mark.parametrize("weights", ["EQA=0.5,EQB=0.5",
+                                         "EQA=0.2,EQB=0.3,EQC=0.4,EQD=0.1"])
+    @pytest.mark.parametrize("command, extra", [
+        ("simulate", ["--n-paths", "50"]), ("optimize", []),
+        ("backtest", ["--window", "100"]),
+    ])
+    def test_explicit_weights_must_cover_the_tickers(self, command, extra,
+                                                     weights, tmp_path,
+                                                     capsys):
+        missing = [] if "EQC" in weights else ["EQC"]
+        unexpected = ["EQD"] if "EQD" in weights else []
+        assert self.run(
+            command, "--price-csv", str(DATA_DIR / "equity_like.csv"),
+            "--portfolio-mode", "explicit-weights",
+            "--explicit-weights", weights, *extra,
+            "--out-dir", str(tmp_path / "out"),
+        ) == 2
+        assert capsys.readouterr().err == (
+            "error: stage optimize: explicit weights must cover exactly "
+            f"['EQA', 'EQB', 'EQC']; missing {missing}, "
+            f"unexpected {unexpected}\n"
+        )
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf ratios
     def test_backtest_overflowing_returns_name_their_stage(self, tmp_path,
                                                             capsys):
@@ -689,6 +729,39 @@ class TestCliCommands:
         cfg.write_text(json.dumps({"price_csv": "x", "bogus": 1}))
         assert self.run("simulate", "--config", str(cfg)) == 2
         assert "unknown config keys" in capsys.readouterr().err
+
+    def test_optimize_writes_undefined_sharpe_as_null(self, tmp_path):
+        # zero volatility leaves the Sharpe ratio NaN; JSON gets null
+        csv = tmp_path / "flat.csv"
+        write_constant_csv(csv)
+        out = tmp_path / "out"
+        assert self.run("optimize", "--price-csv", str(csv),
+                        "--out-dir", str(out)) == 0
+        payload = json.loads((out / "weights.json").read_text())
+        assert payload["stats"]["sharpe"] is None
+        assert payload["stats"]["volatility"] == 0.0
+
+    def test_config_file_must_hold_an_object(self, tmp_path, capsys):
+        cfg = tmp_path / "list.json"
+        cfg.write_text(json.dumps([{"price_csv": "x.csv"}]))
+        assert self.run("simulate", "--config", str(cfg)) == 2
+        assert capsys.readouterr().err == (
+            "error: stage config: config file must hold a JSON object\n")
+
+    @pytest.mark.parametrize("flag, message", [
+        ("--tickers", "empty ticker list"),
+        ("--explicit-weights", "empty weight map"),
+    ])
+    def test_empty_list_flag_rejected(self, flag, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            self.run("simulate", "--price-csv", "x.csv", flag, ",")
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+    def test_blank_weight_entry_skipped(self):
+        args = cli.build_parser().parse_args(
+            ["simulate", "--explicit-weights", "EQA=0.5,,EQB=0.2,EQC=0.3"])
+        assert args.explicit_weights == {"EQA": 0.5, "EQB": 0.2, "EQC": 0.3}
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_bad_worker_count_exits_2(self, tmp_path, capsys, workers):
@@ -742,6 +815,16 @@ class TestCliCommands:
         assert exc.value.code == 0
         import gbmrisk
         assert gbmrisk.__version__ in capsys.readouterr().out
+
+    def test_module_entry_point(self):
+        # python -m gbmrisk runs gbmrisk/__main__.py
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(DATA_DIR.parent / "src"), os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-m", "gbmrisk", "--version"],
+                              capture_output=True, text=True, env=env,
+                              check=False)
+        assert done.returncode == 0
+        assert done.stdout == "0.2.0\n"
 
 
 class TestPathsCsv:
@@ -990,7 +1073,8 @@ class TestFitPath:
         return counts
 
     @pytest.mark.parametrize(
-        "entry", ["run_pipeline", "estimate", "optimize", "run_backtest"]
+        "entry", ["run_pipeline", "estimate", "optimize", "run_backtest",
+                  "run_backtest_explicit"]
     )
     def test_entry_calls_each_layer_once(self, entry, calls, tmp_path):
         csv = str(DATA_DIR / "equity_like.csv")
@@ -999,6 +1083,11 @@ class TestFitPath:
             run_pipeline(config)
         elif entry == "run_backtest":
             run_backtest(config, window=100)
+        elif entry == "run_backtest_explicit":
+            run_backtest(RunConfig(
+                price_csv=csv, portfolio_mode="explicit-weights",
+                explicit_weights={"EQA": 0.2, "EQB": 0.3, "EQC": 0.5},
+            ), window=100)
         else:
             assert main([entry, "--price-csv", csv,
                          "--out-dir", str(tmp_path)]) == 0
@@ -1038,3 +1127,28 @@ def test_run_benchmark_script_smoke(tmp_path, monkeypatch, capsys):
     for fixture, mode in pairs:
         for name in ("report.json", "percentiles.csv"):
             assert (tmp_path / fixture / mode / name).is_file()
+
+
+def key_shape(row):
+    """The nested key structure of a JSON row, values dropped."""
+    if isinstance(row, dict):
+        return {k: key_shape(v) for k, v in row.items()}
+    return None
+
+
+def test_scaling_scripts_smoke(monkeypatch):
+    # each script's rows keep the keys of the committed record it made
+    root = DATA_DIR.parent
+    monkeypatch.syspath_prepend(str(root / "scripts"))
+    monkeypatch.chdir(root)
+    sim_scaling = importlib.import_module("sim_scaling")
+    record_scaling = importlib.import_module("record_scaling")
+    for bench, rows, row in (
+        ("BENCH_9.json", "shapes", sim_scaling.measure(50, 3)),
+        ("BENCH_13.json", "rows", record_scaling.measure(
+            root / "src", "data/crypto_like.csv", 20, 42, 1)),
+    ):
+        committed = json.loads((root / bench).read_text())
+        for record in committed.values():
+            for pinned in record[rows]:
+                assert key_shape(row) == key_shape(pinned), bench

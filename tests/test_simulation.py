@@ -321,11 +321,12 @@ class TestSimulate:
         monkeypatch.setattr(simulation, "_CHUNK_NORMALS",
                             chunk * config.n_steps * params.n_assets)
         result = simulate(params, config, workers=workers)
-        paths = rebuilt_paths(params, config)
-        assert np.array_equal(paths, reference_paths)
         assert np.array_equal(result.terminal_asset_prices,
                               reference.terminal_asset_prices)
-        assert np.array_equal(paths[:, -1, :], result.terminal_asset_prices)
+        # the rebuild depends on neither the chunk size nor the workers, so
+        # the one rebuilt in the fixture checks every run's terminal prices
+        assert np.array_equal(reference_paths[:, -1, :],
+                              result.terminal_asset_prices)
 
     def test_path_wider_than_a_unit_is_its_own_chunk(self, three_asset_params,
                                                      monkeypatch):
