@@ -11,12 +11,13 @@ processes, read after the write. A run that formats in one process starts
 none and reports 0 there. A forked worker's peak includes pages it shares
 with its parent, so the two peaks are not to be added.
 
---workers sets both the simulation threads and the formatting processes
-(default: one per CPU this process may use). Pass --src to measure another
-checkout's package, e.g. a parent commit unpacked with `git archive`, with
-the same script and settings; a package whose write_report_files takes no
-workers formats in the child itself. --json FILE merges the result into
-FILE under --label, in the format of scripts/sim_scaling.py.
+--workers W limits each child to the first W CPUs of this process's
+affinity mask, set before it imports gbmrisk; the simulation threads and
+the formatting processes follow that mask (default: every CPU this process
+may use). Pass --src to measure another checkout's package, e.g. a parent
+commit unpacked with `git archive`, with the same script and settings.
+--json FILE merges the result into FILE under --label, in the format of
+scripts/sim_scaling.py.
 
 Usage: python3 scripts/record_scaling.py [--n-paths 1000 2000 10000]
        [--price-csv data/crypto_like.csv] [--seed 42] [--workers W]
@@ -41,23 +42,21 @@ REPEATS = 3
 MB = 1e6
 
 # Runs in the child: argv is price_csv, n_paths, seed, workers (JSON, null
-# for the default). Prints one JSON line.
+# for every CPU). Prints one JSON line.
 CHILD = """
-import inspect, json, resource, sys, tempfile, time
+import json, os, resource, sys, tempfile, time
 from pathlib import Path
-from gbmrisk.cli import RunConfig, run_pipeline, write_report_files
 csv, n_paths, seed = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
 workers = json.loads(sys.argv[4])
+if workers is not None:
+    os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:workers])
+from gbmrisk.cli import RunConfig, run_pipeline, write_report_files
 config = RunConfig(price_csv=csv, n_paths=n_paths, seed=seed, record_paths=True)
-takes_workers = "workers" in inspect.signature(write_report_files).parameters
 t0 = time.perf_counter()
-result = run_pipeline(config, workers=workers)
+result = run_pipeline(config)
 t1 = time.perf_counter()
 with tempfile.TemporaryDirectory() as out:
-    if takes_workers:
-        written = write_report_files(result, Path(out), workers=workers)
-    else:
-        written = write_report_files(result, Path(out))
+    written = write_report_files(result, Path(out))
     t2 = time.perf_counter()
     size = sum(p.stat().st_size for p in written)
 peak = {who: resource.getrusage(who).ru_maxrss * 1024  # KiB on Linux
@@ -108,13 +107,17 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--price-csv", default=str(ROOT / "data" / "crypto_like.csv"))
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--workers", type=int,
-                        help="simulation threads and paths.csv formatting "
-                        "processes (default: one per available CPU)")
+                        help="CPUs each child may run on, the first W of "
+                        "this process's affinity mask (default: all)")
     parser.add_argument("--src", default=str(ROOT / "src"))
     parser.add_argument("--label", default="change")
     parser.add_argument("--json", help="merge the result into this file")
     parser.add_argument("--commit", help="commit to record (default: git)")
     args = parser.parse_args(argv)
+    cpus = len(os.sched_getaffinity(0))
+    if args.workers is not None and not 1 <= args.workers <= cpus:
+        parser.error(f"--workers must be from 1 to {cpus}, the CPUs "
+                     "this process may run on")
 
     src = Path(args.src).resolve()
     import numpy as np
@@ -123,7 +126,7 @@ def main(argv: list[str] | None = None) -> int:
         "commit": args.commit or git_commit(src),
         "numpy": np.__version__,
         "python": platform.python_version(),
-        "cpus": len(os.sched_getaffinity(0)),
+        "cpus": cpus,
         "seed": args.seed,
         "repeats": REPEATS,
         "workers": args.workers,

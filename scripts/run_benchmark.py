@@ -9,7 +9,7 @@ the chance of loss. Prints one table and writes the underlying reports
 under --out-dir.
 
 Usage: python3 scripts/run_benchmark.py [--out-dir results] [--n-paths N]
-       [--seed S] [--workers W]
+       [--seed S]
 """
 
 from __future__ import annotations
@@ -29,11 +29,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out-dir", default="results")
     parser.add_argument("--n-paths", type=int, default=10_000)
     parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument(
-        "--workers", type=int,
-        help="simulation threads and paths.csv formatting processes "
-        "(default: one per available CPU)",
-    )
     args = parser.parse_args(argv)
     data_dir = Path(args.data_dir)
     out_root = Path(args.out_dir)
@@ -52,9 +47,9 @@ def main(argv: list[str] | None = None) -> int:
                 n_paths=args.n_paths,
                 seed=args.seed,
             )
-            result = run_pipeline(config, workers=args.workers)
+            result = run_pipeline(config)
             out_dir = out_root / fixture / mode
-            write_report_files(result, out_dir, workers=args.workers)
+            write_report_files(result, out_dir)
             r = result.report
             s = result.stats
             print(

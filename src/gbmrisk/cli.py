@@ -266,9 +266,7 @@ def _choose_weights(config: RunConfig, params: MarketParams) -> OptimizerOutput:
     )
 
 
-def run_pipeline(
-    config: RunConfig, workers: int | None = None
-) -> PipelineResult:
+def run_pipeline(config: RunConfig) -> PipelineResult:
     """Execute load -> align -> returns -> estimate -> optimize ->
     simulate -> risk and assemble the report."""
     series = _load(config)
@@ -285,7 +283,7 @@ def run_pipeline(
         initial_value=config.initial_value,
         initial_prices=series.prices[-1],
     )
-    sim = _stage("simulate", simulate, params, sim_config, workers=workers)
+    sim = _stage("simulate", simulate, params, sim_config)
     report = _stage("risk", build_report, sim, alpha=config.alpha)
     return PipelineResult(
         config=config,
@@ -328,17 +326,13 @@ def resolve_out_dir(flag_value: str | None) -> Path:
     return Path(".")
 
 
-def write_report_files(
-    result: PipelineResult, out_dir: Path, workers: int | None = None
-) -> list[Path]:
+def write_report_files(result: PipelineResult, out_dir: Path) -> list[Path]:
     """Emit report.json, percentiles.csv, and (when recorded) paths.csv.
 
-    paths.csv is formatted on ``workers`` processes (an int >= 1, or None
-    for one per CPU) with the same bytes for any count; on Linux this forks
-    the calling process.
+    paths.csv is formatted on one process per CPU this process may run on,
+    with the same bytes for any count; on Linux this forks the calling
+    process.
     """
-    if workers is not None:
-        _stage("write", check, "workers", workers, ValueError)
     written = []
     report_path = out_dir / "report.json"
     _write_bytes(report_path, _json_bytes(result.report_json))
@@ -353,8 +347,7 @@ def write_report_files(
 
     if result.config.record_paths:
         paths_path = out_dir / "paths.csv"
-        write_paths_csv(result.params, result.simulation.config_echo,
-                        paths_path, workers)
+        write_paths_csv(result.params, result.simulation.config_echo, paths_path)
         written.append(paths_path)
     return written
 
@@ -364,12 +357,11 @@ def compare_portfolios(
     config_b: RunConfig,
     label_a: str = "a",
     label_b: str = "b",
-    workers: int | None = None,
 ) -> dict:
     """Run both configs and tabulate VaR and chance of loss side by side."""
     def side(tag: str, label: str, config: RunConfig) -> dict:
         try:
-            result = run_pipeline(config, workers=workers)
+            result = run_pipeline(config)
         except PipelineError as err:
             raise PipelineError(f"{tag}:{err.stage}", f"[{label}] {err}") from err
         return {
@@ -469,11 +461,13 @@ def _parse_weight_map(text: str) -> dict[str, float]:
         part = part.strip()
         if not part:
             continue
-        ticker, _, value = part.partition("=")
+        ticker, _, value = (s.strip() for s in part.partition("="))
+        if ticker in mapping:
+            raise argparse.ArgumentTypeError(f"ticker {ticker!r} given twice")
         try:
             if not ticker:
                 raise ValueError(part)
-            mapping[ticker.strip()] = float(value)  # float("") fails too
+            mapping[ticker] = float(value)  # float("") fails too
         except ValueError:
             raise argparse.ArgumentTypeError(
                 f"bad weight entry {part!r}; expected TICKER=WEIGHT"
@@ -490,11 +484,6 @@ _FLAG_HELP = {
     "portfolio_mode": "mvp, max_sharpe, or explicit-weights",
     "explicit_weights": "TICKER=W,TICKER=W,... (explicit-weights mode)",
 }
-_WORKERS_HELP = (
-    "simulation threads and paths.csv formatting processes (default: one "
-    "per available CPU; 1 runs serially); results are bitwise identical "
-    "for any value"
-)
 
 
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
@@ -542,7 +531,6 @@ def build_parser() -> argparse.ArgumentParser:
     }
     for name in ("estimate", "optimize", "simulate", "backtest"):
         _add_run_flags(commands[name])
-    commands["simulate"].add_argument("--workers", type=int, help=_WORKERS_HELP)
     commands["backtest"].add_argument(
         "--window", type=int, default=DEFAULT_BACKTEST_WINDOW,
         help="trailing return window per forecast",
@@ -553,7 +541,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_compare.add_argument("--config-b", required=True)
     p_compare.add_argument("--label-a")
     p_compare.add_argument("--label-b")
-    p_compare.add_argument("--workers", type=int, help=_WORKERS_HELP)
     p_compare.add_argument("--out-dir")
     return parser
 
@@ -593,8 +580,8 @@ def main(argv: list[str] | None = None) -> int:
             print(f"wrote {path}")
         elif args.command == "simulate":
             config = _config_from_args(args)
-            result = run_pipeline(config, workers=args.workers)
-            written = write_report_files(result, out_dir, workers=args.workers)
+            result = run_pipeline(config)
+            written = write_report_files(result, out_dir)
             report = result.report
             print(
                 f"VaR({report.var_level:.0%}) value: {report.var_value:.2f}  "
@@ -609,9 +596,7 @@ def main(argv: list[str] | None = None) -> int:
             config_b = load_run_config(args.config_b, {})
             label_a = args.label_a or Path(args.config_a).stem
             label_b = args.label_b or Path(args.config_b).stem
-            comparison = compare_portfolios(
-                config_a, config_b, label_a, label_b, workers=args.workers
-            )
+            comparison = compare_portfolios(config_a, config_b, label_a, label_b)
             path = out_dir / "comparison.json"
             _write_bytes(path, _json_bytes(comparison))
             print(_comparison_table(comparison))

@@ -8,12 +8,12 @@ x 3 assets), and each block is formatted apart from every other, so the
 bytes are the same for any block size or number of processes. A rebuilt
 path's last step equals ``simulate``'s terminal prices bitwise.
 
-On Linux, with more than one worker and more than one block, the blocks are
-formatted in forked processes, one per worker and at most one per block,
-and the writing process copies their rows to the file in order, 64 KiB at
-a time; it holds no block, whatever the process count. Elsewhere, or with
-one worker or one block, the writing process formats the blocks itself,
-one at a time.
+On Linux, with more than one CPU and more than one block, the blocks are
+formatted in forked processes, one per CPU this process may run on and at
+most one per block, and the writing process copies their rows to the file
+in order, 64 KiB at a time; it holds no block, whatever the process count.
+Elsewhere, or on one CPU or with one block, the writing process formats the
+blocks itself, one at a time.
 """
 
 from __future__ import annotations
@@ -74,17 +74,15 @@ def _block_formatter(params: MarketParams, sim_config: SimConfig, block: int):
     return format_block
 
 
-def write_paths_csv(params: MarketParams, sim_config: SimConfig, path: Path,
-                    workers: int | None = None) -> None:
+def write_paths_csv(params: MarketParams, sim_config: SimConfig,
+                    path: Path) -> None:
     """Write paths.csv for a run of ``sim_config`` on ``params``, rebuilding
-    its paths from their keys, on ``workers`` processes: an int >= 1, or
-    None for one per CPU this process may run on."""
-    if workers is None:
-        workers = _available_cpus()
+    its paths from their keys, on one process per CPU this process may run
+    on."""
     block = _block_paths(sim_config, params.n_assets)
     starts = range(0, sim_config.n_paths, block)
     format_block = _block_formatter(params, sim_config, block)
-    workers = min(workers, len(starts))
+    workers = min(_available_cpus(), len(starts))
     with open(path, "wb") as handle:
         handle.write(b"path,step,ticker,price\n")
         # fork hands the kernel over without re-importing numpy per write;

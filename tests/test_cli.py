@@ -13,6 +13,8 @@ import importlib.util
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -415,7 +417,8 @@ class TestCliCommands:
     def run(self, *argv) -> int:
         return main(list(argv))
 
-    def test_simulate_writes_deterministic_reports(self, tmp_path):
+    def test_simulate_writes_deterministic_reports(self, tmp_path,
+                                                   monkeypatch):
         base = [
             "simulate", "--price-csv", str(DATA_DIR / "equity_like.csv"),
             "--n-paths", "500",
@@ -423,7 +426,8 @@ class TestCliCommands:
         out1, out2, out3 = (tmp_path / n for n in ("r1", "r2", "r3"))
         assert self.run(*base, "--out-dir", str(out1)) == 0
         assert self.run(*base, "--out-dir", str(out2)) == 0
-        assert self.run(*base, "--out-dir", str(out3), "--workers", "4") == 0
+        monkeypatch.setattr(simulation, "_available_cpus", lambda: 4)
+        assert self.run(*base, "--out-dir", str(out3)) == 0
         ref = (out1 / "report.json").read_bytes()
         assert (out2 / "report.json").read_bytes() == ref
         assert (out3 / "report.json").read_bytes() == ref
@@ -763,15 +767,14 @@ class TestCliCommands:
             ["simulate", "--explicit-weights", "EQA=0.5,,EQB=0.2,EQC=0.3"])
         assert args.explicit_weights == {"EQA": 0.5, "EQB": 0.2, "EQC": 0.3}
 
-    @pytest.mark.parametrize("workers", ["0", "-3"])
-    def test_bad_worker_count_exits_2(self, tmp_path, capsys, workers):
-        out = tmp_path / "out"
-        assert self.run("simulate", "--price-csv",
-                        str(DATA_DIR / "equity_like.csv"), "--n-paths", "50",
-                        "--workers", workers, "--out-dir", str(out)) == 2
-        assert capsys.readouterr().err.startswith(
-            "error: stage simulate: workers must be")
-        assert not out.exists()
+    def test_repeated_weight_ticker_rejected(self, capsys):
+        # a repeated ticker is refused, not collapsed to its last weight
+        with pytest.raises(SystemExit) as exc:
+            self.run("optimize", "--portfolio-mode", "explicit-weights",
+                     "--explicit-weights", "EQA=0.1,EQA=0.5,EQB=0.2,EQC=0.3")
+        assert exc.value.code == 2
+        assert ("argument --explicit-weights: ticker 'EQA' given twice"
+                in capsys.readouterr().err)
 
     RUN_FLAGS = {
         "-h", "--help", "--config", "--out-dir", "--price-csv", "--tickers",
@@ -780,16 +783,20 @@ class TestCliCommands:
         "--explicit-weights", "--record-paths", "--no-record-paths",
     }
 
+    @staticmethod
+    def flags(command: str) -> set[str]:
+        """Every option string of one subcommand."""
+        commands = next(a for a in cli.build_parser()._actions
+                        if isinstance(a, argparse._SubParsersAction)).choices
+        return {s for a in commands[command]._actions for s in a.option_strings}
+
     @pytest.mark.parametrize("command, extras", [
         ("estimate", set()), ("optimize", set()),
-        ("simulate", {"--workers"}), ("backtest", {"--window"}),
+        ("simulate", set()), ("backtest", {"--window"}),
     ])
     def test_run_flags_are_pinned(self, command, extras):
+        assert self.flags(command) == self.RUN_FLAGS | extras
         parser = cli.build_parser()
-        commands = next(a for a in parser._actions
-                        if isinstance(a, argparse._SubParsersAction)).choices
-        got = {s for a in commands[command]._actions for s in a.option_strings}
-        assert got == self.RUN_FLAGS | extras
         # an absent flag reads as None, so it never overrides the file
         args = parser.parse_args([command])
         assert all(getattr(args, f.name) is None for f in fields(RunConfig))
@@ -808,6 +815,12 @@ class TestCliCommands:
             "explicit_weights": {"A": 0.25, "B": 0.75}, "record_paths": False,
         }
         assert type(args.horizon_years) is float and type(args.seed) is int
+
+    def test_compare_flags_are_pinned(self):
+        assert self.flags("compare") == {
+            "-h", "--help", "--config-a", "--config-b", "--label-a",
+            "--label-b", "--out-dir",
+        }
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -881,6 +894,11 @@ class TestPathsCsv:
                                       result.params.n_assets)
 
     @staticmethod
+    def on_cpus(monkeypatch, cpus: int) -> None:
+        """Make the writer see ``cpus`` CPUs, whatever the machine has."""
+        monkeypatch.setattr(paths_csv, "_available_cpus", lambda: cpus)
+
+    @staticmethod
     def assert_no_children() -> None:
         """Every process this one started has been reaped."""
         with pytest.raises(ChildProcessError):
@@ -890,13 +908,16 @@ class TestPathsCsv:
     @pytest.mark.parametrize("blocks, extra", [
         (0, 1), (1, -1), (1, 0), (1, 1), (2, 3)])
     def test_bytes_equal_for_any_worker_count(self, workers, blocks, extra,
-                                              recorded, tmp_path):
+                                              recorded, tmp_path,
+                                              monkeypatch):
         # path counts around the block size: 1, block - 1, block,
-        # block + 1 and 2 * block + 3
+        # block + 1 and 2 * block + 3; None keeps this machine's CPU count
+        if workers is not None:
+            self.on_cpus(monkeypatch, workers)
         result = recorded(blocks * self.block_paths(recorded(1)) + extra)
         paths = rebuilt_paths(result.params, result.simulation.config_echo)
         expected = reference_paths_csv(paths, result.params.tickers)
-        cli.write_report_files(result, tmp_path, workers=workers)
+        cli.write_report_files(result, tmp_path)
         assert (tmp_path / "paths.csv").read_bytes() == expected
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -905,6 +926,7 @@ class TestPathsCsv:
                                             tmp_path, monkeypatch):
         # blocks of 1 path, 5 paths and the default; 23 paths leave a
         # partial last block at each size
+        self.on_cpus(monkeypatch, workers)
         result = recorded(23)
         config = result.simulation.config_echo
         if block is not None:
@@ -914,7 +936,7 @@ class TestPathsCsv:
             assert self.block_paths(result) == block
         paths = rebuilt_paths(result.params, config)
         expected = reference_paths_csv(paths, result.params.tickers)
-        cli.write_report_files(result, tmp_path, workers=workers)
+        cli.write_report_files(result, tmp_path)
         assert (tmp_path / "paths.csv").read_bytes() == expected
 
     def test_single_block_starts_no_pool(self, recorded, tmp_path,
@@ -924,8 +946,9 @@ class TestPathsCsv:
             raise AssertionError("a single-block write forked")
 
         monkeypatch.setattr(os, "fork", no_fork)
+        self.on_cpus(monkeypatch, 8)
         n_paths = self.block_paths(recorded(1))
-        cli.write_report_files(recorded(n_paths), tmp_path, workers=8)
+        cli.write_report_files(recorded(n_paths), tmp_path)
         assert (tmp_path / "paths.csv").stat().st_size > 0
 
     def test_no_fork_off_linux(self, recorded, tmp_path, monkeypatch):
@@ -933,19 +956,14 @@ class TestPathsCsv:
         def no_fork():
             raise AssertionError("forked off Linux")
 
+        self.on_cpus(monkeypatch, 2)
         result = recorded(3 * self.block_paths(recorded(1)))
-        cli.write_report_files(result, tmp_path, workers=2)
+        cli.write_report_files(result, tmp_path)
         expected = (tmp_path / "paths.csv").read_bytes()
         monkeypatch.setattr(os, "fork", no_fork)
         monkeypatch.setattr(paths_csv.sys, "platform", "darwin")
-        cli.write_report_files(result, tmp_path, workers=2)
+        cli.write_report_files(result, tmp_path)
         assert (tmp_path / "paths.csv").read_bytes() == expected
-
-    @pytest.mark.parametrize("workers", [0, True, 2.0])
-    def test_bad_worker_count_rejected(self, workers, recorded, tmp_path):
-        with pytest.raises(PipelineError,
-                           match=r"^stage write: workers must be"):
-            cli.write_report_files(recorded(1), tmp_path, workers=workers)
 
     def test_worker_error_surfaces_and_leaves_no_children(self, recorded,
                                                           tmp_path,
@@ -957,8 +975,9 @@ class TestPathsCsv:
             return format_block
 
         monkeypatch.setattr(paths_csv, "_block_formatter", failing_formatter)
+        self.on_cpus(monkeypatch, 2)
         with pytest.raises(BlockFailed) as err:
-            cli.write_report_files(recorded(100), tmp_path, workers=2)
+            cli.write_report_files(recorded(100), tmp_path)
         assert err.value.args[0] != os.getpid()  # raised in a child
         assert "BlockFailed" in str(err.value.__cause__)  # its traceback
         self.assert_no_children()
@@ -977,8 +996,9 @@ class TestPathsCsv:
             return dies_on_third
 
         monkeypatch.setattr(paths_csv, "_block_formatter", dying_formatter)
+        self.on_cpus(monkeypatch, 2)
         with pytest.raises(ChildProcessError, match="ended before its block"):
-            cli.write_report_files(recorded(100), tmp_path, workers=2)
+            cli.write_report_files(recorded(100), tmp_path)
         self.assert_no_children()
 
     def test_writer_error_stops_the_workers(self, recorded, tmp_path,
@@ -994,18 +1014,21 @@ class TestPathsCsv:
             copied.append(real_copy(*args))
 
         monkeypatch.setattr(paths_csv, "_copy_block", copy_one_then_fail)
+        self.on_cpus(monkeypatch, 2)
         with pytest.raises(BlockFailed) as err:
-            cli.write_report_files(recorded(100), tmp_path, workers=2)
+            cli.write_report_files(recorded(100), tmp_path)
         assert err.value.args[0] == os.getpid()
         self.assert_no_children()
 
     def test_pooled_write_leaves_no_children_or_warnings(self, recorded,
-                                                          tmp_path):
+                                                          tmp_path,
+                                                          monkeypatch):
         # Python 3.12+ warns when it forks a process that runs threads
         # (BLAS ones included); the pool must not trip that here
+        self.on_cpus(monkeypatch, 2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            cli.write_report_files(recorded(100), tmp_path, workers=2)
+            cli.write_report_files(recorded(100), tmp_path)
         self.assert_no_children()
 
     def test_writer_memory_is_bounded(self, tmp_path):
@@ -1026,15 +1049,16 @@ class TestPathsCsv:
                                                    monkeypatch):
         # the formatting processes hand their rows over a pipe, so the bound
         # above holds whatever the process count
-        monkeypatch.setattr(paths_csv, "_available_cpus", lambda: 8)
+        self.on_cpus(monkeypatch, 8)
         self.test_writer_memory_is_bounded(tmp_path)
 
     def test_recorded_run_memory_is_flat_in_paths(self, tmp_path,
                                                   monkeypatch):
         # paths are rebuilt from their keys as paths.csv streams, so nothing
-        # holds every path. 25-step paths keep the test fast; at workers=1
+        # holds every path. 25-step paths keep the test fast; on one CPU
         # and 1,024 paths a unit, both counts keep one equal unit in flight.
         monkeypatch.setattr(simulation, "_CHUNK_NORMALS", 1024 * 25 * 3)
+        monkeypatch.setattr(simulation, "_available_cpus", lambda: 1)
 
         def peak(n_paths: int) -> int:
             config = RunConfig(price_csv=str(DATA_DIR / "crypto_like.csv"),
@@ -1042,8 +1066,7 @@ class TestPathsCsv:
                                record_paths=True)
             tracemalloc.start()
             try:
-                cli.write_report_files(run_pipeline(config, workers=1),
-                                       tmp_path)
+                cli.write_report_files(run_pipeline(config), tmp_path)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -1152,3 +1175,41 @@ def test_scaling_scripts_smoke(monkeypatch):
         for record in committed.values():
             for pinned in record[rows]:
                 assert key_shape(row) == key_shape(pinned), bench
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="no CPU affinity mask here")
+def test_one_cpu_mask_runs_serially(tmp_path, monkeypatch):
+    # the affinity mask is the one worker rule: on one CPU neither the
+    # simulation (3 chunks here) nor the paths.csv writer (250 blocks)
+    # starts a thread pool or a process
+    def refuse(*args, **kwargs):
+        raise AssertionError("started a worker on one CPU")
+
+    monkeypatch.setattr(simulation, "ThreadPoolExecutor", refuse)
+    monkeypatch.setattr(os, "fork", refuse)
+    config = RunConfig(price_csv=str(DATA_DIR / "crypto_like.csv"),
+                       n_paths=3_000, record_paths=True)
+    mask = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(mask)})
+    try:
+        written = cli.write_report_files(run_pipeline(config), tmp_path)
+    finally:
+        os.sched_setaffinity(0, mask)
+    assert tmp_path / "paths.csv" in written
+
+
+def test_readme_commands_parse():
+    # every `gbmrisk ...` command in the README's bash blocks, with its
+    # `\` continuations joined, is accepted by the real parser
+    readme = (DATA_DIR.parent / "README.md").read_text(encoding="utf-8")
+    commands = []
+    for block in re.findall(r"^```bash\n(.*?)^```", readme, re.M | re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.startswith("gbmrisk "):
+                commands.append(shlex.split(line)[1:])
+    assert {argv[0] for argv in commands} == {
+        "estimate", "optimize", "simulate", "compare", "backtest"}
+    parser = cli.build_parser()
+    for argv in commands:
+        parser.parse_args(argv)

@@ -3,8 +3,9 @@ fixtures at seed 42.
 
 Each command runs in-process from the repository root with relative
 ``data/...`` paths, so the echoed ``price_csv`` does not depend on where the
-checkout lives. A declared contract change edits ``CONTRACT`` below; on a
-mismatch the failure prints the full fresh table to paste in.
+checkout lives; the ``SERIAL`` case sees one CPU. A declared contract change
+edits ``CONTRACT`` below; on a mismatch the failure prints the full fresh
+table to paste in.
 """
 
 from __future__ import annotations
@@ -16,11 +17,12 @@ from pathlib import Path
 
 import pytest
 
-from gbmrisk import __version__, cli
+from gbmrisk import __version__, cli, simulation
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ("equity_like", "crypto_like")
 EXPLICIT = "EQA=0.5,EQB=0.2,EQC=0.3"
+SERIAL = "crypto_like/simulate-mvp-serial"
 
 
 def commands() -> dict[str, list[str]]:
@@ -41,9 +43,8 @@ def commands() -> dict[str, list[str]]:
         "simulate", "--price-csv", "data/equity_like.csv", "--seed", "42",
         "--portfolio-mode", "explicit-weights", "--explicit-weights", EXPLICIT,
     ]
-    cases["crypto_like/simulate-mvp-serial"] = [
+    cases[SERIAL] = [
         "simulate", "--price-csv", "data/crypto_like.csv", "--seed", "42",
-        "--workers", "1",
     ]
     return cases
 
@@ -102,7 +103,10 @@ def fresh(tmp_path_factory) -> dict[str, str]:
     try:
         for case, argv in cases.items():
             out = root / case
-            assert cli.main([*argv, "--out-dir", str(out)]) == 0, case
+            with pytest.MonkeyPatch.context() as patch:
+                if case == SERIAL:
+                    patch.setattr(simulation, "_available_cpus", lambda: 1)
+                assert cli.main([*argv, "--out-dir", str(out)]) == 0, case
             for path in sorted(out.iterdir()):
                 digests[f"{case}/{path.name}"] = _sha256(path)
     finally:
@@ -118,7 +122,7 @@ def test_outputs_match_pinned_digests(fresh):
 
 def test_serial_run_writes_the_default_bytes(fresh):
     for name in ("report.json", "percentiles.csv"):
-        assert (fresh[f"crypto_like/simulate-mvp-serial/{name}"]
+        assert (fresh[f"{SERIAL}/{name}"]
                 == fresh[f"crypto_like/simulate-mvp/{name}"])
 
 
