@@ -46,7 +46,7 @@ def _block_paths(sim_config: SimConfig, n_assets: int) -> int:
 def _block_formatter(params: MarketParams, sim_config: SimConfig, block: int):
     """``format_block(start)``: the paths.csv rows of paths [start,
     start + block) as bytes. The kernel is built once, here."""
-    _, cum_log = _path_kernel(params, sim_config)
+    cum_log = _path_kernel(params, sim_config).cum_log
     s0 = sim_config.initial_prices
     n_paths = sim_config.n_paths
     # "{step},{ticker}," in the order a path's ravel() yields prices

@@ -7,21 +7,23 @@ Cholesky factor L of the annualized covariance.
 
 Randomness contract: each path's normals come from the Philox stream keyed
 by (master seed, path index) with a zero counter, consumed step-major; the
-seed lies in [0, 2**64). One kernel, ``_path_kernel``, serves ``simulate``,
-which keeps each path's last step, and ``gbmrisk.paths_csv``, which
-rebuilds whole paths: it builds one Philox per call and re-keys it for
-every path, which yields exactly the stream a fresh
-``Philox(key=(seed, path))`` gives, and computes each path's shock rows
-apart from every other path's. Results are therefore bitwise identical for
-any chunk size, execution order or worker count.
+seed lies in [0, 2**64). One draw, ``_path_normals``, serves both
+``simulate``, which keeps each path's last step, and ``_PathKernel.cum_log``,
+through which ``gbmrisk.paths_csv`` rebuilds whole paths. A draw builds one
+Philox and re-keys it for every path, which yields exactly the stream a
+fresh ``Philox(key=(seed, path))`` gives; each path's shock rows are
+computed apart from every other path's, and ``simulate`` sums a path's
+steps in step order, as the cumsum does. Results are therefore bitwise
+identical for any chunk size, execution order or worker count.
 
-A chunk is as many whole paths as fit in ``_CHUNK_NORMALS`` normals, and
-at least one: 1,024 paths at 252 steps x 3 assets, fewer with more assets or
-steps. Per-thread memory thus stays bounded, and a wide run of few paths
-still splits into several chunks.
-Chunks run on ``workers`` threads; by default one per CPU this process may
-run on, never more than there are chunks. ``workers=1`` forces a serial
-run.
+``simulate`` splits the paths into ``workers`` contiguous ranges, by
+default one per CPU this process may run on, never more than there are
+chunks; ``workers=1`` forces a serial run. Each range is worked through in
+chunks of as many whole paths as fit in ``_CHUNK_NORMALS`` normals, and at
+least one: 256 paths at 252 steps x 3 assets, fewer with more assets or
+steps. A range's chunks reuse one pair of chunk-sized arrays, allocated
+before any thread starts, so per-thread memory stays bounded and within a
+2 MiB cache, and a wide run of few paths still splits into several chunks.
 """
 
 from __future__ import annotations
@@ -49,12 +51,12 @@ __all__ = [
 
 PSD_JITTERS = (0.0, 1e-12, 1e-10, 1e-8)
 _PIVOT_TOL = 1e-10
-# Normals per vectorized block, the unit of work a thread takes: a chunk is
-# max(1, _CHUNK_NORMALS // (n_steps * n_assets)) whole paths. Results do not
-# depend on it; it sets load balance across threads and per-thread memory:
-# two arrays of at most _CHUNK_NORMALS floats (~6.2 MB each), unless a single
-# path draws more.
-_CHUNK_NORMALS = 1024 * 252 * 3
+# Normals per vectorized block: a chunk is max(1, _CHUNK_NORMALS //
+# (n_steps * n_assets)) whole paths. Results do not depend on it; it sets
+# per-thread memory, two reused arrays of at most _CHUNK_NORMALS floats
+# (~1.5 MB each, so a chunk's shocks stay in a 2 MiB L2 cache) unless a
+# single path draws more, and how finely a wide run splits across threads.
+_CHUNK_NORMALS = 256 * 252 * 3
 
 
 class SimulationError(ValueError):
@@ -198,45 +200,82 @@ def _available_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _path_kernel(params: MarketParams, config: SimConfig):
-    """The covariance jitter and ``cum_log(start, stop)``, the cumulative
-    log-increments of paths [start, stop), shape (stop - start, n_steps, n_assets)."""
-    if config.weights.tickers != params.tickers:
-        raise SimulationError("weights do not match params tickers")
-    _, jitter, factor = _repair_and_factor(params.cov)
-    l_t = factor.T.copy()
-    n_steps, n_assets = config.n_steps, params.n_assets
-    sqrt_dt = math.sqrt(config.dt)
-    drift = (params.mu - params.sigma**2 / 2.0) * config.dt
+def _path_normals(seed: int):
+    """``fill(start, z)``: z[i] gets the normals of path start + i, step-major.
 
-    def cum_log(start: int, stop: int) -> np.ndarray:
-        z = np.empty((stop - start, n_steps, n_assets))
-        # One bit generator per call, so threads never share one. Assigning
-        # this state before each path re-keys it to (seed, p) with a zero
-        # counter and an empty buffer, the state Philox(key=(seed, p)) starts
-        # in. Lists of Python ints assign faster than uint64 arrays.
-        key = [config.seed, 0]
-        fresh = {
-            "bit_generator": "Philox",
-            "state": {"counter": [0, 0, 0, 0], "key": key},
-            "buffer": [0, 0, 0, 0],
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        bit_gen = np.random.Philox()
-        gen = np.random.Generator(bit_gen)
-        for p in range(start, stop):
+    One bit generator serves every call, so a thread must have its own
+    filler. Assigning this state before each path re-keys it to (seed, p)
+    with a zero counter and an empty buffer, the state Philox(key=(seed, p))
+    starts in. Lists of Python ints assign faster than uint64 arrays.
+    """
+    key = [seed, 0]
+    fresh = {
+        "bit_generator": "Philox",
+        "state": {"counter": [0, 0, 0, 0], "key": key},
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    bit_gen = np.random.Philox()
+    gen = np.random.Generator(bit_gen)
+
+    def fill(start: int, z: np.ndarray) -> None:
+        for p, row in enumerate(z, start):
             key[1] = p
             bit_gen.state = fresh
-            gen.standard_normal(out=z[p - start])
-        out = z @ l_t
-        out *= sqrt_dt
-        out += drift
+            gen.standard_normal(out=row)
+
+    return fill
+
+
+@dataclass(frozen=True)
+class _PathKernel:
+    """One run's log-increments: step k of path p is ``drift + sqrt_dt *
+    (z_k @ l_t)``, z_k being the k-th row of path p's normals."""
+
+    jitter: float
+    l_t: np.ndarray
+    sqrt_dt: float
+    drift: np.ndarray
+    seed: int
+    n_steps: int
+
+    def cum_log(self, start: int, stop: int) -> np.ndarray:
+        """Cumulative log-increments of paths [start, stop), shape
+        (stop - start, n_steps, n_assets)."""
+        z = np.empty((stop - start, self.n_steps, len(self.drift)))
+        _path_normals(self.seed)(start, z)
+        out = z @ self.l_t
+        out *= self.sqrt_dt
+        out += self.drift
         np.cumsum(out, axis=1, out=out)
         return out
 
-    return jitter, cum_log
+
+def _path_kernel(params: MarketParams, config: SimConfig) -> _PathKernel:
+    """The kernel of a run of ``config`` on ``params``."""
+    if config.weights.tickers != params.tickers:
+        raise SimulationError("weights do not match params tickers")
+    _, jitter, factor = _repair_and_factor(params.cov)
+    return _PathKernel(
+        jitter=jitter,
+        l_t=factor.T.copy(),
+        sqrt_dt=math.sqrt(config.dt),
+        drift=(params.mu - params.sigma**2 / 2.0) * config.dt,
+        seed=config.seed,
+        n_steps=config.n_steps,
+    )
+
+
+def _fold_steps(rows: np.ndarray, out: np.ndarray) -> None:
+    """``out`` = the sum of ``rows`` over steps, added in step order: bitwise
+    the last row of their cumsum."""
+    if rows.shape[1] == 1:
+        # add.reduce sums a lone column pairwise, not in step order
+        out[:] = np.cumsum(rows, axis=0)[-1]
+    else:
+        np.add.reduce(rows, axis=0, out=out)
 
 
 def simulate(
@@ -252,33 +291,53 @@ def simulate(
         workers = _available_cpus()
     else:
         check("workers", workers, SimulationError)
-    jitter, cum_log = _path_kernel(params, config)
-    n_paths = config.n_paths
+    kernel = _path_kernel(params, config)
+    n_paths, n_steps, n_assets = config.n_paths, config.n_steps, params.n_assets
     s0 = config.initial_prices
-    terminal_prices = np.empty((n_paths, params.n_assets))
-    chunk = max(1, _CHUNK_NORMALS // (config.n_steps * params.n_assets))
+    chunk = max(1, _CHUNK_NORMALS // (n_steps * n_assets))
+    workers = min(workers, -(-n_paths // chunk))
+    bounds = [n_paths * w // workers for w in range(workers + 1)]
+    chunk = min(chunk, -(-n_paths // workers))  # no range holds more paths
+    # Each range's chunks reuse one pair of arrays. They are allocated here,
+    # not in the worker threads, whose malloc arenas would keep the memory;
+    # the result comes first and is finished in place, so nothing that
+    # outlives this call sits above them on the heap.
+    terminal = np.empty((n_paths, n_assets))
+    size = chunk * n_steps * n_assets
+    scratch = [(np.empty(size), np.empty(size)) for _ in range(workers)]
+    drift = np.tile(kernel.drift, chunk)
 
-    def run_chunk(start: int) -> None:
-        stop = min(start + chunk, n_paths)
-        terminal_prices[start:stop] = s0 * np.exp(cum_log(start, stop)[:, -1, :])
+    def run_range(start: int, stop: int, buffers) -> None:
+        normals, steps = buffers
+        fill = _path_normals(config.seed)
+        for lo in range(start, stop, chunk):
+            n = min(chunk, stop - lo)
+            z = normals[:n * n_steps * n_assets].reshape(n, n_steps, n_assets)
+            fill(lo, z)
+            shocks = steps[:z.size].reshape(n_steps, n, n_assets)
+            # step-major, so each step's shocks are one contiguous row
+            np.matmul(z, kernel.l_t, out=shocks.transpose(1, 0, 2))
+            rows = shocks.reshape(n_steps, n * n_assets)
+            rows *= kernel.sqrt_dt
+            rows += drift[:n * n_assets]
+            _fold_steps(rows, terminal[lo:lo + n].reshape(-1))
 
-    chunk_starts = range(0, n_paths, chunk)
-    workers = min(workers, len(chunk_starts))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run_chunk, chunk_starts))
+            list(pool.map(run_range, bounds[:-1], bounds[1:], scratch))
     else:
-        for start in chunk_starts:
-            run_chunk(start)
+        run_range(0, n_paths, scratch[0])
 
-    if not np.all(terminal_prices > 0.0):
+    np.exp(terminal, out=terminal)
+    terminal *= s0
+    if not np.all(terminal > 0.0):
         raise SimulationError("simulated price not strictly positive")
-    gross = terminal_prices / s0
+    gross = terminal / s0
     portfolio_values = config.initial_value * (gross @ config.weights.w)
     return SimulationResult(
-        terminal_asset_prices=terminal_prices,
+        terminal_asset_prices=terminal,
         terminal_portfolio_values=portfolio_values,
         config_echo=config,
-        jitter=jitter,
+        jitter=kernel.jitter,
     )
 

@@ -88,7 +88,7 @@ def draw_standard_normals(seed: int, path_index: int, count: int) -> np.ndarray:
 def rebuilt_paths(params: MarketParams, config: SimConfig) -> np.ndarray:
     """Every path of a run, (n_paths, n_steps + 1, n_assets), from one kernel
     call over all of them, step 0 being the initial prices."""
-    _, cum_log = _path_kernel(params, config)
+    cum_log = _path_kernel(params, config).cum_log
     s0 = config.initial_prices
     cum = cum_log(0, config.n_paths)
     start = np.broadcast_to(s0, (config.n_paths, 1, len(s0)))

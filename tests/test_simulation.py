@@ -328,6 +328,23 @@ class TestSimulate:
         assert np.array_equal(reference_paths[:, -1, :],
                               result.terminal_asset_prices)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("chunk", [1, 4])
+    def test_one_asset_chunks_fold_like_cumsum(self, chunk, workers,
+                                               monkeypatch):
+        # one asset in one-path chunks folds a single column of 252 steps,
+        # which numpy's add.reduce sums pairwise, not in step order; 9 paths
+        # end a range in a one-path chunk at 4 paths a chunk too, and at
+        # seed 0 a pairwise sum moves that path's price
+        params = make_params(("A",), [0.07], [[0.3**2]])
+        config = SimConfig(weights=WeightVector(("A",), np.array([1.0])),
+                           n_paths=9, seed=0)
+        monkeypatch.setattr(simulation, "_CHUNK_NORMALS",
+                            chunk * config.n_steps)
+        result = simulate(params, config, workers=workers)
+        assert np.array_equal(rebuilt_paths(params, config)[:, -1, :],
+                              result.terminal_asset_prices)
+
     def test_path_wider_than_a_unit_is_its_own_chunk(self, three_asset_params,
                                                      monkeypatch):
         # a path drawing more normals than a unit holds still makes a chunk
@@ -379,6 +396,19 @@ class TestSimulate:
         finally:
             tracemalloc.stop()
         assert peak < 20e6
+
+    def test_chunk_memory_bounded_at_the_default_shape(self,
+                                                       three_asset_params):
+        # each of two threads reuses two ~1.5 MB chunk arrays; a fresh pair
+        # per chunk in flight would hold ~25 MB
+        config = SimConfig(weights=weights_for(three_asset_params))
+        tracemalloc.start()
+        try:
+            simulate(three_asset_params, config, workers=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6
 
     def test_seed_changes_output(self, three_asset_params):
         w = weights_for(three_asset_params)
