@@ -3,8 +3,10 @@
 
 Each shape runs 252 steps on a fixed random covariance with equal weights.
 After one warm-up run, five timed runs at workers=1 and at the default
-(one thread per CPU this process may use) alternate which goes first; each
-setting reports its median and quartiles. One more run per setting under
+alternate which goes first; each setting reports its median and quartiles.
+The default is one thread per CPU this process may use, or one thread from
+63 assets up, where BLAS threads each path's shock product; the shapes at
+40 to 100 assets bracket that crossover. One more run per setting under
 tracemalloc gives the peak of traced allocations, numpy arrays included.
 The record also names the numpy and Python versions, the CPU count and the
 commit measured.
@@ -31,7 +33,8 @@ import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SHAPES = ((10_000, 3), (1_000, 10), (1_000, 50), (100, 200), (1_000, 200))
+SHAPES = ((10_000, 3), (1_000, 10), (1_000, 40), (1_000, 50), (1_000, 60),
+          (1_000, 80), (1_000, 100), (100, 200), (1_000, 200))
 N_STEPS = 252
 REPEATS = 5
 SEED = 42

@@ -113,21 +113,39 @@ def project_hyperplane(v: np.ndarray, e: np.ndarray) -> np.ndarray:
     and piecewise linear with breakpoints v_i/e_i; tau solves g(tau) = 1 on
     the piece located by the sorted breakpoints. e_i may be <= 0.
     """
-    v = np.asarray(v, dtype=np.float64)
+    return _hyperplane_projection(e)(np.asarray(v, dtype=np.float64))
+
+
+def _hyperplane_projection(e: np.ndarray):
+    """``project(v)``, ``project_hyperplane(v, e)`` for this ``e``, with the
+    work that depends on ``e`` alone done once: a solver projects onto one
+    set at every step."""
     e = np.asarray(e, dtype=np.float64)
     idx = np.flatnonzero(e)
-    idx = idx[np.argsort(v[idx] / e[idx])]
-    ez = e[idx]
-    b = v[idx] / ez
-    # on piece k, between sorted breakpoints k-1 and k, g = sums[0] - tau *
-    # sums[1], summed over e_i > 0 at index >= k and e_i < 0 at index < k
-    terms = np.stack((ez * v[idx], ez * ez))
-    pos = ez > 0.0
-    sums = np.zeros((2, len(idx) + 1))
-    sums[:, :-1] = np.where(pos, terms, 0.0)[:, ::-1].cumsum(axis=1)[:, ::-1]
-    sums[:, 1:] += np.where(pos, 0.0, terms).cumsum(axis=1)
-    k = int(np.count_nonzero(sums[0, :-1] - b * sums[1, :-1] >= 1.0))
-    return np.maximum(v - (sums[0, k] - 1.0) / sums[1, k] * e, 0.0)
+    e_nz = e[idx]
+    e_sq = e_nz * e_nz
+    pos = e_nz > 0.0
+    mixed = not pos.all()
+
+    def project(v: np.ndarray) -> np.ndarray:
+        v_nz = v[idx]
+        b = v_nz / e_nz
+        order = np.argsort(b)
+        b = b[order]
+        # on piece k, between sorted breakpoints k-1 and k, g = sums[0] - tau
+        # * sums[1], summed over e_i > 0 at index >= k and e_i < 0 at index
+        # < k; with no e_i < 0 the second sum is all zeros and is skipped
+        terms = np.stack(((e_nz * v_nz)[order], e_sq[order]))
+        sums = np.zeros((2, len(idx) + 1))
+        if mixed:
+            side = pos[order]
+            sums[:, 1:] = np.where(side, 0.0, terms).cumsum(axis=1)
+            terms = np.where(side, terms, 0.0)
+        sums[:, :-1] += terms[:, ::-1].cumsum(axis=1)[:, ::-1]
+        k = int(np.count_nonzero(sums[0, :-1] - b * sums[1, :-1] >= 1.0))
+        return np.maximum(v - (sums[0, k] - 1.0) / sums[1, k] * e, 0.0)
+
+    return project
 
 
 def _vol_units(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -152,9 +170,10 @@ def _pgd_quadratic(
     if lam_max <= 0.0:
         return x, True  # zero quadratic: any point is optimal
     step = 1.0 / (2.0 * lam_max)
+    project = _hyperplane_projection(e)
     prev = float(x @ q @ x)
     for _ in range(MAX_ITER):
-        x = project_hyperplane(x - step * (2.0 * (q @ x)), e)
+        x = project(x - step * (2.0 * (q @ x)))
         cur = float(x @ q @ x)
         if abs(prev - cur) < OBJ_TOL:
             return x, True

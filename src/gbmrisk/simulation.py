@@ -18,12 +18,17 @@ identical for any chunk size, execution order or worker count.
 
 ``simulate`` splits the paths into ``workers`` contiguous ranges, by
 default one per CPU this process may run on, never more than there are
-chunks; ``workers=1`` forces a serial run. Each range is worked through in
-chunks of as many whole paths as fit in ``_CHUNK_NORMALS`` normals, and at
-least one: 256 paths at 252 steps x 3 assets, fewer with more assets or
-steps. A range's chunks reuse one pair of chunk-sized arrays, allocated
-before any thread starts, so per-thread memory stays bounded and within a
-2 MiB cache, and a wide run of few paths still splits into several chunks.
+chunks; ``workers=1`` forces a serial run. The default is one range, with
+no pool, when a path's shock product, (n_steps x n_assets) @ (n_assets x
+n_assets), takes more than ``_BLAS_THREADED_MACS`` multiply-adds: numpy's
+OpenBLAS then threads the product itself, and a pool on top of it is
+slower than one range (63 assets and up at 252 steps). Each range is
+worked through in chunks of as many whole paths as fit in
+``_CHUNK_NORMALS`` normals, and at least one: 256 paths at 252 steps x 3
+assets, fewer with more assets or steps. A range's chunks reuse one pair
+of chunk-sized arrays, allocated before any thread starts, so per-thread
+memory stays bounded and within a 2 MiB cache, and a wide run of few paths
+still splits into several chunks.
 """
 
 from __future__ import annotations
@@ -57,6 +62,11 @@ _PIVOT_TOL = 1e-10
 # (~1.5 MB each, so a chunk's shocks stay in a 2 MiB L2 cache) unless a
 # single path draws more, and how finely a wide run splits across threads.
 _CHUNK_NORMALS = 256 * 252 * 3
+# OpenBLAS (0.3.31, as numpy 2.4 bundles it) threads a matrix product of
+# more multiply-adds than this, and a pool on top of it ran slower than one
+# range on 2 CPUs. The crossover sat exactly here at 52, 100, 126 and 252
+# steps, so the cut-off is on the product, not on the asset count alone.
+_BLAS_THREADED_MACS = 1_000_000
 
 
 class SimulationError(ValueError):
@@ -285,14 +295,17 @@ def simulate(
 
     Deterministic given (params, config): the per-path streams make the
     output independent of chunking and of ``workers``: an int >= 1, or None
-    for one thread per CPU this process may run on.
+    for one thread per CPU this process may run on, or one thread in all
+    when each path's shock product takes more than ``_BLAS_THREADED_MACS``
+    multiply-adds, which BLAS threads.
     """
+    n_paths, n_steps, n_assets = config.n_paths, config.n_steps, params.n_assets
     if workers is None:
-        workers = _available_cpus()
+        blas_threaded = n_steps * n_assets**2 > _BLAS_THREADED_MACS
+        workers = 1 if blas_threaded else _available_cpus()
     else:
         check("workers", workers, SimulationError)
     kernel = _path_kernel(params, config)
-    n_paths, n_steps, n_assets = config.n_paths, config.n_steps, params.n_assets
     s0 = config.initial_prices
     chunk = max(1, _CHUNK_NORMALS // (n_steps * n_assets))
     workers = min(workers, -(-n_paths // chunk))

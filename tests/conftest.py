@@ -34,6 +34,14 @@ def random_psd(rng: np.random.Generator, n: int, rank: int | None = None,
     return (cov + cov.T) / 2.0
 
 
+def random_universe(n: int) -> MarketParams:
+    """n assets on random_psd(default_rng(n), n, scale=0.05), drifts spread
+    from 2% to 12%: the wide universes of the simulation and solver tests."""
+    cov = random_psd(np.random.default_rng(n), n, scale=0.05)
+    return make_params([f"T{i}" for i in range(n)],
+                       np.linspace(0.02, 0.12, n), cov)
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(1234)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -20,7 +21,7 @@ from gbmrisk.optimizer import (
     project_hyperplane,
 )
 
-from conftest import DATA_DIR, make_params, random_psd
+from conftest import DATA_DIR, make_params, random_psd, random_universe
 from oracles import (
     grid_oracle_min_variance,
     quad_form_double_sum,
@@ -30,6 +31,16 @@ from oracles import (
 
 def wv(tickers, values) -> WeightVector:
     return WeightVector(tuple(tickers), np.asarray(values, dtype=np.float64))
+
+
+def _equicorrelated_params(n: int = 50):
+    # rho = 0.6 with volatilities spread 20x
+    vols = np.geomspace(0.1, 2.0, n)
+    np.random.default_rng(5).shuffle(vols)
+    corr = np.full((n, n), 0.6)
+    np.fill_diagonal(corr, 1.0)
+    return make_params([f"T{i}" for i in range(n)], np.zeros(n),
+                       corr * np.outer(vols, vols))
 
 
 class TestWeightVector:
@@ -188,14 +199,9 @@ class TestMinVariance:
         # conditioned than the correlation matrix (fixed steps on it stop at
         # MAX_ITER here); the relative Frank-Wolfe gap (g.w - min g) /
         # w'Cov w, g = 2 Cov w, bounds the excess variance
-        n = 50
-        vols = np.geomspace(0.1, 2.0, n)
-        np.random.default_rng(5).shuffle(vols)
-        corr = np.full((n, n), 0.6)
-        np.fill_diagonal(corr, 1.0)
-        cov = corr * np.outer(vols, vols)
-        out = min_variance(make_params([f"T{i}" for i in range(n)],
-                                       np.zeros(n), cov))
+        params = _equicorrelated_params()
+        cov = params.cov
+        out = min_variance(params)
         assert out.warning is None
         w = out.weights.w
         g = 2.0 * cov @ w
@@ -325,6 +331,26 @@ class TestConvergenceWarning:
         params = estimate_params(log_returns(series))
         assert min_variance(params).warning is None
         assert max_sharpe(params).warning is None
+
+
+class TestSolverBits:
+    # sha256 of the weight bytes: a rewrite of the solver or its projection
+    # must leave every bit of these wide solves where it was, not just
+    # within a tolerance; r_f = 0.05 leaves 60 of the 200 excess returns
+    # negative, so max_sharpe projects onto a mixed-sign e
+    @pytest.mark.parametrize("solve, digest", [
+        (lambda: min_variance(random_universe(200)),
+         "52b7ab8da096abfb9f0d0fd212964d1b522b59331b259004f6bf8db401b04cee"),
+        (lambda: min_variance(_equicorrelated_params()),
+         "b2589e2410ce931272143948a3c0b3e66fc3602691260b98ffee9eaf26d70bce"),
+        (lambda: max_sharpe(random_universe(200), risk_free=0.05),
+         "461ca017b800067562bfb3eec5f5fbe626ca9d0408383686db3be385b6b48d44"),
+    ], ids=["mvp_200_random_psd", "mvp_50_equicorrelated",
+            "max_sharpe_200_mixed_sign"])
+    def test_weight_bytes_pinned(self, solve, digest):
+        out = solve()
+        assert out.warning is None
+        assert hashlib.sha256(out.weights.w.tobytes()).hexdigest() == digest
 
 
 class TestGridOracle:

@@ -22,7 +22,7 @@ from gbmrisk.simulation import (
     simulate,
 )
 
-from conftest import make_params, random_psd
+from conftest import make_params, random_psd, random_universe
 from oracles import draw_standard_normals, rebuilt_paths
 
 SQRT2 = 1.4142135623730951
@@ -32,6 +32,12 @@ def weights_for(params, values=None) -> WeightVector:
     n = params.n_assets
     w = np.full(n, 1.0 / n) if values is None else np.asarray(values)
     return WeightVector(params.tickers, w)
+
+
+def wide_inputs(n: int, **config):
+    """random_universe(n) and a SimConfig of equal weights on it."""
+    params = random_universe(n)
+    return params, SimConfig(weights=weights_for(params), **config)
 
 
 def cholesky_rowwise(cov: np.ndarray) -> np.ndarray:
@@ -302,11 +308,8 @@ class TestSimulate:
         # size tried below; the reference is a serial run in 4,096-path
         # chunks, and every path rebuilt in one kernel call
         n = request.param
-        cov = random_psd(np.random.default_rng(n), n, scale=0.05)
-        params = make_params([f"T{i}" for i in range(n)],
-                             np.linspace(0.02, 0.12, n), cov)
-        config = SimConfig(weights=weights_for(params), n_paths=4100,
-                           steps_per_year=12, seed=11)
+        params, config = wide_inputs(n, n_paths=4100, steps_per_year=12,
+                                     seed=11)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(simulation, "_CHUNK_NORMALS", 4096 * config.n_steps * n)
             return (params, config, simulate(params, config, workers=1),
@@ -358,32 +361,52 @@ class TestSimulate:
     @pytest.fixture(scope="class")
     def wide_run(self):
         # 100 paths x 200 assets x 252 steps: the benchmark's wide universe
-        n = 200
-        cov = random_psd(np.random.default_rng(n), n, scale=0.05)
-        params = make_params([f"T{i}" for i in range(n)],
-                             np.linspace(0.02, 0.12, n), cov)
-        return params, SimConfig(weights=weights_for(params), n_paths=100)
+        return wide_inputs(200, n_paths=100)
 
-    def test_few_wide_paths_split_across_workers(self, wide_run,
-                                                 monkeypatch):
-        # a chunk is sized in normals, so 100 paths of 200 assets make
-        # several chunks and two workers take them in a pool
-        params, config = wide_run
-        serial = simulate(params, config, workers=1)
-        pools = []
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        # every thread pool simulate starts, in order
+        started = []
 
         class SpyPool(simulation.ThreadPoolExecutor):
             def __init__(self, *args, **kwargs):
                 super().__init__(*args, **kwargs)
-                pools.append(self)
+                started.append(self)
 
         monkeypatch.setattr(simulation, "ThreadPoolExecutor", SpyPool)
+        return started
+
+    def test_few_wide_paths_split_across_workers(self, wide_run, pools):
+        # a chunk is sized in normals, so 100 paths of 200 assets make
+        # several chunks and two workers take them in a pool
+        params, config = wide_run
+        serial = simulate(params, config, workers=1)
+        assert not pools
         threaded = simulate(params, config, workers=2)
         assert len(pools) == 1
         assert np.array_equal(threaded.terminal_asset_prices,
                               serial.terminal_asset_prices)
         assert np.array_equal(threaded.terminal_portfolio_values,
                               serial.terminal_portfolio_values)
+
+    @pytest.mark.parametrize("steps, n_assets", [
+        (252, 62), (252, 63), (100, 100), (100, 101),
+    ])
+    def test_default_runs_serially_where_blas_threads(self, steps, n_assets,
+                                                      pools, monkeypatch):
+        # a path's shock product takes steps * n_assets**2 multiply-adds;
+        # past _BLAS_THREADED_MACS BLAS threads it, and the default starts
+        # no pool, on any CPU count; each pair of cases straddles the bound
+        monkeypatch.setattr(simulation, "_available_cpus", lambda: 2)
+        params, config = wide_inputs(n_assets, n_paths=40,
+                                     steps_per_year=steps)
+        pooled = steps * n_assets**2 <= simulation._BLAS_THREADED_MACS
+        assert pooled == (n_assets in (62, 100))
+        serial = simulate(params, config, workers=1)
+        default = simulate(params, config)
+        assert len(pools) == pooled
+        assert np.array_equal(default.terminal_asset_prices,
+                              serial.terminal_asset_prices)
 
     def test_chunk_memory_bounded_for_wide_runs(self, wide_run):
         # two chunk-sized float arrays stay near 12 MB whatever the shape;
