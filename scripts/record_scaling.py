@@ -6,14 +6,14 @@ with record_paths on, then write their reports (paths.csv included) to a
 temporary directory; three runs per count give a median and quartiles.
 Each child times the pipeline and the write and reports two peaks from its
 own resource accounting: its own peak RSS, and the largest peak among the
-processes it started and reaped, that is the paths.csv formatting
-processes, read after the write. A run that formats in one process starts
-none and reports 0 there. A forked worker's peak includes pages it shares
+processes it started and reaped, that is the simulation's and the
+paths.csv formatting processes, read after the write. A run that
+simulates and formats in one process starts none and reports 0 there. A forked worker's peak includes pages it shares
 with its parent, so the two peaks are not to be added.
 
 --workers W limits each child to the first W CPUs of this process's
-affinity mask, set before it imports gbmrisk; the simulation threads and
-the formatting processes follow that mask (default: every CPU this process
+affinity mask, set before it imports gbmrisk; the simulation and the
+formatting processes follow that mask (default: every CPU this process
 may use). Pass --src to measure another checkout's package, e.g. a parent
 commit unpacked with `git archive`, with the same script and settings.
 --json FILE merges the result into FILE under --label, in the format of

@@ -4,10 +4,16 @@
 Each shape runs 252 steps on a fixed random covariance with equal weights.
 After one warm-up run, five timed runs at workers=1 and at the default
 alternate which goes first; each setting reports its median and quartiles.
-The default is one thread per CPU this process may use, or one thread from
-63 assets up, where BLAS threads each path's shock product; the shapes at
-40 to 100 assets bracket that crossover. One more run per setting under
-tracemalloc gives the peak of traced allocations, numpy arrays included.
+The default is one process per CPU this process may use, this one and
+forked ones, or this process alone from 63 assets up, where BLAS threads
+each path's shock product; the shapes at 40 to 100 assets bracket that
+crossover. One more run per setting under tracemalloc gives the peak of
+traced allocations, numpy arrays included, in this process only; it
+cannot see a forked process. So one run per setting in a fresh child
+process reports two peaks from its resource accounting: its own peak RSS,
+and the largest peak among the processes it forked and reaped (0 when it
+forked none). A forked process's peak includes pages it shares with its
+parent, so the two peaks are not to be added.
 The record also names the numpy and Python versions, the CPU count and the
 commit measured.
 
@@ -39,6 +45,19 @@ N_STEPS = 252
 REPEATS = 5
 SEED = 42
 MB = 1e6
+
+# Runs in the child: argv is the package's directory, n_paths, n_assets and
+# workers (JSON, null for the default). Prints its two peaks, in bytes.
+CHILD = """
+import json, resource, sys
+sys.path.insert(0, sys.argv[1])
+from sim_scaling import inputs
+from gbmrisk.simulation import simulate
+params, config = inputs(int(sys.argv[2]), int(sys.argv[3]))
+simulate(params, config, workers=json.loads(sys.argv[4]))
+print(json.dumps([resource.getrusage(who).ru_maxrss * 1024  # KiB on Linux
+                  for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)]))
+"""
 
 
 def git_commit(src: Path) -> str:
@@ -84,10 +103,27 @@ def summary(runs: list[float]) -> dict:
     return {"median_s": median, "q1_s": q1, "q3_s": q3, "runs_s": runs}
 
 
+def child_peaks(src: Path, n_paths: int, n_assets: int,
+                workers: int | None) -> dict:
+    """One run of a shape in a fresh child process: its own peak RSS and
+    the largest among the processes it forked, in MB."""
+    done = subprocess.run(
+        [sys.executable, "-c", CHILD, str(src), str(n_paths), str(n_assets),
+         json.dumps(workers)],
+        cwd=Path(__file__).resolve().parent, stdout=subprocess.PIPE,
+        check=True,
+    )
+    own, forked = json.loads(done.stdout)
+    return {"peak_rss_mb": own / MB, "workers_peak_rss_mb": forked / MB}
+
+
 def measure(n_paths: int, n_assets: int) -> dict:
-    """Timings and tracemalloc peaks at workers=1 and at the default."""
+    """Timings, tracemalloc peaks and child-process RSS peaks at workers=1
+    and at the default, of the gbmrisk package this process imported."""
+    from gbmrisk import simulation
     from gbmrisk.simulation import simulate
 
+    src = Path(simulation.__file__).resolve().parents[1]
     params, config = inputs(n_paths, n_assets)
     settings = {"workers_1": 1, "workers_default": None}
     simulate(params, config, workers=None)  # warm-up
@@ -106,7 +142,8 @@ def measure(n_paths: int, n_assets: int) -> dict:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        row[name] = summary(runs[name]) | {"tracemalloc_peak_mb": peak / MB}
+        row[name] = (summary(runs[name]) | {"tracemalloc_peak_mb": peak / MB}
+                     | child_peaks(src, n_paths, n_assets, workers))
     return row
 
 
@@ -133,7 +170,8 @@ def main(argv: list[str] | None = None) -> int:
     }
     print(f"package: {src} ({record['commit']}), {record['cpus']} CPUs")
     header = (f"{'paths':>6} {'assets':>6} {'w=1 p50 s':>10} {'default p50 s':>13}"
-              f" {'w=1 peak MB':>11} {'default peak MB':>15}")
+              f" {'w=1 peak MB':>11} {'default peak MB':>15}"
+              f" {'default RSS MB':>14} {'forked RSS MB':>13}")
     print(header)
     print("-" * len(header))
     for n_paths, n_assets in SHAPES:
@@ -142,7 +180,9 @@ def main(argv: list[str] | None = None) -> int:
         one, default = row["workers_1"], row["workers_default"]
         print(f"{n_paths:>6} {n_assets:>6} {one['median_s']:>10.3f} "
               f"{default['median_s']:>13.3f} {one['tracemalloc_peak_mb']:>11.1f} "
-              f"{default['tracemalloc_peak_mb']:>15.1f}", flush=True)
+              f"{default['tracemalloc_peak_mb']:>15.1f} "
+              f"{default['peak_rss_mb']:>14.1f} "
+              f"{default['workers_peak_rss_mb']:>13.1f}", flush=True)
 
     if args.json:
         path = Path(args.json)

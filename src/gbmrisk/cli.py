@@ -268,7 +268,9 @@ def _choose_weights(config: RunConfig, params: MarketParams) -> OptimizerOutput:
 
 def run_pipeline(config: RunConfig) -> PipelineResult:
     """Execute load -> align -> returns -> estimate -> optimize ->
-    simulate -> risk and assemble the report."""
+    simulate -> risk and assemble the report. ``simulate`` runs on one
+    process per CPU this process may run on; on Linux this forks the
+    calling process."""
     series = _load(config)
     params = _fit(config, series)
     chosen = _stage("optimize", _choose_weights, config, params)
@@ -331,7 +333,7 @@ def write_report_files(result: PipelineResult, out_dir: Path) -> list[Path]:
 
     paths.csv is formatted on one process per CPU this process may run on,
     with the same bytes for any count; on Linux this forks the calling
-    process.
+    process through ``gbmrisk.forking.run_forked``, as ``simulate`` does.
     """
     written = []
     report_path = out_dir / "report.json"

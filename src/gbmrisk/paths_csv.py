@@ -9,23 +9,22 @@ bytes are the same for any block size or number of processes. A rebuilt
 path's last step equals ``simulate``'s terminal prices bitwise.
 
 On Linux, with more than one CPU and more than one block, the blocks are
-formatted in forked processes, one per CPU this process may run on and at
-most one per block, and the writing process copies their rows to the file
-in order, 64 KiB at a time; it holds no block, whatever the process count.
-Elsewhere, or on one CPU or with one block, the writing process formats the
-blocks itself, one at a time.
+formatted in forked processes through ``gbmrisk.forking.run_forked``, the
+routine ``simulate`` shares, one process per CPU this process may run on
+and at most one per block; the writing process copies their rows to the
+file in order, 64 KiB at a time, and holds no block, whatever the process
+count. Elsewhere, or on one CPU or with one block, the writing process
+formats the blocks itself, one at a time.
 """
 
 from __future__ import annotations
 
-import os
-import pickle
-import sys
-import traceback
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
+from . import forking
 from .estimation import MarketParams
 from .simulation import SimConfig, _available_cpus, _path_kernel
 
@@ -82,93 +81,24 @@ def write_paths_csv(params: MarketParams, sim_config: SimConfig,
     block = _block_paths(sim_config, params.n_assets)
     starts = range(0, sim_config.n_paths, block)
     format_block = _block_formatter(params, sim_config, block)
-    workers = min(_available_cpus(), len(starts))
+    workers = forking.process_count(min(_available_cpus(), len(starts)))
     with open(path, "wb") as handle:
         handle.write(b"path,step,ticker,price\n")
-        # fork hands the kernel over without re-importing numpy per write;
-        # it is the safe default start method on Linux only
-        if workers == 1 or sys.platform != "linux":
+        if workers == 1:
             for start in starts:
                 handle.write(format_block(start))
         else:
-            _write_forked(handle, format_block, starts, workers)
+            forking.run_forked(format_block, starts, workers,
+                               partial(_copy_block, handle))
 
 
-# Bytes before each block a formatting process sends: the block's length,
-# or minus the length of the pickled (exception, traceback) it raised.
-_HEADER = 8
 _COPY_BYTES = 1 << 16  # the most of a block this process holds at a time
 
 
-def _write_forked(handle, format_block, starts: range, workers: int) -> None:
-    """Write the blocks at ``starts`` to ``handle`` in order, formatted in
-    ``workers`` forked processes: process w formats blocks w, w + workers,
-    ... and sends each down its own pipe, where it waits until this process
-    has copied the blocks before it. Every process is reaped before this
-    returns or raises."""
-    pids, pipes = [], []
-    try:
-        for w in range(workers):
-            read_fd, write_fd = os.pipe()
-            pipes.append(open(read_fd, "rb"))
-            try:
-                pid = os.fork()
-                if pid == 0:
-                    try:
-                        # holding no read end, it gets EPIPE if this dies
-                        for pipe in pipes:
-                            pipe.close()
-                        _send_blocks(write_fd, format_block, starts[w::workers])
-                    finally:
-                        os._exit(1)  # never return into the caller's stack
-            finally:
-                os.close(write_fd)
-            pids.append(pid)
-        for i in range(len(starts)):
-            _copy_block(pipes[i % workers], handle, pids[i % workers])
-    finally:
-        # after a failure, a process still sending gets EPIPE and exits
-        for pipe in pipes:
-            pipe.close()
-        for pid in pids:
-            os.waitpid(pid, 0)
-
-
-def _send_blocks(fd: int, format_block, starts: range) -> None:
-    """In a formatting process: send each block's rows, or what it raised,
-    down pipe ``fd``, then exit."""
-    with open(fd, "wb") as pipe:
-        try:
-            for start in starts:
-                rows = format_block(start)
-                pipe.write(len(rows).to_bytes(_HEADER, "little", signed=True))
-                pipe.write(rows)
-        except Exception as exc:
-            error = pickle.dumps((exc, traceback.format_exc()))
-            pipe.write((-len(error)).to_bytes(_HEADER, "little", signed=True))
-            pipe.write(error)
-    os._exit(0)
-
-
-def _copy_block(pipe, handle, pid: int) -> None:
-    """Copy the next block from formatting process ``pid``'s ``pipe`` to
-    ``handle``; raise what the process raised, or ChildProcessError when it
-    ended early."""
-    size = int.from_bytes(_read(pipe, _HEADER, pid), "little", signed=True)
-    if size < 0:
-        error, trace = pickle.loads(_read(pipe, -size, pid))
-        raise error from ChildProcessError(
-            f"in paths.csv formatting process {pid}:\n{trace}")
+def _copy_block(handle, start: int, size: int, read) -> None:
+    """Copy the ``size`` bytes of the block at ``start``, which ``read``
+    returns, to ``handle``."""
     while size:
-        chunk = _read(pipe, min(size, _COPY_BYTES), pid)
+        chunk = read(min(size, _COPY_BYTES))
         handle.write(chunk)
         size -= len(chunk)
-
-
-def _read(pipe, size: int, pid: int) -> bytes:
-    """Exactly ``size`` bytes from ``pipe``."""
-    data = pipe.read(size)
-    if len(data) < size:
-        raise ChildProcessError(
-            f"paths.csv formatting process {pid} ended before its block")
-    return data

@@ -18,28 +18,35 @@ identical for any chunk size, execution order or worker count.
 
 ``simulate`` splits the paths into ``workers`` contiguous ranges, by
 default one per CPU this process may run on, never more than there are
-chunks; ``workers=1`` forces a serial run. The default is one range, with
-no pool, when a path's shock product, (n_steps x n_assets) @ (n_assets x
+chunks; ``workers=1`` forces a serial run. The calling process works
+through the first range itself and forks one process for each other range
+(``gbmrisk.forking.run_forked``), which sends its paths' summed
+log-increments back down a pipe; every process is reaped before ``simulate``
+returns or raises. Each process draws on its own interpreter, so the
+per-path re-keying does not queue on one lock. Off Linux, where fork
+without exec is unsafe, the run is serial. The default is one range, and
+no fork, when a path's shock product, (n_steps x n_assets) @ (n_assets x
 n_assets), takes more than ``_BLAS_THREADED_MACS`` multiply-adds: numpy's
-OpenBLAS then threads the product itself, and a pool on top of it is
-slower than one range (63 assets and up at 252 steps). Each range is
+OpenBLAS then threads the product itself, and a process per CPU on top of
+it is slower than one range (63 assets and up at 252 steps). Each range is
 worked through in chunks of as many whole paths as fit in
 ``_CHUNK_NORMALS`` normals, and at least one: 256 paths at 252 steps x 3
-assets, fewer with more assets or steps. A range's chunks reuse one pair
-of chunk-sized arrays, allocated before any thread starts, so per-thread
-memory stays bounded and within a 2 MiB cache, and a wide run of few paths
-still splits into several chunks.
+assets, fewer with more assets or steps. One pair of chunk-sized arrays,
+allocated before the fork, serves every chunk of a range, each process
+writing its own copy-on-write copy, so a process's memory stays bounded
+and within a 2 MiB cache, and a wide run of few paths still splits into
+several chunks.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
 
+from . import forking
 from .estimation import MarketParams
 from .optimizer import WeightVector
 from .rules import RULES, check, step_count
@@ -58,12 +65,12 @@ PSD_JITTERS = (0.0, 1e-12, 1e-10, 1e-8)
 _PIVOT_TOL = 1e-10
 # Normals per vectorized block: a chunk is max(1, _CHUNK_NORMALS //
 # (n_steps * n_assets)) whole paths. Results do not depend on it; it sets
-# per-thread memory, two reused arrays of at most _CHUNK_NORMALS floats
+# per-process memory, two reused arrays of at most _CHUNK_NORMALS floats
 # (~1.5 MB each, so a chunk's shocks stay in a 2 MiB L2 cache) unless a
-# single path draws more, and how finely a wide run splits across threads.
+# single path draws more, and how finely a wide run splits across processes.
 _CHUNK_NORMALS = 256 * 252 * 3
 # OpenBLAS (0.3.31, as numpy 2.4 bundles it) threads a matrix product of
-# more multiply-adds than this, and a pool on top of it ran slower than one
+# more multiply-adds than this, and workers on top of it ran slower than one
 # range on 2 CPUs. The crossover sat exactly here at 52, 100, 126 and 252
 # steps, so the cut-off is on the product, not on the asset count alone.
 _BLAS_THREADED_MACS = 1_000_000
@@ -213,8 +220,8 @@ def _available_cpus() -> int:
 def _path_normals(seed: int):
     """``fill(start, z)``: z[i] gets the normals of path start + i, step-major.
 
-    One bit generator serves every call, so a thread must have its own
-    filler. Assigning this state before each path re-keys it to (seed, p)
+    One bit generator serves every call; a forked process re-keys its own
+    copy. Assigning this state before each path re-keys it to (seed, p)
     with a zero counter and an empty buffer, the state Philox(key=(seed, p))
     starts in. Lists of Python ints assign faster than uint64 arrays.
     """
@@ -295,9 +302,11 @@ def simulate(
 
     Deterministic given (params, config): the per-path streams make the
     output independent of chunking and of ``workers``: an int >= 1, or None
-    for one thread per CPU this process may run on, or one thread in all
+    for one process per CPU this process may run on, or one process in all
     when each path's shock product takes more than ``_BLAS_THREADED_MACS``
-    multiply-adds, which BLAS threads.
+    multiply-adds, which BLAS threads. The calling process works the first
+    range and forks one process per other range, on Linux only; what a
+    forked range raises is raised here.
     """
     n_paths, n_steps, n_assets = config.n_paths, config.n_steps, params.n_assets
     if workers is None:
@@ -308,21 +317,19 @@ def simulate(
     kernel = _path_kernel(params, config)
     s0 = config.initial_prices
     chunk = max(1, _CHUNK_NORMALS // (n_steps * n_assets))
-    workers = min(workers, -(-n_paths // chunk))
+    workers = forking.process_count(min(workers, -(-n_paths // chunk)))
     bounds = [n_paths * w // workers for w in range(workers + 1)]
+    ranges = list(zip(bounds[:-1], bounds[1:]))
     chunk = min(chunk, -(-n_paths // workers))  # no range holds more paths
-    # Each range's chunks reuse one pair of arrays. They are allocated here,
-    # not in the worker threads, whose malloc arenas would keep the memory;
-    # the result comes first and is finished in place, so nothing that
-    # outlives this call sits above them on the heap.
+    # The result comes first and is finished in place, so nothing that
+    # outlives this call sits above the chunk arrays on the heap.
     terminal = np.empty((n_paths, n_assets))
     size = chunk * n_steps * n_assets
-    scratch = [(np.empty(size), np.empty(size)) for _ in range(workers)]
+    normals, steps = np.empty(size), np.empty(size)
     drift = np.tile(kernel.drift, chunk)
+    fill = _path_normals(config.seed)
 
-    def run_range(start: int, stop: int, buffers) -> None:
-        normals, steps = buffers
-        fill = _path_normals(config.seed)
+    def run_range(start: int, stop: int) -> None:
         for lo in range(start, stop, chunk):
             n = min(chunk, stop - lo)
             z = normals[:n * n_steps * n_assets].reshape(n, n_steps, n_assets)
@@ -335,11 +342,18 @@ def simulate(
             rows += drift[:n * n_assets]
             _fold_steps(rows, terminal[lo:lo + n].reshape(-1))
 
+    def forked_range(paths: tuple[int, int]) -> np.ndarray:
+        run_range(*paths)
+        return terminal[slice(*paths)]
+
+    def receive(paths: tuple[int, int], size: int, read) -> None:
+        terminal[slice(*paths)].reshape(-1)[:] = np.frombuffer(read(size))
+
     if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run_range, bounds[:-1], bounds[1:], scratch))
+        forking.run_forked(forked_range, ranges[1:], workers - 1, receive,
+                           local=lambda: run_range(*ranges[0]))
     else:
-        run_range(0, n_paths, scratch[0])
+        run_range(0, n_paths)
 
     np.exp(terminal, out=terminal)
     terminal *= s0
@@ -353,4 +367,3 @@ def simulate(
         config_echo=config,
         jitter=kernel.jitter,
     )
-

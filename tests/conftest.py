@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,12 @@ import pytest
 from gbmrisk.estimation import MarketParams
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
+
+
+def assert_no_children() -> None:
+    """Every process this one started has been reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def make_params(

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gbmrisk import cli, paths_csv, simulation
+from gbmrisk import cli, forking, paths_csv, simulation
 from gbmrisk.cli import (
     PORTFOLIO_MODES,
     PipelineError,
@@ -42,7 +42,7 @@ from gbmrisk.optimizer import WeightVector
 from gbmrisk.risk import RiskError, build_report, rolling_var_backtest
 from gbmrisk.simulation import SimConfig, SimulationError, simulate
 
-from conftest import DATA_DIR, make_params
+from conftest import DATA_DIR, assert_no_children, make_params
 from oracles import rebuilt_paths, reference_paths_csv
 
 
@@ -898,12 +898,6 @@ class TestPathsCsv:
         """Make the writer see ``cpus`` CPUs, whatever the machine has."""
         monkeypatch.setattr(paths_csv, "_available_cpus", lambda: cpus)
 
-    @staticmethod
-    def assert_no_children() -> None:
-        """Every process this one started has been reaped."""
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-
     @pytest.mark.parametrize("workers", [1, 2, None])
     @pytest.mark.parametrize("blocks, extra", [
         (0, 1), (1, -1), (1, 0), (1, 1), (2, 3)])
@@ -961,7 +955,7 @@ class TestPathsCsv:
         cli.write_report_files(result, tmp_path)
         expected = (tmp_path / "paths.csv").read_bytes()
         monkeypatch.setattr(os, "fork", no_fork)
-        monkeypatch.setattr(paths_csv.sys, "platform", "darwin")
+        monkeypatch.setattr(sys, "platform", "darwin")
         cli.write_report_files(result, tmp_path)
         assert (tmp_path / "paths.csv").read_bytes() == expected
 
@@ -980,7 +974,7 @@ class TestPathsCsv:
             cli.write_report_files(recorded(100), tmp_path)
         assert err.value.args[0] != os.getpid()  # raised in a child
         assert "BlockFailed" in str(err.value.__cause__)  # its traceback
-        self.assert_no_children()
+        assert_no_children()
 
     def test_worker_that_dies_is_reported(self, recorded, tmp_path,
                                           monkeypatch):
@@ -999,7 +993,7 @@ class TestPathsCsv:
         self.on_cpus(monkeypatch, 2)
         with pytest.raises(ChildProcessError, match="ended before its block"):
             cli.write_report_files(recorded(100), tmp_path)
-        self.assert_no_children()
+        assert_no_children()
 
     def test_writer_error_stops_the_workers(self, recorded, tmp_path,
                                             monkeypatch):
@@ -1018,7 +1012,7 @@ class TestPathsCsv:
         with pytest.raises(BlockFailed) as err:
             cli.write_report_files(recorded(100), tmp_path)
         assert err.value.args[0] == os.getpid()
-        self.assert_no_children()
+        assert_no_children()
 
     def test_pooled_write_leaves_no_children_or_warnings(self, recorded,
                                                           tmp_path,
@@ -1029,7 +1023,7 @@ class TestPathsCsv:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             cli.write_report_files(recorded(100), tmp_path)
-        self.assert_no_children()
+        assert_no_children()
 
     def test_writer_memory_is_bounded(self, tmp_path):
         # the all-rows writer peaks at ~22 MB here, in proportion to the file
@@ -1167,7 +1161,7 @@ def test_scaling_scripts_smoke(monkeypatch):
     sim_scaling = importlib.import_module("sim_scaling")
     record_scaling = importlib.import_module("record_scaling")
     for bench, rows, row in (
-        ("BENCH_9.json", "shapes", sim_scaling.measure(50, 3)),
+        ("BENCH_19.json", "shapes", sim_scaling.measure(50, 3)),
         ("BENCH_13.json", "rows", record_scaling.measure(
             root / "src", "data/crypto_like.csv", 20, 42, 1)),
     ):
@@ -1182,11 +1176,11 @@ def test_scaling_scripts_smoke(monkeypatch):
 def test_one_cpu_mask_runs_serially(tmp_path, monkeypatch):
     # the affinity mask is the one worker rule: on one CPU neither the
     # simulation (3 chunks here) nor the paths.csv writer (250 blocks)
-    # starts a thread pool or a process
+    # enters the fork routine or starts a process
     def refuse(*args, **kwargs):
         raise AssertionError("started a worker on one CPU")
 
-    monkeypatch.setattr(simulation, "ThreadPoolExecutor", refuse)
+    monkeypatch.setattr(forking, "run_forked", refuse)
     monkeypatch.setattr(os, "fork", refuse)
     config = RunConfig(price_csv=str(DATA_DIR / "crypto_like.csv"),
                        n_paths=3_000, record_paths=True)

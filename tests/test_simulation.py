@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import math
+import os
+import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
-from gbmrisk import simulation
+from gbmrisk import forking, simulation
 from gbmrisk.optimizer import WeightVector
 from gbmrisk.simulation import (
     CholeskyError,
@@ -22,7 +25,8 @@ from gbmrisk.simulation import (
     simulate,
 )
 
-from conftest import make_params, random_psd, random_universe
+from conftest import (assert_no_children, make_params, random_psd,
+                      random_universe)
 from oracles import draw_standard_normals, rebuilt_paths
 
 SQRT2 = 1.4142135623730951
@@ -38,6 +42,10 @@ def wide_inputs(n: int, **config):
     """random_universe(n) and a SimConfig of equal weights on it."""
     params = random_universe(n)
     return params, SimConfig(weights=weights_for(params), **config)
+
+
+class RangeFailed(Exception):
+    """Raised inside a simulated range; carries the raising process's pid."""
 
 
 def cholesky_rowwise(cov: np.ndarray) -> np.ndarray:
@@ -279,11 +287,11 @@ class TestSimulate:
         config = SimConfig(weights=weights_for(three_asset_params),
                            n_paths=9000, seed=7)
         serial = simulate(three_asset_params, config, workers=1)
-        threaded = simulate(three_asset_params, config, workers=5)
+        forked = simulate(three_asset_params, config, workers=5)
         assert np.array_equal(serial.terminal_asset_prices,
-                              threaded.terminal_asset_prices)
+                              forked.terminal_asset_prices)
         assert np.array_equal(serial.terminal_portfolio_values,
-                              threaded.terminal_portfolio_values)
+                              forked.terminal_portfolio_values)
 
     @pytest.mark.parametrize("workers", [0, -3, True, 2.0, "2"])
     def test_bad_worker_count_rejected(self, three_asset_params, workers):
@@ -295,9 +303,9 @@ class TestSimulate:
                                          monkeypatch):
         # workers are clamped to the chunk count, so one chunk runs serially
         def no_pool(*args, **kwargs):
-            raise AssertionError("a single-chunk run started a thread pool")
+            raise AssertionError("a single-chunk run forked")
 
-        monkeypatch.setattr(simulation, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(forking, "run_forked", no_pool)
         config = SimConfig(weights=weights_for(three_asset_params), n_paths=100)
         result = simulate(three_asset_params, config, workers=8)
         assert result.terminal_asset_prices.shape == (100, 3)
@@ -365,28 +373,29 @@ class TestSimulate:
 
     @pytest.fixture
     def pools(self, monkeypatch):
-        # every thread pool simulate starts, in order
+        # the process count of every forked run simulate starts, in order
         started = []
+        real = forking.run_forked
 
-        class SpyPool(simulation.ThreadPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                started.append(self)
+        def spy(produce, parts, processes, consume, local=None):
+            started.append(processes + (local is not None))
+            real(produce, parts, processes, consume, local)
 
-        monkeypatch.setattr(simulation, "ThreadPoolExecutor", SpyPool)
+        monkeypatch.setattr(forking, "run_forked", spy)
         return started
 
     def test_few_wide_paths_split_across_workers(self, wide_run, pools):
         # a chunk is sized in normals, so 100 paths of 200 assets make
-        # several chunks and two workers take them in a pool
+        # several chunks and two workers, this process and a forked one,
+        # take them
         params, config = wide_run
         serial = simulate(params, config, workers=1)
         assert not pools
-        threaded = simulate(params, config, workers=2)
-        assert len(pools) == 1
-        assert np.array_equal(threaded.terminal_asset_prices,
+        forked = simulate(params, config, workers=2)
+        assert pools == [2]
+        assert np.array_equal(forked.terminal_asset_prices,
                               serial.terminal_asset_prices)
-        assert np.array_equal(threaded.terminal_portfolio_values,
+        assert np.array_equal(forked.terminal_portfolio_values,
                               serial.terminal_portfolio_values)
 
     @pytest.mark.parametrize("steps, n_assets", [
@@ -396,7 +405,7 @@ class TestSimulate:
                                                       pools, monkeypatch):
         # a path's shock product takes steps * n_assets**2 multiply-adds;
         # past _BLAS_THREADED_MACS BLAS threads it, and the default starts
-        # no pool, on any CPU count; each pair of cases straddles the bound
+        # no process, on any CPU count; each pair of cases straddles the bound
         monkeypatch.setattr(simulation, "_available_cpus", lambda: 2)
         params, config = wide_inputs(n_assets, n_paths=40,
                                      steps_per_year=steps)
@@ -404,7 +413,7 @@ class TestSimulate:
         assert pooled == (n_assets in (62, 100))
         serial = simulate(params, config, workers=1)
         default = simulate(params, config)
-        assert len(pools) == pooled
+        assert pools == ([2] if pooled else [])
         assert np.array_equal(default.terminal_asset_prices,
                               serial.terminal_asset_prices)
 
@@ -422,8 +431,8 @@ class TestSimulate:
 
     def test_chunk_memory_bounded_at_the_default_shape(self,
                                                        three_asset_params):
-        # each of two threads reuses two ~1.5 MB chunk arrays; a fresh pair
-        # per chunk in flight would hold ~25 MB
+        # each of two processes reuses two ~1.5 MB chunk arrays; a fresh
+        # pair per chunk in flight would hold ~25 MB
         config = SimConfig(weights=weights_for(three_asset_params))
         tracemalloc.start()
         try:
@@ -521,3 +530,94 @@ class TestSimulate:
         sigma = three_asset_params.sigma
         target_corr = three_asset_params.cov / np.outer(sigma, sigma)
         assert np.max(np.abs(sample_corr - target_corr)) < 0.05
+
+
+class TestForkedSimulate:
+    """The default run on two CPUs: this process works the first range and
+    a forked process the second."""
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        # the pid of every process forked, as this process sees it
+        monkeypatch.setattr(simulation, "_available_cpus", lambda: 2)
+        pids = []
+        real = os.fork
+
+        def spy():
+            pid = real()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", spy)
+        return pids
+
+    @pytest.mark.parametrize("n_paths, n_assets", [(10_000, 3), (1_000, 10)])
+    def test_forked_run_equals_serial_bitwise(self, n_paths, n_assets,
+                                              forks):
+        params, config = wide_inputs(n_assets, n_paths=n_paths, seed=5)
+        serial = simulate(params, config, workers=1)
+        assert not forks
+        forked = simulate(params, config)
+        assert len(forks) == 1
+        assert np.array_equal(forked.terminal_asset_prices,
+                              serial.terminal_asset_prices)
+        assert np.array_equal(forked.terminal_portfolio_values,
+                              serial.terminal_portfolio_values)
+        assert_no_children()
+
+    @pytest.mark.parametrize("in_child", [True, False])
+    def test_range_error_surfaces_and_leaves_no_children(self, in_child,
+                                                         forks, monkeypatch):
+        # a forked range's error is re-raised here, from its traceback; one
+        # raised in this process's range still reaps the forked one
+        caller = os.getpid()
+        real = simulation._path_normals
+
+        def failing_normals(seed):
+            fill = real(seed)
+
+            def fill_or_fail(start, z):
+                if (os.getpid() != caller) == in_child:
+                    raise RangeFailed(os.getpid())
+                fill(start, z)
+
+            return fill_or_fail
+
+        monkeypatch.setattr(simulation, "_path_normals", failing_normals)
+        params, config = wide_inputs(3, n_paths=1_000)
+        with pytest.raises(RangeFailed) as err:
+            simulate(params, config)
+        assert len(forks) == 1
+        assert (err.value.args[0] != caller) == in_child
+        if in_child:
+            assert err.value.args[0] == forks[0]
+            cause = str(err.value.__cause__)
+            assert "Traceback" in cause and "RangeFailed" in cause
+        assert_no_children()
+
+    def test_forked_run_raises_no_warning(self, forks):
+        # Python 3.12+ warns when it forks a process that runs threads
+        params, config = wide_inputs(3, n_paths=2_000)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            simulate(params, config)
+        assert len(forks) == 1
+        assert_no_children()
+
+    def test_no_fork_off_linux(self, forks, monkeypatch):
+        # fork without exec is unsafe on other platforms (macOS among them)
+        params, config = wide_inputs(3, n_paths=2_000)
+        expected = simulate(params, config)
+        assert len(forks) == 1
+
+        def no_fork():
+            raise AssertionError("forked off Linux")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        monkeypatch.setattr(sys, "platform", "darwin")
+        result = simulate(params, config)
+        assert np.array_equal(result.terminal_asset_prices,
+                              expected.terminal_asset_prices)
+        assert np.array_equal(result.terminal_portfolio_values,
+                              expected.terminal_portfolio_values)
