@@ -5,14 +5,15 @@ Each shape runs 252 steps on a fixed random covariance with equal weights.
 After one warm-up run, five timed runs at workers=1 and at the default
 alternate which goes first; each setting reports its median and quartiles.
 The default is one process per CPU this process may use, this one and
-forked ones, or this process alone from 63 assets up, where BLAS threads
-each path's shock product; the shapes at 40 to 100 assets bracket that
-crossover. One more run per setting under tracemalloc gives the peak of
-traced allocations, numpy arrays included, in this process only; it
-cannot see a forked process. So one run per setting in a fresh child
-process reports two peaks from its resource accounting: its own peak RSS,
-and the largest peak among the processes it forked and reaped (0 when it
-forked none). A forked process's peak includes pages it shares with its
+forked ones, at every shape here. From 63 assets up, where BLAS would
+thread each path's 252-step shock product, that product is computed in
+step slices small enough to run on one thread; the shapes at 40 to 100
+assets bracket where the slicing starts. One more run per setting under
+tracemalloc gives the peak of traced allocations, numpy arrays included,
+in this process only; it cannot see a forked process. So one run per
+setting in a fresh child process reports two peaks from its resource
+accounting: its own peak RSS, and the largest peak among the processes it
+forked and reaped (0 when it forked none). A forked process's peak includes pages it shares with its
 parent, so the two peaks are not to be added.
 The record also names the numpy and Python versions, the CPU count and the
 commit measured.
@@ -40,7 +41,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SHAPES = ((10_000, 3), (1_000, 10), (1_000, 40), (1_000, 50), (1_000, 60),
-          (1_000, 80), (1_000, 100), (100, 200), (1_000, 200))
+          (1_000, 80), (1_000, 100), (100, 200), (100, 300), (1_000, 200))
 N_STEPS = 252
 REPEATS = 5
 SEED = 42

@@ -24,12 +24,18 @@ through the first range itself and forks one process for each other range
 log-increments back down a pipe; every process is reaped before ``simulate``
 returns or raises. Each process draws on its own interpreter, so the
 per-path re-keying does not queue on one lock. Off Linux, where fork
-without exec is unsafe, the run is serial. The default is one range, and
-no fork, when a path's shock product, (n_steps x n_assets) @ (n_assets x
-n_assets), takes more than ``_BLAS_THREADED_MACS`` multiply-adds: numpy's
-OpenBLAS then threads the product itself, and a process per CPU on top of
-it is slower than one range (63 assets and up at 252 steps). Each range is
-worked through in chunks of as many whole paths as fit in
+without exec is unsafe, the run is serial.
+
+A path's shock product, (n_steps x n_assets) @ (n_assets x n_assets), is
+computed in near-equal consecutive step slices, planned once per run, of
+at most max(2, ``_BLAS_THREADED_MACS`` // n_assets**2) rows each: a single
+product wherever the whole path fits (n_steps x n_assets**2 <= 1e6, the
+fixtures among them). numpy's OpenBLAS runs a product that small on one
+thread, so a wide run forks like a narrow one, and its bits do not depend
+on the CPU count. Only past 707 assets, where even two rows cross the
+bound, is the default one range.
+
+Each range is worked through in chunks of as many whole paths as fit in
 ``_CHUNK_NORMALS`` normals, and at least one: 256 paths at 252 steps x 3
 assets, fewer with more assets or steps. One pair of chunk-sized arrays,
 allocated before the fork, serves every chunk of a range, each process
@@ -70,9 +76,9 @@ _PIVOT_TOL = 1e-10
 # single path draws more, and how finely a wide run splits across processes.
 _CHUNK_NORMALS = 256 * 252 * 3
 # OpenBLAS (0.3.31, as numpy 2.4 bundles it) threads a matrix product of
-# more multiply-adds than this, and workers on top of it ran slower than one
-# range on 2 CPUs. The crossover sat exactly here at 52, 100, 126 and 252
-# steps, so the cut-off is on the product, not on the asset count alone.
+# more multiply-adds than this, and its bits then depend on the CPU count;
+# a product at most this size runs on one thread. A path's shock product is
+# cut into step slices under it, so the run splits across processes instead.
 _BLAS_THREADED_MACS = 1_000_000
 
 
@@ -210,6 +216,16 @@ def _repair_and_factor(cov: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
     )
 
 
+def _step_slices(n_steps: int, n_assets: int) -> tuple[slice, ...]:
+    """Near-equal consecutive slices of a path's steps, each of at most
+    max(2, ``_BLAS_THREADED_MACS`` // n_assets**2) rows; one slice, the
+    whole path, wherever it fits."""
+    rows = max(2, _BLAS_THREADED_MACS // n_assets**2)
+    k = -(-n_steps // rows)
+    bounds = [n_steps * i // k for i in range(k + 1)]
+    return tuple(slice(a, b) for a, b in zip(bounds[:-1], bounds[1:]))
+
+
 def _available_cpus() -> int:
     """CPUs this process may run on (its affinity mask where supported)."""
     if hasattr(os, "sched_getaffinity"):
@@ -249,7 +265,8 @@ def _path_normals(seed: int):
 @dataclass(frozen=True)
 class _PathKernel:
     """One run's log-increments: step k of path p is ``drift + sqrt_dt *
-    (z_k @ l_t)``, z_k being the k-th row of path p's normals."""
+    (z_k @ l_t)``, z_k being the k-th row of path p's normals; ``slices``
+    are the step slices the shock product is computed in."""
 
     jitter: float
     l_t: np.ndarray
@@ -257,13 +274,21 @@ class _PathKernel:
     drift: np.ndarray
     seed: int
     n_steps: int
+    slices: tuple[slice, ...]
+
+    def shock_product(self, z: np.ndarray, out: np.ndarray) -> None:
+        """``out`` = ``z @ l_t`` for normals z of shape (paths, n_steps,
+        n_assets), one product per step slice."""
+        for s in self.slices:
+            np.matmul(z[:, s], self.l_t, out=out[:, s])
 
     def cum_log(self, start: int, stop: int) -> np.ndarray:
         """Cumulative log-increments of paths [start, stop), shape
         (stop - start, n_steps, n_assets)."""
         z = np.empty((stop - start, self.n_steps, len(self.drift)))
         _path_normals(self.seed)(start, z)
-        out = z @ self.l_t
+        out = np.empty_like(z)
+        self.shock_product(z, out)
         out *= self.sqrt_dt
         out += self.drift
         np.cumsum(out, axis=1, out=out)
@@ -282,6 +307,7 @@ def _path_kernel(params: MarketParams, config: SimConfig) -> _PathKernel:
         drift=(params.mu - params.sigma**2 / 2.0) * config.dt,
         seed=config.seed,
         n_steps=config.n_steps,
+        slices=_step_slices(config.n_steps, params.n_assets),
     )
 
 
@@ -303,14 +329,14 @@ def simulate(
     Deterministic given (params, config): the per-path streams make the
     output independent of chunking and of ``workers``: an int >= 1, or None
     for one process per CPU this process may run on, or one process in all
-    when each path's shock product takes more than ``_BLAS_THREADED_MACS``
-    multiply-adds, which BLAS threads. The calling process works the first
-    range and forks one process per other range, on Linux only; what a
-    forked range raises is raised here.
+    past 707 assets, where even a two-step slice of the shock product takes
+    more than ``_BLAS_THREADED_MACS`` multiply-adds, which BLAS threads. The
+    calling process works the first range and forks one process per other
+    range, on Linux only; what a forked range raises is raised here.
     """
     n_paths, n_steps, n_assets = config.n_paths, config.n_steps, params.n_assets
     if workers is None:
-        blas_threaded = n_steps * n_assets**2 > _BLAS_THREADED_MACS
+        blas_threaded = 2 * n_assets**2 > _BLAS_THREADED_MACS
         workers = 1 if blas_threaded else _available_cpus()
     else:
         check("workers", workers, SimulationError)
@@ -336,7 +362,7 @@ def simulate(
             fill(lo, z)
             shocks = steps[:z.size].reshape(n_steps, n, n_assets)
             # step-major, so each step's shocks are one contiguous row
-            np.matmul(z, kernel.l_t, out=shocks.transpose(1, 0, 2))
+            kernel.shock_product(z, shocks.transpose(1, 0, 2))
             rows = shocks.reshape(n_steps, n * n_assets)
             rows *= kernel.sqrt_dt
             rows += drift[:n * n_assets]

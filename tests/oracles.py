@@ -90,9 +90,11 @@ def rebuilt_paths(params: MarketParams, config: SimConfig) -> np.ndarray:
     call over all of them, step 0 being the initial prices."""
     cum_log = _path_kernel(params, config).cum_log
     s0 = config.initial_prices
-    cum = cum_log(0, config.n_paths)
+    prices = cum_log(0, config.n_paths)
+    np.exp(prices, out=prices)
+    prices *= s0
     start = np.broadcast_to(s0, (config.n_paths, 1, len(s0)))
-    return np.concatenate([start, np.exp(cum) * s0], axis=1)
+    return np.concatenate([start, prices], axis=1)
 
 
 def reference_paths_csv(paths: np.ndarray, tickers: tuple[str, ...]) -> bytes:

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import math
 import os
+import pickle
+import subprocess
 import sys
 import tracemalloc
 import warnings
@@ -30,6 +32,18 @@ from conftest import (assert_no_children, make_params, random_psd,
 from oracles import draw_standard_normals, rebuilt_paths
 
 SQRT2 = 1.4142135623730951
+
+# A default simulate in a fresh interpreter whose affinity mask is the one
+# CPU argv[2], set before numpy loads OpenBLAS; argv[1] is the package's
+# directory. Reads pickled (params, config) and writes the terminal prices.
+ONE_CPU_SIMULATE = """
+import os, pickle, sys
+os.sched_setaffinity(0, {int(sys.argv[2])})
+sys.path.insert(0, sys.argv[1])
+from gbmrisk.simulation import simulate
+params, config = pickle.load(sys.stdin.buffer)
+sys.stdout.buffer.write(simulate(params, config).terminal_asset_prices.tobytes())
+"""
 
 
 def weights_for(params, values=None) -> WeightVector:
@@ -239,6 +253,23 @@ class TestSimConfig:
                 SimConfig(weights=w, seed=bad)
 
 
+class TestStepSlices:
+    """The step slices a path's shock product is computed in."""
+
+    @pytest.mark.parametrize("n_assets", [3, 62, 63, 100, 200, 300])
+    @pytest.mark.parametrize("n_steps", [1, 2, 52, 251, 252, 504])
+    def test_slices_cover_the_path_under_the_bound(self, n_steps, n_assets):
+        slices = simulation._step_slices(n_steps, n_assets)
+        steps = [k for s in slices for k in range(n_steps)[s]]
+        assert steps == list(range(n_steps))
+        bound = simulation._BLAS_THREADED_MACS
+        for s in slices:
+            rows = s.stop - s.start
+            assert rows * n_assets**2 <= bound
+            assert rows >= 2 or n_steps == 1
+        assert (len(slices) == 1) == (n_steps * n_assets**2 <= bound)
+
+
 class TestSimulate:
     def test_zero_volatility_is_deterministic_growth(self):
         params = make_params(("A",), [0.05], [[0.0]])
@@ -310,25 +341,26 @@ class TestSimulate:
         result = simulate(three_asset_params, config, workers=8)
         assert result.terminal_asset_prices.shape == (100, 3)
 
-    @pytest.fixture(scope="class", params=[3, 50])
+    @pytest.fixture(scope="class", params=[3, 50, 300])
     def chunk_reference(self, request):
         # 4,100 paths of 12 steps leave a partial last chunk at every chunk
         # size tried below; the reference is a serial run in 4,096-path
-        # chunks, and every path rebuilt in one kernel call
+        # chunks, and every path rebuilt in one kernel call, of which only
+        # the last step is kept; 300 assets take two step slices a path
         n = request.param
         params, config = wide_inputs(n, n_paths=4100, steps_per_year=12,
                                      seed=11)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(simulation, "_CHUNK_NORMALS", 4096 * config.n_steps * n)
             return (params, config, simulate(params, config, workers=1),
-                    rebuilt_paths(params, config))
+                    rebuilt_paths(params, config)[:, -1, :].copy())
 
     @pytest.mark.parametrize("workers", [1, 2, None])
     @pytest.mark.parametrize("chunk", [1, 333, 1024, 4096])
     def test_chunk_and_worker_invariance(self, chunk_reference, chunk,
                                          workers, monkeypatch):
         # the unit is sized in normals; these sizes give `chunk` paths each
-        params, config, reference, reference_paths = chunk_reference
+        params, config, reference, rebuilt_terminal = chunk_reference
         monkeypatch.setattr(simulation, "_CHUNK_NORMALS",
                             chunk * config.n_steps * params.n_assets)
         result = simulate(params, config, workers=workers)
@@ -336,8 +368,7 @@ class TestSimulate:
                               reference.terminal_asset_prices)
         # the rebuild depends on neither the chunk size nor the workers, so
         # the one rebuilt in the fixture checks every run's terminal prices
-        assert np.array_equal(reference_paths[:, -1, :],
-                              result.terminal_asset_prices)
+        assert np.array_equal(rebuilt_terminal, result.terminal_asset_prices)
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("chunk", [1, 4])
@@ -399,23 +430,42 @@ class TestSimulate:
                               serial.terminal_portfolio_values)
 
     @pytest.mark.parametrize("steps, n_assets", [
-        (252, 62), (252, 63), (100, 100), (100, 101),
+        (252, 62), (252, 63), (100, 100), (100, 101), (252, 300),
     ])
-    def test_default_runs_serially_where_blas_threads(self, steps, n_assets,
-                                                      pools, monkeypatch):
+    def test_default_forks_past_the_blas_bound(self, steps, n_assets, pools,
+                                               monkeypatch):
         # a path's shock product takes steps * n_assets**2 multiply-adds;
-        # past _BLAS_THREADED_MACS BLAS threads it, and the default starts
-        # no process, on any CPU count; each pair of cases straddles the bound
+        # the first two pairs of cases straddle _BLAS_THREADED_MACS, past
+        # which it is computed in step slices under it, so the default
+        # forks at every shape up to 707 assets
         monkeypatch.setattr(simulation, "_available_cpus", lambda: 2)
         params, config = wide_inputs(n_assets, n_paths=40,
                                      steps_per_year=steps)
-        pooled = steps * n_assets**2 <= simulation._BLAS_THREADED_MACS
-        assert pooled == (n_assets in (62, 100))
+        sliced = steps * n_assets**2 > simulation._BLAS_THREADED_MACS
+        assert sliced == (n_assets in (63, 101, 300))
         serial = simulate(params, config, workers=1)
         default = simulate(params, config)
-        assert pools == ([2] if pooled else [])
+        assert pools == [2]
         assert np.array_equal(default.terminal_asset_prices,
                               serial.terminal_asset_prices)
+        assert_no_children()
+
+    @pytest.mark.skipif(simulation._available_cpus() < 2,
+                        reason="needs a second CPU")
+    def test_wide_bits_do_not_depend_on_the_cpu_count(self):
+        # 300 assets x 252 steps is past _BLAS_THREADED_MACS, where BLAS
+        # would thread one product per path; the inputs are built here, as
+        # random_universe's covariance is itself a BLAS product whose bits
+        # vary with the CPU count
+        params, config = wide_inputs(300, n_paths=8)
+        here = simulate(params, config).terminal_asset_prices
+        package = os.path.dirname(os.path.dirname(simulation.__file__))
+        cpu = min(os.sched_getaffinity(0))
+        child = subprocess.run(
+            [sys.executable, "-c", ONE_CPU_SIMULATE, package, str(cpu)],
+            input=pickle.dumps((params, config)), stdout=subprocess.PIPE,
+            check=True)
+        assert child.stdout == here.tobytes()
 
     def test_chunk_memory_bounded_for_wide_runs(self, wide_run):
         # two chunk-sized float arrays stay near 12 MB whatever the shape;
