@@ -1,7 +1,7 @@
 """Portfolio risk engine: GBM Monte Carlo with MLE-fitted parameters,
 simplex-constrained mean-variance optimization, and VaR reporting."""
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .estimation import MarketParams, estimate_params
 from .market_data import (

@@ -1,11 +1,11 @@
 """Work split over forked processes, its results handed back down pipes.
 
-``simulate`` and the paths.csv writer both split their work this way. A
-forked process inherits everything the work needs (the kernel, the chunk
-arrays, numpy already imported) without pickling it, and runs its own
-interpreter: the per-path re-keying and the row formatting hold the GIL,
-and threads would queue on it. Fork without exec is the safe default
-start method on Linux only, so elsewhere both run in the calling process.
+The paths.csv writer splits its blocks this way. A forked process
+inherits everything the work needs (the kernel, numpy already imported)
+without pickling it, and runs its own interpreter: the per-path re-keying
+and the row formatting hold the GIL, and threads would queue on it. Fork
+without exec is the safe default start method on Linux only, so elsewhere
+the work runs in the calling process.
 """
 
 from __future__ import annotations
@@ -27,13 +27,12 @@ def process_count(workers: int) -> int:
     return workers if sys.platform == "linux" else 1
 
 
-def run_forked(produce, parts, processes: int, consume, local=None) -> None:
+def run_forked(produce, parts, processes: int, consume) -> None:
     """Call ``produce(part)`` for every one of ``parts`` in ``processes``
     forked processes, process w taking parts w, w + processes, ..., and
     hand the bytes each call returns back here in order of ``parts``:
     ``consume(part, size, read)`` gets their length and ``read(n)``, which
-    returns the next n of them, and must read all ``size``. ``local()``, if
-    given, runs in this process once every process has started.
+    returns the next n of them, and must read all ``size``.
 
     What a part raised is raised here, from a ChildProcessError carrying
     its traceback; a process that ends before a part's bytes raises
@@ -58,8 +57,6 @@ def run_forked(produce, parts, processes: int, consume, local=None) -> None:
             finally:
                 os.close(write_fd)
             pids.append(pid)
-        if local is not None:
-            local()
         for i, part in enumerate(parts):
             pipe, pid = pipes[i % processes], pids[i % processes]
             consume(part, _receive(pipe, pid), lambda n: _read(pipe, n, pid))

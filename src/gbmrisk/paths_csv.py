@@ -2,23 +2,30 @@
 
 Rows are ``path,step,ticker,price`` with floats as ``repr``, in path, step
 and ticker order, step 0 being the initial prices. The paths are not
-stored: each is a pure function of its key, so they are rebuilt through
-``simulation._path_kernel`` a block at a time (12 whole paths at 252 steps
-x 3 assets), and each block is formatted apart from every other, so the
-bytes are the same for any block size or number of processes. A rebuilt
-path's last step equals ``simulate``'s terminal prices bitwise.
+stored: each is a pure function of its key (seed, path index), so they are
+rebuilt a block at a time (12 whole paths at 252 steps x 3 assets), and
+each block is formatted apart from every other, so the bytes are the same
+for any block size or number of processes.
+
+A path is rebuilt by a Brownian bridge (Glasserman, Monte Carlo Methods in
+Financial Engineering, 2003, 3.1): independent walks B_k from the path's
+step normals are pinned to its terminal normals z_T, the draw ``simulate``
+makes, by W_k = B_k + (k/n) (sqrt(T) z_T - B_n); then L' and k steps of
+drift apply. The last step is set to ``simulate``'s terminal prices, from
+the same kernel call, so it equals them bitwise.
 
 On Linux, with more than one CPU and more than one block, the blocks are
-formatted in forked processes through ``gbmrisk.forking.run_forked``, the
-routine ``simulate`` shares, one process per CPU this process may run on
-and at most one per block; the writing process copies their rows to the
-file in order, 64 KiB at a time, and holds no block, whatever the process
-count. Elsewhere, or on one CPU or with one block, the writing process
-formats the blocks itself, one at a time.
+formatted in forked processes through ``gbmrisk.forking.run_forked``, one
+process per CPU this process may run on and at most one per block; the
+writing process copies their rows to the file in order, 64 KiB at a time,
+and holds no block, whatever the process count. Elsewhere, or on one CPU
+or with one block, the writing process formats the blocks itself, one at
+a time.
 """
 
 from __future__ import annotations
 
+import math
 from functools import partial
 from pathlib import Path
 
@@ -26,14 +33,15 @@ import numpy as np
 
 from . import forking
 from .estimation import MarketParams
-from .simulation import SimConfig, _available_cpus, _path_kernel
+from .simulation import (SimConfig, _available_cpus, _correlate,
+                         _fill_normals, _path_kernel, _PathKernel)
 
 __all__ = ["write_paths_csv"]
 
 # Prices per block, the unit in which whole paths are rebuilt and formatted:
 # 12 paths at 252 steps x 3 assets (~270 KB of rows), and at least one. The
 # bytes do not depend on it; it trades a block's memory against the fixed
-# cost of a kernel call, one Philox build.
+# cost of a rebuild, two Philox builds.
 _REBUILD_CELLS = 12 * 253 * 3
 
 
@@ -42,10 +50,32 @@ def _block_paths(sim_config: SimConfig, n_assets: int) -> int:
     return max(1, _REBUILD_CELLS // ((sim_config.n_steps + 1) * n_assets))
 
 
+def _log_paths(kernel: _PathKernel, n_steps: int, start: int,
+               stop: int) -> np.ndarray:
+    """log(S_k / S_0) of paths [start, stop) at steps 1..n_steps, shape
+    (stop - start, n_steps, n_assets), by the Brownian bridge above, worked
+    asset-major so that every operation runs along a path's steps."""
+    z_t, log_t = kernel.terminal(start, stop)
+    z = np.empty((stop - start, n_steps, z_t.shape[1]))
+    _fill_normals(z, kernel.seed, start)
+    dt = kernel.horizon / n_steps
+    walk = np.ascontiguousarray(z.transpose(2, 0, 1))
+    walk *= math.sqrt(dt)
+    np.cumsum(walk, axis=2, out=walk)
+    k = np.arange(1, n_steps + 1)
+    pin = math.sqrt(kernel.horizon) * z_t.T - walk[..., -1]
+    walk += k / n_steps * pin[..., None]
+    log = _correlate(walk, kernel.l)
+    log += (kernel.drift * dt)[:, None, None] * k
+    log = np.ascontiguousarray(log.transpose(1, 2, 0))
+    log[:, -1] = log_t
+    return log
+
+
 def _block_formatter(params: MarketParams, sim_config: SimConfig, block: int):
     """``format_block(start)``: the paths.csv rows of paths [start,
     start + block) as bytes. The kernel is built once, here."""
-    cum_log = _path_kernel(params, sim_config).cum_log
+    kernel = _path_kernel(params, sim_config)
     s0 = sim_config.initial_prices
     n_paths = sim_config.n_paths
     # "{step},{ticker}," in the order a path's ravel() yields prices
@@ -59,7 +89,8 @@ def _block_formatter(params: MarketParams, sim_config: SimConfig, block: int):
         stop = min(start + block, n_paths)
         prices = np.empty((stop - start, sim_config.n_steps + 1, len(s0)))
         prices[:, 0, :] = s0
-        np.exp(cum_log(start, stop), out=prices[:, 1:, :])
+        np.exp(_log_paths(kernel, sim_config.n_steps, start, stop),
+               out=prices[:, 1:, :])
         prices[:, 1:, :] *= s0
         rows = []
         for p, path in enumerate(prices, start):

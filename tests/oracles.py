@@ -1,7 +1,7 @@
 """Independent reference implementations the tests compare the package
 against: the explicit double-sum variance and an exhaustive simplex-lattice
 search for the minimum-variance weights, the per-path normal stream that
-simulate must reproduce, every recorded path rebuilt in one kernel call,
+simulate must reproduce, every recorded path rebuilt in one bridge call,
 the all-rows paths.csv formatter whose bytes the streaming writer must
 reproduce, and the closed-form lognormal VaR of a single GBM asset that
 the simulated VaR must approach."""
@@ -16,6 +16,7 @@ import numpy as np
 from gbmrisk.estimation import MarketParams
 from gbmrisk.optimizer import OptimizerError, WeightVector, _check_dims
 from gbmrisk.risk import RiskError
+from gbmrisk.paths_csv import _log_paths
 from gbmrisk.simulation import SimConfig, _path_kernel
 
 GRID_MAX_ASSETS = 4
@@ -75,22 +76,27 @@ def grid_oracle_min_variance(
     return WeightVector(params.tickers, lattice[int(np.argmin(objectives))])
 
 
-def draw_standard_normals(seed: int, path_index: int, count: int) -> np.ndarray:
-    """Standard normals from a fresh Philox keyed by (seed, path_index): the
+def draw_standard_normals(seed: int, path_index: int, count: int,
+                          counter: int = 0) -> np.ndarray:
+    """Standard normals from a fresh Philox keyed by (seed, path_index) whose
+    counter's top word is ``counter`` (2**63 for the terminal draw): the
     per-path stream that simulate's re-keyed generator must reproduce."""
     key = np.array(
         [seed & 0xFFFFFFFFFFFFFFFF, path_index & 0xFFFFFFFFFFFFFFFF],
         dtype=np.uint64,
     )
-    return np.random.Generator(np.random.Philox(key=key)).standard_normal(count)
+    bit_gen = np.random.Philox(key=key, counter=np.array([0, 0, 0, counter],
+                                                          dtype=np.uint64))
+    return np.random.Generator(bit_gen).standard_normal(count)
 
 
 def rebuilt_paths(params: MarketParams, config: SimConfig) -> np.ndarray:
-    """Every path of a run, (n_paths, n_steps + 1, n_assets), from one kernel
-    call over all of them, step 0 being the initial prices."""
-    cum_log = _path_kernel(params, config).cum_log
+    """Every path of a run, (n_paths, n_steps + 1, n_assets), from one
+    Brownian-bridge rebuild of all of them, step 0 being the initial
+    prices."""
+    kernel = _path_kernel(params, config)
     s0 = config.initial_prices
-    prices = cum_log(0, config.n_paths)
+    prices = _log_paths(kernel, config.n_steps, 0, config.n_paths)
     np.exp(prices, out=prices)
     prices *= s0
     start = np.broadcast_to(s0, (config.n_paths, 1, len(s0)))

@@ -382,18 +382,17 @@ class TestRunPipeline:
         cov = centered.T @ centered / returns.shape[0] * 252
         mu = daily_mean * 252 + np.diag(cov) / 2.0
         l = np.linalg.cholesky(cov)
-        dt = 1.0 / 252
-        drift = (mu - np.diag(cov) / 2.0) * dt
+        drift = mu - np.diag(cov) / 2.0  # over a one-year horizon
         s0 = prices[-1]
         w = np.array([w_map[t] for t in tickers])
         values = np.empty(200)
         for p in range(200):
-            gen = np.random.Generator(
-                np.random.Philox(key=np.array([17, p], dtype=np.uint64))
-            )
-            z = gen.standard_normal(252 * 3).reshape(252, 3)
-            log_path = np.cumsum(drift + math.sqrt(dt) * (z @ l.T), axis=0)
-            terminal = s0 * np.exp(log_path[-1])
+            # path p's terminal stream: key (17, p), counter top word 2**63
+            gen = np.random.Generator(np.random.Philox(
+                key=np.array([17, p], dtype=np.uint64),
+                counter=np.array([0, 0, 0, 2**63], dtype=np.uint64)))
+            z = gen.standard_normal(3)
+            terminal = s0 * np.exp(drift + l @ z)
             values[p] = 100_000.0 * float((terminal / s0) @ w)
 
         assert np.allclose(
@@ -837,7 +836,7 @@ class TestCliCommands:
                               capture_output=True, text=True, env=env,
                               check=False)
         assert done.returncode == 0
-        assert done.stdout == "0.2.0\n"
+        assert done.stdout == "0.3.0\n"
 
 
 class TestPathsCsv:
@@ -846,9 +845,9 @@ class TestPathsCsv:
 
     @pytest.mark.parametrize("fixture, digest", [
         ("crypto_like",
-         "3932fb09c5004580e56a0d1fe26cf8f22e09dc2210cdf91a13511f09df8d10c1"),
+         "808ab876324239e4cc60d08850f91a40671db1b909530aab8911b1b380f722ee"),
         ("equity_like",
-         "161bff09c3737376f683b4eca5364daeb11485c81bb5bdd37ec55ba776bef8fd"),
+         "9a1443fdf72c24bbb1c79c95be6fb46bac8e562ecca1a9bc729a5024744f3c2a"),
     ], ids=["crypto_like", "equity_like"])
     def test_bytes_are_pinned(self, fixture, digest, tmp_path):
         assert main([
@@ -1049,9 +1048,7 @@ class TestPathsCsv:
     def test_recorded_run_memory_is_flat_in_paths(self, tmp_path,
                                                   monkeypatch):
         # paths are rebuilt from their keys as paths.csv streams, so nothing
-        # holds every path. 25-step paths keep the test fast; on one CPU
-        # and 1,024 paths a unit, both counts keep one equal unit in flight.
-        monkeypatch.setattr(simulation, "_CHUNK_NORMALS", 1024 * 25 * 3)
+        # holds every path. 25-step paths keep the test fast.
         monkeypatch.setattr(simulation, "_available_cpus", lambda: 1)
 
         def peak(n_paths: int) -> int:
@@ -1126,7 +1123,8 @@ class TestFitPath:
             assert len(counts) == 1
             assert set(counts[0]) == {"normals", "path_streams",
                                       "bytes_computed"}
-            assert counts[0]["normals"] == 50 * 252 * 3
+            # the terminal draw: one normal a path and asset
+            assert counts[0]["normals"] == 50 * 3
 
 
 def test_run_benchmark_script_smoke(tmp_path, monkeypatch, capsys):
@@ -1161,7 +1159,7 @@ def test_scaling_scripts_smoke(monkeypatch):
     sim_scaling = importlib.import_module("sim_scaling")
     record_scaling = importlib.import_module("record_scaling")
     for bench, rows, row in (
-        ("BENCH_19.json", "shapes", sim_scaling.measure(50, 3)),
+        ("BENCH_21.json", "shapes", sim_scaling.measure(50, 3)),
         ("BENCH_13.json", "rows", record_scaling.measure(
             root / "src", "data/crypto_like.csv", 20, 42, 1)),
     ):

@@ -50,33 +50,33 @@ def commands() -> dict[str, list[str]]:
 
 
 CONTRACT = {
-    "equity_like/estimate/params.json": "82925bc6b4ff9efe4fb1b17e4e354a0705b87056e3125914b9615c5a23ce0282",
-    "equity_like/optimize-mvp/weights.json": "ad93b9ebbe9c94b418f53f7399be6a1b1d26626d2abdc614861af92e6a3e8b97",
-    "equity_like/simulate-mvp/percentiles.csv": "0deab1f8517d18e9e856b52e427c539ae4b347e0bd212e445f42161534443246",
-    "equity_like/simulate-mvp/report.json": "2d346310cad3556368c3be44aaf2ce296bf877c9647b2602efec941fd754c454",
-    "equity_like/optimize-max_sharpe/weights.json": "f61912d7c1b24c12180c20401807925f59f410dcf6a8a7fdd2b50ceb4891051d",
-    "equity_like/simulate-max_sharpe/percentiles.csv": "9a6891583618297657d555dca1128d3eb53aaa422fdb41911813429726080782",
-    "equity_like/simulate-max_sharpe/report.json": "a5c6ce75d2be96acf6f7bc2c5dd61cc8b4065087b2c805ddb17c047e2e614e53",
-    "equity_like/simulate-record/paths.csv": "161bff09c3737376f683b4eca5364daeb11485c81bb5bdd37ec55ba776bef8fd",
-    "equity_like/simulate-record/percentiles.csv": "12e6f0ea319f0a5a887b68487c50e0ccb8b561c268686c8fc88d83dfcc80a585",
-    "equity_like/simulate-record/report.json": "33c47574f6aea27f04c72155696a36923ebcc44be4464b1fdd2da1d47b89a13d",
-    "equity_like/backtest/backtest.json": "ea3136badc0ad9796d23f5636dd8056b5e6331d5516feb9b235c39bc647f0cf7",
-    "crypto_like/estimate/params.json": "354671a71f8cc540e3c59c23319236273cb1718cca4cefd20599c4ce1f7d97dd",
-    "crypto_like/optimize-mvp/weights.json": "6e7fe38df7666abc2647893cf34750c568447f0b5dd30a6f110b5d9a36865bc7",
-    "crypto_like/simulate-mvp/percentiles.csv": "cc88ec733dd5aa4e8cbc658012e6596b8e49d60eb5dbe3a51d297896ad9239f2",
-    "crypto_like/simulate-mvp/report.json": "64af34bfdb1b877278a07c60bf4102f86ef87ea607a36678f2eb21c1b7f8087f",
-    "crypto_like/optimize-max_sharpe/weights.json": "a250bc964610ebd9ae6c3bba8d75db1af05467a1f9e078a8e53ddbc0acd55499",
-    "crypto_like/simulate-max_sharpe/percentiles.csv": "b8124f8bb0233a02e96a31b50a41890423548b425cc9d31d9cff2b5b67850904",
-    "crypto_like/simulate-max_sharpe/report.json": "4c1957a4449ccd0a0df0522b2806ecb0c9b24e2d4391891e8e432f94cf730c45",
-    "crypto_like/simulate-record/paths.csv": "3932fb09c5004580e56a0d1fe26cf8f22e09dc2210cdf91a13511f09df8d10c1",
-    "crypto_like/simulate-record/percentiles.csv": "4a5b3537a49293518974a35d32f6f63a2f0d895d1861b48645d40baae831e4b8",
-    "crypto_like/simulate-record/report.json": "aee9adce582757c51c1d75f35dd16ccef91c7e188a31221fbbf57a044bb40573",
-    "crypto_like/backtest/backtest.json": "83eef0bd1cd47f5a66cf8f73910dea579daa90d2bed146c7d637a2a457cb8936",
-    "equity_like/simulate-explicit/percentiles.csv": "c1669eacc2321a5e406091fbb8da1c916b85a4a143df0f6f15400b4e3d008c16",
-    "equity_like/simulate-explicit/report.json": "d24747c30d929da4c0164e228fb584b59a01838d0667e6586f5fdaec3c569db2",
-    "crypto_like/simulate-mvp-serial/percentiles.csv": "cc88ec733dd5aa4e8cbc658012e6596b8e49d60eb5dbe3a51d297896ad9239f2",
-    "crypto_like/simulate-mvp-serial/report.json": "64af34bfdb1b877278a07c60bf4102f86ef87ea607a36678f2eb21c1b7f8087f",
-    "compare/comparison.json": "ae7e6066a134e03fbd064aa4ed81ab4be8def4098e4af023189331bcff2b8858",
+            "equity_like/estimate/params.json": "49c0d2091c2e3c6dc06a1b1bc150f6fe68123b8c0aec8fdcc8933dd3496c7fde",
+            "equity_like/optimize-mvp/weights.json": "c580c11ce46393fd00a726e1296dbd4b43a3f2d9fa7384605ae4ce172676c0dc",
+            "equity_like/simulate-mvp/percentiles.csv": "187d0494c14b1d424749190f8f8a9120855e0f488d0a55cec40927f4e6ada57a",
+            "equity_like/simulate-mvp/report.json": "026d93e2dff7f8f2b835786049bf16ab63f5d1156fc9bb1970a85d6fdb629b19",
+            "equity_like/optimize-max_sharpe/weights.json": "d867e4e3e040fe005cd57209484ec1c98142094bd1d90647e608b0b676d5344a",
+            "equity_like/simulate-max_sharpe/percentiles.csv": "e1955adefbdf3115d807a374107749347444755b85a8e98ce7da1531b04802f0",
+            "equity_like/simulate-max_sharpe/report.json": "3b2cb7bdc47d68460b67b00d814f28bfbc3bd18dcb59a76e7541305312ee1b0a",
+            "equity_like/simulate-record/paths.csv": "9a1443fdf72c24bbb1c79c95be6fb46bac8e562ecca1a9bc729a5024744f3c2a",
+            "equity_like/simulate-record/percentiles.csv": "94b0a4a2dc3fcd671c6bf9adf0c2a21056f3ee9e4a2750a07743fb8d41d31eed",
+            "equity_like/simulate-record/report.json": "26427ab490b59dd069731856ed0136a7ca76c002224d05efc0d139fe349eeebb",
+            "equity_like/backtest/backtest.json": "8d5e6ddd0cc53e5232af1fe46262351fa38befef48300a8721519bc9a62e48c2",
+            "crypto_like/estimate/params.json": "b2a619adcfc28ab2a575933dd5b8ae02089b6eea40687e233c685fc2f08faad3",
+            "crypto_like/optimize-mvp/weights.json": "f26c8f4af20bec8c234119ff76d83ba66dba6daec239a87c15054b129e6a4b69",
+            "crypto_like/simulate-mvp/percentiles.csv": "23b92652cb7c05c0fdc16a8b139c7fea6a80753316c0f38d323eb696066dd8ce",
+            "crypto_like/simulate-mvp/report.json": "791407b5d4633861949197d90650323bc0e29d859dd640cde585c731e76f28af",
+            "crypto_like/optimize-max_sharpe/weights.json": "3c919ce59b0ee077669448dfb2bc46b1662216434b39455a931f918830b441e9",
+            "crypto_like/simulate-max_sharpe/percentiles.csv": "0422ff4703cdd9e974e6592e16c81d0acef12002f5b03c39a415905a99749d91",
+            "crypto_like/simulate-max_sharpe/report.json": "b47edbb1f863c4ac4ecc0e3f15180ee8bd026babd700fbebff5953edbc6771d7",
+            "crypto_like/simulate-record/paths.csv": "808ab876324239e4cc60d08850f91a40671db1b909530aab8911b1b380f722ee",
+            "crypto_like/simulate-record/percentiles.csv": "d78f2614b4f49bc3bec2b015d2ee89f56a477e52d0fa5dcf3ca46758ee628d13",
+            "crypto_like/simulate-record/report.json": "11306fdb9ffe881d30388164f13fd1a6c6131712ce8c93cff51a37dffd9fa782",
+            "crypto_like/backtest/backtest.json": "8db1919c14aa759ce80848f72c42ec3e839c555bfc78e1c9649f122f85b1606d",
+            "equity_like/simulate-explicit/percentiles.csv": "e8adfb8eacef2daaf601d4f57598d0bdaf61e96cc8b79a2413950d0293af5180",
+            "equity_like/simulate-explicit/report.json": "628eb08d79ea891e03d6e5eaaf0714bd79c74bf8c3804e90fb70c3b9dee4b1a2",
+            "crypto_like/simulate-mvp-serial/percentiles.csv": "23b92652cb7c05c0fdc16a8b139c7fea6a80753316c0f38d323eb696066dd8ce",
+            "crypto_like/simulate-mvp-serial/report.json": "791407b5d4633861949197d90650323bc0e29d859dd640cde585c731e76f28af",
+            "compare/comparison.json": "ca3cbc4470dfc1e7aa13d3f0e826f51ada4828b9246088823e75ef737165aa5f",
 }
 
 
@@ -128,4 +128,4 @@ def test_serial_run_writes_the_default_bytes(fresh):
 
 def test_version_is_pinned():
     # every report echoes the version, so the digests above pin it as well
-    assert __version__ == "0.2.0"
+    assert __version__ == "0.3.0"

@@ -8,7 +8,7 @@ import pickle
 import subprocess
 import sys
 import tracemalloc
-import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
-from gbmrisk import forking, simulation
+from gbmrisk import forking, paths_csv, simulation
 from gbmrisk.optimizer import WeightVector
 from gbmrisk.simulation import (
     CholeskyError,
@@ -27,14 +27,14 @@ from gbmrisk.simulation import (
     simulate,
 )
 
-from conftest import (assert_no_children, make_params, random_psd,
-                      random_universe)
-from oracles import draw_standard_normals, rebuilt_paths
+from conftest import make_params, random_psd, random_universe
+from oracles import (analytic_var_single_asset, draw_standard_normals,
+                     rebuilt_paths, reference_paths_csv)
 
 SQRT2 = 1.4142135623730951
 
-# A default simulate in a fresh interpreter whose affinity mask is the one
-# CPU argv[2], set before numpy loads OpenBLAS; argv[1] is the package's
+# A simulate in a fresh interpreter whose affinity mask is the one CPU
+# argv[2], set before numpy loads OpenBLAS; argv[1] is the package's
 # directory. Reads pickled (params, config) and writes the terminal prices.
 ONE_CPU_SIMULATE = """
 import os, pickle, sys
@@ -56,10 +56,6 @@ def wide_inputs(n: int, **config):
     """random_universe(n) and a SimConfig of equal weights on it."""
     params = random_universe(n)
     return params, SimConfig(weights=weights_for(params), **config)
-
-
-class RangeFailed(Exception):
-    """Raised inside a simulated range; carries the raising process's pid."""
 
 
 def cholesky_rowwise(cov: np.ndarray) -> np.ndarray:
@@ -254,20 +250,39 @@ class TestSimConfig:
 
 
 class TestStepSlices:
-    """The step slices a path's shock product is computed in."""
+    """The slices of a run's paths that the paths.csv writer rebuilds, a
+    block of whole paths at a time, each path over all of its steps."""
 
     @pytest.mark.parametrize("n_assets", [3, 62, 63, 100, 200, 300])
     @pytest.mark.parametrize("n_steps", [1, 2, 52, 251, 252, 504])
     def test_slices_cover_the_path_under_the_bound(self, n_steps, n_assets):
-        slices = simulation._step_slices(n_steps, n_assets)
-        steps = [k for s in slices for k in range(n_steps)[s]]
-        assert steps == list(range(n_steps))
-        bound = simulation._BLAS_THREADED_MACS
-        for s in slices:
-            rows = s.stop - s.start
-            assert rows * n_assets**2 <= bound
-            assert rows >= 2 or n_steps == 1
-        assert (len(slices) == 1) == (n_steps * n_assets**2 <= bound)
+        # a block is the most whole paths that fit _REBUILD_CELLS prices,
+        # and one path where a path holds more; 2 blocks + 1 path leave a
+        # partial last block. The second block's rebuild covers every step
+        # of its paths, equals their rows in a rebuild of the whole run and
+        # ends at their terminal draw: cutting the run does not move a bit
+        params = random_universe(n_assets)
+        cells = (n_steps + 1) * n_assets
+        bound = paths_csv._REBUILD_CELLS
+        block = paths_csv._block_paths(
+            SimConfig(weights=weights_for(params), steps_per_year=n_steps),
+            n_assets)
+        assert block >= 1
+        assert block * cells <= bound or block == 1
+        assert (block + 1) * cells > bound
+        config = SimConfig(weights=weights_for(params), n_paths=2 * block + 1,
+                           steps_per_year=n_steps, seed=5)
+        starts = range(0, config.n_paths, block)
+        covered = [p for s in starts
+                   for p in range(s, min(s + block, config.n_paths))]
+        assert covered == list(range(config.n_paths))
+        kernel = simulation._path_kernel(params, config)
+        whole = paths_csv._log_paths(kernel, n_steps, 0, config.n_paths)
+        second = paths_csv._log_paths(kernel, n_steps, block, 2 * block)
+        assert second.shape == (block, n_steps, n_assets)
+        assert np.array_equal(second, whole[block:2 * block])
+        _, log_t = kernel.terminal(0, config.n_paths)
+        assert np.array_equal(second[:, -1], log_t[block:2 * block])
 
 
 class TestSimulate:
@@ -318,11 +333,11 @@ class TestSimulate:
         config = SimConfig(weights=weights_for(three_asset_params),
                            n_paths=9000, seed=7)
         serial = simulate(three_asset_params, config, workers=1)
-        forked = simulate(three_asset_params, config, workers=5)
+        other = simulate(three_asset_params, config, workers=5)
         assert np.array_equal(serial.terminal_asset_prices,
-                              forked.terminal_asset_prices)
+                              other.terminal_asset_prices)
         assert np.array_equal(serial.terminal_portfolio_values,
-                              forked.terminal_portfolio_values)
+                              other.terminal_portfolio_values)
 
     @pytest.mark.parametrize("workers", [0, -3, True, 2.0, "2"])
     def test_bad_worker_count_rejected(self, three_asset_params, workers):
@@ -332,9 +347,9 @@ class TestSimulate:
 
     def test_single_chunk_starts_no_pool(self, three_asset_params,
                                          monkeypatch):
-        # workers are clamped to the chunk count, so one chunk runs serially
+        # simulate runs in this process, whatever workers says
         def no_pool(*args, **kwargs):
-            raise AssertionError("a single-chunk run forked")
+            raise AssertionError("simulate forked")
 
         monkeypatch.setattr(forking, "run_forked", no_pool)
         config = SimConfig(weights=weights_for(three_asset_params), n_paths=100)
@@ -344,117 +359,104 @@ class TestSimulate:
     @pytest.fixture(scope="class", params=[3, 50, 300])
     def chunk_reference(self, request):
         # 4,100 paths of 12 steps leave a partial last chunk at every chunk
-        # size tried below; the reference is a serial run in 4,096-path
-        # chunks, and every path rebuilt in one kernel call, of which only
-        # the last step is kept; 300 assets take two step slices a path
+        # size tried below; the reference is a serial run, its log(S_T/S_0)
+        # from one kernel call, the first 64 paths rebuilt in one call, of
+        # which only the last step is kept, and a cache of the terminal draw
+        # taken a chunk at a time
         n = request.param
         params, config = wide_inputs(n, n_paths=4100, steps_per_year=12,
                                      seed=11)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(simulation, "_CHUNK_NORMALS", 4096 * config.n_steps * n)
-            return (params, config, simulate(params, config, workers=1),
-                    rebuilt_paths(params, config)[:, -1, :].copy())
+        kernel = simulation._path_kernel(params, config)
+        rebuilt = rebuilt_paths(params, replace(config, n_paths=64))
+        return (params, config, simulate(params, config, workers=1), kernel,
+                kernel.terminal(0, config.n_paths)[1],
+                rebuilt[:, -1, :].copy(), {})
 
     @pytest.mark.parametrize("workers", [1, 2, None])
     @pytest.mark.parametrize("chunk", [1, 333, 1024, 4096])
     def test_chunk_and_worker_invariance(self, chunk_reference, chunk,
-                                         workers, monkeypatch):
-        # the unit is sized in normals; these sizes give `chunk` paths each
-        params, config, reference, rebuilt_terminal = chunk_reference
-        monkeypatch.setattr(simulation, "_CHUNK_NORMALS",
-                            chunk * config.n_steps * params.n_assets)
+                                         workers):
+        # workers is checked and otherwise ignored. The kernel's terminal
+        # draw over chunks of paths, as the paths.csv writer takes them,
+        # gives the run's bits, as a path's bits depend on its key alone;
+        # and the first 64 rebuilt paths end at the run's first 64 prices
+        (params, config, reference, kernel, log_t, rebuilt_terminal,
+         chunked) = chunk_reference
         result = simulate(params, config, workers=workers)
         assert np.array_equal(result.terminal_asset_prices,
                               reference.terminal_asset_prices)
-        # the rebuild depends on neither the chunk size nor the workers, so
-        # the one rebuilt in the fixture checks every run's terminal prices
-        assert np.array_equal(rebuilt_terminal, result.terminal_asset_prices)
+        if chunk not in chunked:
+            n = config.n_paths
+            chunked[chunk] = np.concatenate([
+                kernel.terminal(s, min(s + chunk, n))[1]
+                for s in range(0, n, chunk)])
+        assert np.array_equal(chunked[chunk], log_t)
+        assert np.array_equal(rebuilt_terminal,
+                              result.terminal_asset_prices[:64])
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("chunk", [1, 4])
-    def test_one_asset_chunks_fold_like_cumsum(self, chunk, workers,
+    def test_one_asset_chunks_fold_like_cumsum(self, chunk, workers, tmp_path,
                                                monkeypatch):
-        # one asset in one-path chunks folds a single column of 252 steps,
-        # which numpy's add.reduce sums pairwise, not in step order; 9 paths
-        # end a range in a one-path chunk at 4 paths a chunk too, and at
-        # seed 0 a pairwise sum moves that path's price
-        params = make_params(("A",), [0.07], [[0.3**2]])
+        # one asset's bridge, path by path from its own Philox streams and
+        # with its walk folded one step at a time in step order, as
+        # np.cumsum folds it, equals paths.csv written
+        # in blocks of `chunk` paths on `workers` processes; 9 paths end in
+        # a one-path block at 4 paths a block too
+        mu, var = 0.07, 0.3**2
+        params = make_params(("A",), [mu], [[var]])
         config = SimConfig(weights=WeightVector(("A",), np.array([1.0])),
-                           n_paths=9, seed=0)
-        monkeypatch.setattr(simulation, "_CHUNK_NORMALS",
-                            chunk * config.n_steps)
-        result = simulate(params, config, workers=workers)
-        assert np.array_equal(rebuilt_paths(params, config)[:, -1, :],
-                              result.terminal_asset_prices)
+                           n_paths=9, seed=0, initial_prices=np.array([50.0]))
+        n, horizon, dt = config.n_steps, config.horizon_years, config.dt
+        drift, l00 = mu - var / 2.0, math.sqrt(var)
+        k = np.arange(1, n + 1)
+        log = np.empty((9, n, 1))
+        for p in range(9):
+            scaled = draw_standard_normals(0, p, n) * math.sqrt(dt)
+            walk, total = np.empty(n), 0.0
+            for i, step in enumerate(scaled):
+                total += step
+                walk[i] = total
+            z_t = draw_standard_normals(0, p, 1, counter=2**63)[0]
+            walk += k / n * (math.sqrt(horizon) * z_t - walk[-1])
+            log[p, :, 0] = l00 * walk + (drift * dt) * k
+            log[p, -1, 0] = l00 * z_t * math.sqrt(horizon) + drift * horizon
+        np.exp(log, out=log)
+        log *= config.initial_prices
+        paths = np.concatenate([np.full((9, 1, 1), 50.0), log], axis=1)
+        monkeypatch.setattr(paths_csv, "_REBUILD_CELLS", chunk * (n + 1))
+        monkeypatch.setattr(paths_csv, "_available_cpus", lambda: workers)
+        out = tmp_path / "paths.csv"
+        paths_csv.write_paths_csv(params, config, out)
+        assert out.read_bytes() == reference_paths_csv(paths, ("A",))
+        assert np.array_equal(
+            paths[:, -1, :],
+            simulate(params, config, workers=workers).terminal_asset_prices)
 
     def test_path_wider_than_a_unit_is_its_own_chunk(self, three_asset_params,
-                                                     monkeypatch):
-        # a path drawing more normals than a unit holds still makes a chunk
+                                                     tmp_path, monkeypatch):
+        # a path holding more prices than a block's unit still makes a
+        # block of its own, and the bytes do not move
         config = SimConfig(weights=weights_for(three_asset_params), n_paths=5)
-        reference = simulate(three_asset_params, config, workers=1)
-        monkeypatch.setattr(simulation, "_CHUNK_NORMALS", 1)
-        result = simulate(three_asset_params, config, workers=2)
-        assert np.array_equal(result.terminal_asset_prices,
-                              reference.terminal_asset_prices)
+        expected = reference_paths_csv(
+            rebuilt_paths(three_asset_params, config),
+            three_asset_params.tickers)
+        monkeypatch.setattr(paths_csv, "_REBUILD_CELLS", 1)
+        assert paths_csv._block_paths(config, 3) == 1
+        out = tmp_path / "paths.csv"
+        paths_csv.write_paths_csv(three_asset_params, config, out)
+        assert out.read_bytes() == expected
 
     @pytest.fixture(scope="class")
     def wide_run(self):
-        # 100 paths x 200 assets x 252 steps: the benchmark's wide universe
+        # 100 paths x 200 assets: the benchmark's wide universe
         return wide_inputs(200, n_paths=100)
-
-    @pytest.fixture
-    def pools(self, monkeypatch):
-        # the process count of every forked run simulate starts, in order
-        started = []
-        real = forking.run_forked
-
-        def spy(produce, parts, processes, consume, local=None):
-            started.append(processes + (local is not None))
-            real(produce, parts, processes, consume, local)
-
-        monkeypatch.setattr(forking, "run_forked", spy)
-        return started
-
-    def test_few_wide_paths_split_across_workers(self, wide_run, pools):
-        # a chunk is sized in normals, so 100 paths of 200 assets make
-        # several chunks and two workers, this process and a forked one,
-        # take them
-        params, config = wide_run
-        serial = simulate(params, config, workers=1)
-        assert not pools
-        forked = simulate(params, config, workers=2)
-        assert pools == [2]
-        assert np.array_equal(forked.terminal_asset_prices,
-                              serial.terminal_asset_prices)
-        assert np.array_equal(forked.terminal_portfolio_values,
-                              serial.terminal_portfolio_values)
-
-    @pytest.mark.parametrize("steps, n_assets", [
-        (252, 62), (252, 63), (100, 100), (100, 101), (252, 300),
-    ])
-    def test_default_forks_past_the_blas_bound(self, steps, n_assets, pools,
-                                               monkeypatch):
-        # a path's shock product takes steps * n_assets**2 multiply-adds;
-        # the first two pairs of cases straddle _BLAS_THREADED_MACS, past
-        # which it is computed in step slices under it, so the default
-        # forks at every shape up to 707 assets
-        monkeypatch.setattr(simulation, "_available_cpus", lambda: 2)
-        params, config = wide_inputs(n_assets, n_paths=40,
-                                     steps_per_year=steps)
-        sliced = steps * n_assets**2 > simulation._BLAS_THREADED_MACS
-        assert sliced == (n_assets in (63, 101, 300))
-        serial = simulate(params, config, workers=1)
-        default = simulate(params, config)
-        assert pools == [2]
-        assert np.array_equal(default.terminal_asset_prices,
-                              serial.terminal_asset_prices)
-        assert_no_children()
 
     @pytest.mark.skipif(simulation._available_cpus() < 2,
                         reason="needs a second CPU")
     def test_wide_bits_do_not_depend_on_the_cpu_count(self):
-        # 300 assets x 252 steps is past _BLAS_THREADED_MACS, where BLAS
-        # would thread one product per path; the inputs are built here, as
+        # the shock product is a fixed-order elementwise sum, where one BLAS
+        # product of 300 assets would thread; the inputs are built here, as
         # random_universe's covariance is itself a BLAS product whose bits
         # vary with the CPU count
         params, config = wide_inputs(300, n_paths=8)
@@ -468,8 +470,8 @@ class TestSimulate:
         assert child.stdout == here.tobytes()
 
     def test_chunk_memory_bounded_for_wide_runs(self, wide_run):
-        # two chunk-sized float arrays stay near 12 MB whatever the shape;
-        # 100 paths in one chunk would hold two 40 MB arrays
+        # the draw holds a few (paths, assets) arrays, 160 KB each here; a
+        # draw of every step would hold 40 MB arrays
         params, config = wide_run
         tracemalloc.start()
         try:
@@ -481,8 +483,8 @@ class TestSimulate:
 
     def test_chunk_memory_bounded_at_the_default_shape(self,
                                                        three_asset_params):
-        # each of two processes reuses two ~1.5 MB chunk arrays; a fresh
-        # pair per chunk in flight would hold ~25 MB
+        # a few 240 KB (paths, assets) arrays; every step of every path
+        # would take 60 MB
         config = SimConfig(weights=weights_for(three_asset_params))
         tracemalloc.start()
         try:
@@ -521,22 +523,30 @@ class TestSimulate:
         assert np.all(paths > 0.0)
 
     def test_streams_match_reference_across_chunks(self, three_asset_params):
-        # rebuilt paths on both sides of a 4,096-path boundary, at the top
-        # seed, follow the reference stream for (seed, path)
+        # rebuilt paths up to 4,100, at the top seed, follow a plain-numpy
+        # Brownian bridge over the reference streams for (seed, path): step
+        # normals at counter 0, terminal normals at top word 2**63
         seed = 2**64 - 1
         s0 = np.array([5.0, 6.0, 7.0])
         config = SimConfig(weights=weights_for(three_asset_params),
                            n_paths=4100, seed=seed, initial_prices=s0)
         paths = rebuilt_paths(three_asset_params, config)
         l = cholesky(three_asset_params.cov)
-        dt = config.dt
+        dt, horizon = config.dt, config.horizon_years
         sigma = three_asset_params.sigma
-        drift = (three_asset_params.mu - sigma**2 / 2.0) * dt
+        drift = three_asset_params.mu - sigma**2 / 2.0
+        k = np.arange(1, 253)[:, None]
         for p in (0, 4095, 4096, 4099):
             z = draw_standard_normals(seed, p, 252 * 3).reshape(252, 3)
-            log_path = np.cumsum(drift + math.sqrt(dt) * (z @ l.T), axis=0)
+            z_t = draw_standard_normals(seed, p, 3, counter=2**63)
+            walk = np.cumsum(math.sqrt(dt) * z, axis=0)
+            walk += k / 252 * (math.sqrt(horizon) * z_t - walk[-1])
+            log_path = walk @ l.T + k * drift * dt
             assert np.allclose(paths[p, 1:], s0 * np.exp(log_path),
                                rtol=1e-12, atol=0.0)
+            log_t = drift * horizon + math.sqrt(horizon) * (l @ z_t)
+            assert np.allclose(paths[p, -1], s0 * np.exp(log_t),
+                               rtol=1e-14, atol=0.0)
 
     def test_ticker_mismatch_rejected(self, three_asset_params):
         bad = WeightVector(("X", "Y", "Z"), np.array([0.4, 0.3, 0.3]))
@@ -582,92 +592,79 @@ class TestSimulate:
         assert np.max(np.abs(sample_corr - target_corr)) < 0.05
 
 
-class TestForkedSimulate:
-    """The default run on two CPUs: this process works the first range and
-    a forked process the second."""
+class TestTerminalSampler:
+    """The terminal draw's contract: each path a function of its key alone,
+    exact in law, and the last step of every rebuilt path."""
 
-    @pytest.fixture
-    def forks(self, monkeypatch):
-        # the pid of every process forked, as this process sees it
-        monkeypatch.setattr(simulation, "_available_cpus", lambda: 2)
-        pids = []
-        real = os.fork
+    @pytest.fixture(scope="class", params=[3, 10, 50, 200])
+    def run_300(self, request):
+        # inputs and a 300-path run, drawn once per width
+        params, config = wide_inputs(request.param, n_paths=300, seed=9)
+        return params, config, simulate(params, config)
 
-        def spy():
-            pid = real()
-            if pid:
-                pids.append(pid)
-            return pid
+    @pytest.mark.parametrize("k", [1, 2, 7, 64, 255])
+    def test_first_k_paths_equal_a_k_path_run(self, run_300, k):
+        # one BLAS product over all paths rounds differently by batch size;
+        # the fixed-order sum gives each path the same bits in any run
+        params, config, full = run_300
+        short = simulate(params, replace(config, n_paths=k))
+        assert np.array_equal(short.terminal_asset_prices,
+                              full.terminal_asset_prices[:k])
 
-        monkeypatch.setattr(os, "fork", spy)
-        return pids
+    @pytest.mark.parametrize("n_assets, steps", [
+        (1, 252), (3, 12), (50, 12), (200, 3)])
+    def test_rebuilt_last_row_is_the_terminal_draw(self, n_assets, steps):
+        params = random_universe(n_assets)
+        config = SimConfig(weights=weights_for(params), n_paths=20, seed=4,
+                           steps_per_year=steps,
+                           initial_prices=np.linspace(0.5, 90.0, n_assets))
+        paths = rebuilt_paths(params, config)
+        assert paths.shape == (20, steps + 1, n_assets)
+        assert np.array_equal(paths[:, -1, :],
+                              simulate(params, config).terminal_asset_prices)
 
-    @pytest.mark.parametrize("n_paths, n_assets", [(10_000, 3), (1_000, 10)])
-    def test_forked_run_equals_serial_bitwise(self, n_paths, n_assets,
-                                              forks):
-        params, config = wide_inputs(n_assets, n_paths=n_paths, seed=5)
-        serial = simulate(params, config, workers=1)
-        assert not forks
-        forked = simulate(params, config)
-        assert len(forks) == 1
-        assert np.array_equal(forked.terminal_asset_prices,
-                              serial.terminal_asset_prices)
-        assert np.array_equal(forked.terminal_portfolio_values,
-                              serial.terminal_portfolio_values)
-        assert_no_children()
+    def test_bridge_increments_keep_the_law(self, three_asset_params):
+        # criterion 2's moment checks and criterion 3's correlation check on
+        # the rebuilt paths' step increments, 1e5 paths x 12 steps, pooled
+        # over the steps; and increments of one asset uncorrelated across
+        # steps, as a pinned walk's are only when the bridge is right
+        params = three_asset_params
+        config = SimConfig(weights=weights_for(params), n_paths=100_000,
+                           steps_per_year=12, seed=1618)
+        steps = np.diff(np.log(rebuilt_paths(params, config)), axis=1)
+        dt = config.dt
+        sigma = params.sigma
+        for i in range(params.n_assets):
+            sample = steps[:, :, i].ravel()
+            n = sample.size
+            mean_target = (params.mu[i] - sigma[i] ** 2 / 2.0) * dt
+            se_mean = sample.std(ddof=1) / math.sqrt(n)
+            assert abs(sample.mean() - mean_target) / se_mean < 3.0
+            sample_var = sample.var(ddof=1)
+            se_var = sample_var * math.sqrt(2.0 / (n - 1))
+            assert abs(sample_var - params.cov[i, i] * dt) / se_var < 3.0
+            growth = np.exp(sample)
+            se_growth = growth.std(ddof=1) / math.sqrt(n)
+            target = math.exp(params.mu[i] * dt)
+            assert abs(growth.mean() - target) / se_growth < 3.0
+            across = np.corrcoef(steps[:, :, i], rowvar=False)
+            assert np.max(np.abs(across - np.eye(12))) < 0.05
+        target_corr = params.cov / np.outer(sigma, sigma)
+        for k in range(12):
+            sample_corr = np.corrcoef(steps[:, k, :], rowvar=False)
+            assert np.max(np.abs(sample_corr - target_corr)) < 0.05
 
-    @pytest.mark.parametrize("in_child", [True, False])
-    def test_range_error_surfaces_and_leaves_no_children(self, in_child,
-                                                         forks, monkeypatch):
-        # a forked range's error is re-raised here, from its traceback; one
-        # raised in this process's range still reaps the forked one
-        caller = os.getpid()
-        real = simulation._path_normals
-
-        def failing_normals(seed):
-            fill = real(seed)
-
-            def fill_or_fail(start, z):
-                if (os.getpid() != caller) == in_child:
-                    raise RangeFailed(os.getpid())
-                fill(start, z)
-
-            return fill_or_fail
-
-        monkeypatch.setattr(simulation, "_path_normals", failing_normals)
-        params, config = wide_inputs(3, n_paths=1_000)
-        with pytest.raises(RangeFailed) as err:
-            simulate(params, config)
-        assert len(forks) == 1
-        assert (err.value.args[0] != caller) == in_child
-        if in_child:
-            assert err.value.args[0] == forks[0]
-            cause = str(err.value.__cause__)
-            assert "Traceback" in cause and "RangeFailed" in cause
-        assert_no_children()
-
-    def test_forked_run_raises_no_warning(self, forks):
-        # Python 3.12+ warns when it forks a process that runs threads
-        params, config = wide_inputs(3, n_paths=2_000)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            simulate(params, config)
-        assert len(forks) == 1
-        assert_no_children()
-
-    def test_no_fork_off_linux(self, forks, monkeypatch):
-        # fork without exec is unsafe on other platforms (macOS among them)
-        params, config = wide_inputs(3, n_paths=2_000)
-        expected = simulate(params, config)
-        assert len(forks) == 1
-
-        def no_fork():
-            raise AssertionError("forked off Linux")
-
-        monkeypatch.setattr(os, "fork", no_fork)
-        monkeypatch.setattr(sys, "platform", "darwin")
-        result = simulate(params, config)
-        assert np.array_equal(result.terminal_asset_prices,
-                              expected.terminal_asset_prices)
-        assert np.array_equal(result.terminal_portfolio_values,
-                              expected.terminal_portfolio_values)
+    def test_one_asset_var_within_order_statistic_ci(self):
+        # the distribution-free 95% CI of the 5% quantile of 1e6 terminal
+        # values, order statistics n*alpha -+ 1.96 sqrt(n alpha (1 - alpha)),
+        # covers the lognormal closed form
+        s0, mu, sigma, alpha, n = 100.0, 0.05, 0.2, 0.05, 1_000_000
+        params = make_params(("X",), [mu], [[sigma**2]])
+        config = SimConfig(weights=WeightVector(("X",), np.array([1.0])),
+                           n_paths=n, seed=42, initial_value=s0,
+                           initial_prices=np.array([s0]))
+        values = np.sort(simulate(params, config).terminal_portfolio_values)
+        half = 1.959963984540054 * math.sqrt(n * alpha * (1.0 - alpha))
+        lo, hi = math.floor(n * alpha - half), math.ceil(n * alpha + half)
+        exact = analytic_var_single_asset(s0, mu, sigma, 1.0, alpha)
+        assert values[lo - 1] <= exact <= values[hi - 1]
