@@ -5,12 +5,12 @@ full-investment simplex {w : w_i >= 0, sum w_i = 1}. Both run in volatility
 units x = sigma * w, where the quadratic is the correlation matrix, as one
 convex problem min x'Corr x over {x >= 0, e.x = 1}: e = 1/sigma for the
 minimum variance, the assets' Sharpe ratios for max-Sharpe (Cornuejols &
-Tutuncu, Optimization Methods in Finance, ch. 8). The one solver is projected
-gradient descent with the exact sort-based projection onto that set
-(Condat, Math. Prog. 2016), fixed step 1/(2*lambda_max), cap MAX_ITER =
-10,000 steps (hitting it sets the output's warning) and stop when the
-objective change drops below 1e-12. Correctness is anchored by an
-exhaustive lattice oracle in the tests, not by the solver choice.
+Tutuncu, Optimization Methods in Finance, ch. 8). The one solver is a
+primal active-set method that ends, in finitely many steps, at the exact KKT
+point: each step is one bordered linear solve on the current support, with
+no step size or stopping tolerance to tune. Correctness is anchored by an
+exhaustive lattice oracle, closed forms and the KKT conditions in the tests,
+not by the solver choice.
 """
 
 from __future__ import annotations
@@ -30,11 +30,8 @@ __all__ = [
     "portfolio_stats",
     "min_variance",
     "max_sharpe",
-    "project_hyperplane",
 ]
 
-MAX_ITER = 10_000
-OBJ_TOL = 1e-12
 WEIGHT_CLAMP = 1e-12
 
 
@@ -106,48 +103,6 @@ def portfolio_stats(
     return PortfolioStats(ret, var, vol, sharpe)
 
 
-def project_hyperplane(v: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto {y : y >= 0, e.y = 1}; needs some e_i > 0.
-
-    y = max(v - tau*e, 0), where g(tau) = e.max(v - tau*e, 0) is nonincreasing
-    and piecewise linear with breakpoints v_i/e_i; tau solves g(tau) = 1 on
-    the piece located by the sorted breakpoints. e_i may be <= 0.
-    """
-    return _hyperplane_projection(e)(np.asarray(v, dtype=np.float64))
-
-
-def _hyperplane_projection(e: np.ndarray):
-    """``project(v)``, ``project_hyperplane(v, e)`` for this ``e``, with the
-    work that depends on ``e`` alone done once: a solver projects onto one
-    set at every step."""
-    e = np.asarray(e, dtype=np.float64)
-    idx = np.flatnonzero(e)
-    e_nz = e[idx]
-    e_sq = e_nz * e_nz
-    pos = e_nz > 0.0
-    mixed = not pos.all()
-
-    def project(v: np.ndarray) -> np.ndarray:
-        v_nz = v[idx]
-        b = v_nz / e_nz
-        order = np.argsort(b)
-        b = b[order]
-        # on piece k, between sorted breakpoints k-1 and k, g = sums[0] - tau
-        # * sums[1], summed over e_i > 0 at index >= k and e_i < 0 at index
-        # < k; with no e_i < 0 the second sum is all zeros and is skipped
-        terms = np.stack(((e_nz * v_nz)[order], e_sq[order]))
-        sums = np.zeros((2, len(idx) + 1))
-        if mixed:
-            side = pos[order]
-            sums[:, 1:] = np.where(side, 0.0, terms).cumsum(axis=1)
-            terms = np.where(side, terms, 0.0)
-        sums[:, :-1] += terms[:, ::-1].cumsum(axis=1)[:, ::-1]
-        k = int(np.count_nonzero(sums[0, :-1] - b * sums[1, :-1] >= 1.0))
-        return np.maximum(v - (sums[0, k] - 1.0) / sums[1, k] * e, 0.0)
-
-    return project
-
-
 def _vol_units(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-asset volatility (1 where it is 0) and Cov / outer(scale, scale)."""
     vols = np.sqrt(np.diag(cov))
@@ -155,47 +110,73 @@ def _vol_units(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return scale, cov / np.outer(scale, scale)
 
 
-def _pgd_quadratic(
-    q: np.ndarray, e: np.ndarray, x0: np.ndarray
-) -> tuple[np.ndarray, bool]:
-    """Minimize x'q x over {x >= 0, e.x = 1}, starting at ``x0``.
+def _active_set(q: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Minimize x'q x over {x >= 0, e.x = 1} exactly; q PSD, max e > 0.
 
-    Fixed step 1/(2*lambda_max). Returns the point and whether the objective
-    change fell below OBJ_TOL within MAX_ITER steps.
+    Primal active-set method (Nocedal & Wright, Numerical Optimization, 2nd
+    ed., Alg. 16.3) from the vertex of largest e_i. Each step solves the
+    equality-constrained problem on the support S, the bordered system
+    [[q_SS, e_S], [e_S', 0]] [x_S; nu] = [0; 1]. A nonnegative solution is
+    taken, and the asset at zero with the most negative multiplier
+    g_i - lambda e_i (g = q x, lambda = x'q x) joins S; with none below
+    -(1e-14 lambda + max |multiplier on S|) x is the KKT point. Otherwise x
+    steps toward the solution until the first asset reaches zero and leaves
+    S. The system stays nonsingular for any PSD q, since an asset joins only
+    on a strict descent direction (so a duplicate of a held asset never
+    does). Reaching 10n + 10 steps can only mean cycling and raises.
     """
     if not np.all(np.isfinite(q)):
         raise OptimizerError("non-finite covariance")
-    x = np.array(x0, dtype=np.float64)
-    lam_max = float(np.linalg.eigvalsh(q)[-1])
-    if lam_max <= 0.0:
-        return x, True  # zero quadratic: any point is optimal
-    step = 1.0 / (2.0 * lam_max)
-    project = _hyperplane_projection(e)
-    prev = float(x @ q @ x)
-    for _ in range(MAX_ITER):
-        x = project(x - step * (2.0 * (q @ x)))
-        cur = float(x @ q @ x)
-        if abs(prev - cur) < OBJ_TOL:
-            return x, True
-        prev = cur
-    return x, False
-
-
-_UNCONVERGED = f"solver stopped at MAX_ITER={MAX_ITER} before converging"
+    n = len(e)
+    free = np.zeros(n, dtype=bool)
+    free[np.argmax(e)] = True
+    x = np.zeros(n)
+    for _ in range(10 * n + 10):
+        idx = np.flatnonzero(free)
+        k = len(idx)
+        kkt = np.zeros((k + 1, k + 1))
+        kkt[:k, :k] = q[np.ix_(idx, idx)]
+        kkt[:k, k] = kkt[k, :k] = e[idx]
+        rhs = np.zeros(k + 1)
+        rhs[k] = 1.0
+        target = np.linalg.solve(kkt, rhs)[:k]
+        if np.all(target >= 0.0):
+            x[idx] = target
+            g = q @ x
+            lam = float(g @ x)
+            mult = g - lam * e
+            # the support's own multipliers, zero in exact arithmetic, are
+            # the rounding floor an entering multiplier must clear
+            floor = 1e-14 * lam + float(np.abs(mult[idx]).max())
+            mult[idx] = np.inf
+            j = int(np.argmin(mult))
+            if not mult[j] < -floor:
+                return x
+            free[j] = True
+        else:
+            # ratio test: only assets whose target is negative can block
+            now = x[idx]
+            ratios = np.full(k, np.inf)
+            neg = target < 0.0
+            ratios[neg] = now[neg] / (now[neg] - target[neg])
+            out = int(np.argmin(ratios))
+            x[idx] = np.maximum(now + ratios[out] * (target - now), 0.0)
+            x[idx[out]] = 0.0
+            free[idx[out]] = False
+    raise OptimizerError(f"active-set solve did not finish in {10 * n + 10} "
+                         "steps (cycling)")
 
 
 def min_variance(params: MarketParams) -> OptimizerOutput:
-    """Minimum Variance Portfolio over the simplex; warns at MAX_ITER.
+    """Minimum Variance Portfolio over the simplex.
 
     Solves min x'Corr x over {x >= 0, (1/sigma).x = 1}, x = sigma * w (so
-    x'Corr x = w'Cov w), from equal weights: Corr is far better conditioned
-    than Cov, so far fewer fixed steps reach the stop rule.
+    x'Corr x = w'Cov w), from the lowest-volatility asset.
     """
     scale, corr = _vol_units(params.cov)
-    x, converged = _pgd_quadratic(corr, 1.0 / scale, scale / params.n_assets)
+    x = _active_set(corr, 1.0 / scale)
     weights = WeightVector(params.tickers, x / scale / np.sum(x / scale))
-    return OptimizerOutput(weights, portfolio_stats(weights, params),
-                           None if converged else _UNCONVERGED)
+    return OptimizerOutput(weights, portfolio_stats(weights, params))
 
 
 def max_sharpe(params: MarketParams, risk_free: float = 0.0) -> OptimizerOutput:
@@ -206,7 +187,7 @@ def max_sharpe(params: MarketParams, risk_free: float = 0.0) -> OptimizerOutput:
     Finance, ch. 8); assets with e_i <= 0 may enter as hedges. With max e <= 0
     the ratio is minus nonnegative-linear over convex, so the best vertex is
     optimal: argmax e_i/sigma_i, ties to lower volatility. Zero covariance
-    gives equal weights. The warning flags both cases and a MAX_ITER stop.
+    gives equal weights. The warning flags both cases.
     """
     n = params.n_assets
     excess = params.mu - risk_free
@@ -217,7 +198,8 @@ def max_sharpe(params: MarketParams, risk_free: float = 0.0) -> OptimizerOutput:
         "no asset has expected return above the risk-free rate; "
         "the maximum-Sharpe portfolio is not meaningful"
     )
-    if float(np.linalg.eigvalsh(params.cov)[-1]) <= 0.0:
+    # a PSD matrix with a zero diagonal is zero
+    if not np.any(np.diag(params.cov) > 0.0):
         w = np.full(n, 1.0 / n)
         warning = warning or "covariance is zero; Sharpe ratio undefined everywhere"
     elif not beaten:
@@ -226,18 +208,9 @@ def max_sharpe(params: MarketParams, risk_free: float = 0.0) -> OptimizerOutput:
         w = np.eye(n)[ranked[0]]
     else:
         # In volatility units x = sigma * y: min x'Corr x, s.x = 1, x >= 0,
-        # s the assets' own Sharpe ratios. Start at the best vertex.
-        x = np.eye(n)[np.argmax(sharpes)] / sharpes.max()
-        x, converged = _pgd_quadratic(corr, sharpes, x)
-        # On s.x = 1 the Sharpe ratio is S = 1/sqrt(x'Corr x), so the stop
-        # rule's absolute OBJ_TOL reaches S magnified by S^3/2. A second pass
-        # on Corr scaled by S^3/2 takes the same steps but stops on S itself.
-        var = float(x @ corr @ x)
-        if converged and var > 0.0:
-            x, converged = _pgd_quadratic(corr * (0.5 * var**-1.5), sharpes, x)
+        # s the assets' own Sharpe ratios.
+        x = _active_set(corr, sharpes)
         w = x / scale / np.sum(x / scale)
-        if not converged:
-            warning = _UNCONVERGED
     weights = WeightVector(params.tickers, w)
     return OptimizerOutput(weights, portfolio_stats(weights, params, risk_free),
                            warning)

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gbmrisk import cli, forking, paths_csv, simulation
+from gbmrisk import cli, forking, paths_csv
 from gbmrisk.cli import (
     PORTFOLIO_MODES,
     PipelineError,
@@ -422,16 +422,20 @@ class TestCliCommands:
             "simulate", "--price-csv", str(DATA_DIR / "equity_like.csv"),
             "--n-paths", "500",
         ]
-        out1, out2, out3 = (tmp_path / n for n in ("r1", "r2", "r3"))
+        out1, out2, out3, out4 = (tmp_path / n for n in ("r1", "r2", "r3", "r4"))
         assert self.run(*base, "--out-dir", str(out1)) == 0
         assert self.run(*base, "--out-dir", str(out2)) == 0
-        monkeypatch.setattr(simulation, "_available_cpus", lambda: 4)
-        assert self.run(*base, "--out-dir", str(out3)) == 0
+        # the paths.csv writer's process count follows the CPUs it sees
+        for out, cpus in ((out3, 1), (out4, 4)):
+            monkeypatch.setattr(paths_csv, "_available_cpus", lambda: cpus)
+            assert self.run(*base, "--record-paths", "--out-dir", str(out)) == 0
         ref = (out1 / "report.json").read_bytes()
         assert (out2 / "report.json").read_bytes() == ref
-        assert (out3 / "report.json").read_bytes() == ref
+        for name in ("report.json", "paths.csv"):
+            assert (out4 / name).read_bytes() == (out3 / name).read_bytes()
         csv_ref = (out1 / "percentiles.csv").read_bytes()
-        assert (out3 / "percentiles.csv").read_bytes() == csv_ref
+        for out in (out2, out3, out4):
+            assert (out / "percentiles.csv").read_bytes() == csv_ref
         assert csv_ref.startswith(b"percentile,value\n")
 
     def test_simulate_report_content(self, tmp_path):
@@ -836,7 +840,7 @@ class TestCliCommands:
                               capture_output=True, text=True, env=env,
                               check=False)
         assert done.returncode == 0
-        assert done.stdout == "0.3.0\n"
+        assert done.stdout == "0.4.0\n"
 
 
 class TestPathsCsv:
@@ -1049,7 +1053,7 @@ class TestPathsCsv:
                                                   monkeypatch):
         # paths are rebuilt from their keys as paths.csv streams, so nothing
         # holds every path. 25-step paths keep the test fast.
-        monkeypatch.setattr(simulation, "_available_cpus", lambda: 1)
+        monkeypatch.setattr(paths_csv, "_available_cpus", lambda: 1)
 
         def peak(n_paths: int) -> int:
             config = RunConfig(price_csv=str(DATA_DIR / "crypto_like.csv"),

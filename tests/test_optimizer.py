@@ -1,9 +1,13 @@
-"""Portfolio optimization tests: projections and solver oracles."""
+"""Portfolio optimization tests: KKT conditions and solver oracles."""
 
 from __future__ import annotations
 
 import hashlib
 import math
+import os
+import pickle
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -12,13 +16,13 @@ from hypothesis import strategies as st
 
 from gbmrisk.estimation import estimate_params
 from gbmrisk.market_data import load_prices, log_returns
+from gbmrisk import optimizer
 from gbmrisk.optimizer import (
     OptimizerError,
     WeightVector,
     max_sharpe,
     min_variance,
     portfolio_stats,
-    project_hyperplane,
 )
 
 from conftest import DATA_DIR, make_params, random_psd, random_universe
@@ -27,6 +31,23 @@ from oracles import (
     quad_form_double_sum,
     simplex_lattice,
 )
+
+
+# A solve in a fresh interpreter whose affinity mask is the one CPU argv[2],
+# set before numpy loads OpenBLAS; argv[1] is the package's directory. Reads
+# pickled (solver name, params, risk_free or None), checks that the solve
+# warns of nothing, and writes the weight bytes.
+ONE_CPU_SOLVE = """
+import os, pickle, sys
+os.sched_setaffinity(0, {int(sys.argv[2])})
+sys.path.insert(0, sys.argv[1])
+from gbmrisk import optimizer
+name, params, risk_free = pickle.load(sys.stdin.buffer)
+args = (params,) if risk_free is None else (params, risk_free)
+out = getattr(optimizer, name)(*args)
+assert out.warning is None, out.warning
+sys.stdout.buffer.write(out.weights.w.tobytes())
+"""
 
 
 def wv(tickers, values) -> WeightVector:
@@ -41,6 +62,37 @@ def _equicorrelated_params(n: int = 50):
     np.fill_diagonal(corr, 1.0)
     return make_params([f"T{i}" for i in range(n)], np.zeros(n),
                        corr * np.outer(vols, vols))
+
+
+def frank_wolfe_gap(cov: np.ndarray, w: np.ndarray, e: np.ndarray) -> float:
+    """Relative Frank-Wolfe gap of min y'Cov y over {y >= 0, e.y = 1} at
+    y = w / e.w (e = ones: the minimum variance), which bounds the relative
+    excess objective. The vertices are u_i / e_i for e_i > 0; where some
+    e_j < 0 the rays u_i / e_i + u_j / |e_j| must not descend either, and
+    the larger shortfall is returned."""
+    y = w / float(e @ w)
+    g = 2.0 * cov @ y
+    obj = float(y @ cov @ y)
+    pos, neg = e > 0, e < 0
+    gap = (float(g @ y) - float((g[pos] / e[pos]).min())) / obj
+    if neg.any():
+        rays = g[pos][:, None] / e[pos][:, None] + g[neg][None, :] / -e[neg][None, :]
+        gap = max(gap, -float(rays.min()) / obj)
+    return gap
+
+
+def assert_kkt(q: np.ndarray, e: np.ndarray, x: np.ndarray) -> None:
+    """x minimizes x'q x over {x >= 0, e.x = 1}: primal feasibility, and the
+    multipliers g - lambda e (g = q x, lambda = x'q x), each relative to the
+    size of its terms |q| x + lambda |e|, nonnegative and zero wherever
+    x_i > 0."""
+    g = q @ x
+    lam = float(g @ x)
+    mult = (g - lam * e) / (np.abs(q) @ x + lam * np.abs(e))
+    assert np.all(x >= 0.0)
+    assert abs(float(e @ x) - 1.0) <= 1e-14
+    assert mult.min() >= -1e-12
+    assert np.abs(mult[x > 0.0]).max() <= 1e-12
 
 
 class TestWeightVector:
@@ -63,61 +115,6 @@ class TestWeightVector:
     def test_rejects_length_mismatch(self):
         with pytest.raises(OptimizerError):
             wv(["A"], [0.5, 0.5])
-
-
-def bisect_hyperplane(v: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """Projection onto {y >= 0, e.y = 1} with tau found by bisection."""
-
-    def g(tau: float) -> float:
-        return float(e @ np.maximum(v - tau * e, 0.0))
-
-    lo, hi = -1.0, 1.0
-    while g(lo) < 1.0:
-        lo *= 2.0
-    while g(hi) > 1.0:
-        hi *= 2.0
-    while True:
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):
-            break
-        if g(mid) > 1.0:
-            lo = mid
-        else:
-            hi = mid
-    return np.maximum(v - 0.5 * (lo + hi) * e, 0.0)
-
-
-class TestProjectHyperplane:
-    @settings(max_examples=200, deadline=None)
-    @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
-           n=st.integers(min_value=1, max_value=12))
-    def test_matches_bisection_oracle(self, seed, n):
-        # mixed-sign e, some entries exactly zero, at least one positive
-        rng = np.random.default_rng(seed)
-        e = rng.uniform(-1.0, 1.0, size=n)
-        e[rng.random(n) < 0.15] = 0.0
-        e[rng.integers(n)] = rng.uniform(0.05, 1.0)
-        v = rng.normal(0.0, 3.0, size=n)
-        y = project_hyperplane(v, e)
-        assert np.all(y >= 0.0)
-        assert abs(float(e @ y) - 1.0) <= 1e-12
-        assert np.max(np.abs(y - bisect_hyperplane(v, e))) <= 1e-12
-
-    def test_fixed_point_on_the_set(self):
-        e = np.array([0.5, -0.25, 0.0])
-        y = np.array([3.0, 2.0, 1.0])  # e.y = 1.5 - 0.5 = 1
-        assert np.allclose(project_hyperplane(y, e), y, atol=1e-15)
-
-    @pytest.mark.parametrize("v, expected", [
-        ([0.2, 0.3, 0.5], [0.2, 0.3, 0.5]),
-        ([2.0, 0.0], [1.0, 0.0]),  # tau = 1, second coordinate clips at 0
-        ([0.3, 0.3], [0.5, 0.5]),  # tau = -0.2, both rise to 0.5
-    ], ids=["interior_point_untouched", "dominating_coordinate",
-            "uniform_shift"])
-    def test_simplex_hand_cases(self, v, expected):
-        # e = ones: the projection onto the probability simplex
-        y = project_hyperplane(np.array(v), np.ones(len(v)))
-        assert np.allclose(y, expected, atol=1e-15)
 
 
 class TestPortfolioStats:
@@ -165,6 +162,52 @@ class TestDoubleSum:
         )
 
 
+class TestActiveSet:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+           n=st.integers(min_value=3, max_value=200))
+    def test_kkt_holds_exactly(self, seed, n):
+        # a PD covariance of random rank plus a ridge, volatilities spread
+        # ~20x; e = 1/sigma (the minimum variance) and mixed-sign Sharpe
+        # ratios (max-Sharpe). A solve that reached the step bound raises.
+        rng = np.random.default_rng(seed)
+        vols = np.exp(rng.uniform(-2.5, 0.5, n))
+        rank = int(rng.integers(1, n + 1))
+        cov = random_psd(rng, n, rank=rank) + 1e-3 * np.eye(n)
+        cov *= np.outer(vols, vols)
+        scale, corr = optimizer._vol_units(cov)
+        sharpes = rng.uniform(-0.5, 1.0, n)
+        sharpes[:2] = rng.uniform(0.1, 1.0), -rng.uniform(0.1, 0.5)
+        rng.shuffle(sharpes)
+        for e in (1.0 / scale, sharpes):
+            assert_kkt(corr, e, optimizer._active_set(corr, e))
+
+    @pytest.mark.parametrize("fixture", ["crypto_like", "equity_like"])
+    def test_fixture_mvp_is_the_closed_form(self, fixture):
+        # every weight is positive there, so the unconstrained optimum
+        # inv(Cov) 1 / 1' inv(Cov) 1 is the constrained one
+        params = estimate_params(log_returns(
+            load_prices(str(DATA_DIR / f"{fixture}.csv"))))
+        inv = np.linalg.solve(params.cov, np.ones(params.n_assets))
+        w = min_variance(params).weights.w
+        assert np.abs(w - inv / inv.sum()).max() <= 1e-14
+
+    def test_duplicated_asset_solves(self):
+        # a copy of an asset both optima hold makes Corr singular; the copy
+        # shares its twin's multiplier, so the support never takes both
+        base = random_universe(20)
+        held = (min_variance(base).weights.w > 0) & (max_sharpe(base).weights.w > 0)
+        twin = int(np.flatnonzero(held)[0])
+        idx = np.r_[np.arange(20), twin]
+        cov = base.cov[np.ix_(idx, idx)]
+        params = make_params([f"T{i}" for i in range(21)], base.mu[idx], cov)
+        assert np.linalg.matrix_rank(cov) == 20
+        mvp, tangency = min_variance(params), max_sharpe(params)
+        assert frank_wolfe_gap(cov, mvp.weights.w, np.ones(21)) <= 1e-12
+        assert frank_wolfe_gap(cov, tangency.weights.w, params.mu) <= 1e-12
+        assert mvp.warning is None and tangency.warning is None
+
+
 class TestMinVariance:
     def test_two_asset_closed_form(self):
         # uncorrelated two-asset MVP: w1 = var2 / (var1 + var2)
@@ -210,7 +253,7 @@ class TestMinVariance:
     def test_degenerate_zero_covariance(self):
         params = make_params(("A", "B"), [0.0, 0.0], np.zeros((2, 2)))
         out = min_variance(params)
-        assert out.stats.variance == pytest.approx(0.0, abs=1e-15)
+        assert out.stats.variance == 0.0
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
@@ -309,21 +352,23 @@ class TestMaxSharpe:
 
 
 class TestConvergenceWarning:
-    def test_max_iter_reported(self):
+    def test_ill_conditioned_case_solves_exactly(self):
         # two strong factors over tiny idiosyncratic variances: even the
-        # correlation matrix is ill-conditioned on the hyperplane e.y = 1,
-        # so 10,000 fixed steps settle neither problem. mu = Cov 1/n makes
-        # equal weights the (interior) tangency portfolio.
+        # correlation matrix is ill-conditioned on the hyperplane e.y = 1, so
+        # 10,000 fixed gradient steps settled neither problem; the active-set
+        # solve ends at the KKT point of both. mu = Cov 1/n makes equal
+        # weights the (interior) tangency portfolio.
         rng = np.random.default_rng(3)
         n = 200
         b = np.column_stack((rng.uniform(0.5, 1.5, n), rng.normal(0.0, 1.0, n)))
         cov = 0.09 * b @ b.T + np.diag(rng.uniform(1e-5, 1e-4, n))
         params = make_params([f"T{i}" for i in range(n)],
                              cov @ np.full(n, 1.0 / n), cov)
-        for out in (min_variance(params), max_sharpe(params)):
-            assert out.warning == (
-                "solver stopped at MAX_ITER=10000 before converging"
-            )
+        ones = np.ones(n)
+        for out, e in ((min_variance(params), ones),
+                       (max_sharpe(params), params.mu)):
+            assert out.warning is None
+            assert frank_wolfe_gap(params.cov, out.weights.w, e) <= 1e-12
 
     @pytest.mark.parametrize("fixture", ["crypto_like", "equity_like"])
     def test_fixtures_converge(self, fixture):
@@ -334,23 +379,32 @@ class TestConvergenceWarning:
 
 
 class TestSolverBits:
-    # sha256 of the weight bytes: a rewrite of the solver or its projection
-    # must leave every bit of these wide solves where it was, not just
-    # within a tolerance; r_f = 0.05 leaves 60 of the 200 excess returns
-    # negative, so max_sharpe projects onto a mixed-sign e
-    @pytest.mark.parametrize("solve, digest", [
-        (lambda: min_variance(random_universe(200)),
-         "52b7ab8da096abfb9f0d0fd212964d1b522b59331b259004f6bf8db401b04cee"),
-        (lambda: min_variance(_equicorrelated_params()),
-         "b2589e2410ce931272143948a3c0b3e66fc3602691260b98ffee9eaf26d70bce"),
-        (lambda: max_sharpe(random_universe(200), risk_free=0.05),
-         "461ca017b800067562bfb3eec5f5fbe626ca9d0408383686db3be385b6b48d44"),
+    # sha256 of the weight bytes: a rewrite of the solver must leave every
+    # bit of these wide solves where it was, not just within a tolerance;
+    # r_f = 0.05 leaves 60 of the 200 excess returns negative, so max_sharpe
+    # solves with a mixed-sign e. OpenBLAS factors a KKT system of 100 rows
+    # or more on several threads, with bits that depend on the thread count
+    # (both 200-asset supports pass 100 assets), so the pinned bits are a
+    # one-CPU solve in a fresh interpreter.
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                        reason="no CPU affinity mask here")
+    @pytest.mark.parametrize("solve, universe, risk_free, digest", [
+        ("min_variance", lambda: random_universe(200), None,
+         "d6c098f4191e7cd4f2e2dbde04636a1b3e4ba9b787c1c5d68c63b135382c5a57"),
+        ("min_variance", _equicorrelated_params, None,
+         "619696b17b5b2e26d935ed2613cf3067cfd2eca974354b5d7b4c60dfd82842f0"),
+        ("max_sharpe", lambda: random_universe(200), 0.05,
+         "2e78023f2031f8895cf92ab5d3f413ab35f62cc897f25f75303452a0437824c0"),
     ], ids=["mvp_200_random_psd", "mvp_50_equicorrelated",
             "max_sharpe_200_mixed_sign"])
-    def test_weight_bytes_pinned(self, solve, digest):
-        out = solve()
-        assert out.warning is None
-        assert hashlib.sha256(out.weights.w.tobytes()).hexdigest() == digest
+    def test_weight_bytes_pinned(self, solve, universe, risk_free, digest):
+        package = os.path.dirname(os.path.dirname(optimizer.__file__))
+        cpu = min(os.sched_getaffinity(0))
+        child = subprocess.run(
+            [sys.executable, "-c", ONE_CPU_SOLVE, package, str(cpu)],
+            input=pickle.dumps((solve, universe(), risk_free)),
+            stdout=subprocess.PIPE, check=True)
+        assert hashlib.sha256(child.stdout).hexdigest() == digest
 
 
 class TestGridOracle:
