@@ -11,8 +11,10 @@ A path is rebuilt by a Brownian bridge (Glasserman, Monte Carlo Methods in
 Financial Engineering, 2003, 3.1): independent walks B_k from the path's
 step normals are pinned to its terminal normals z_T, the draw ``simulate``
 makes, by W_k = B_k + (k/n) (sqrt(T) z_T - B_n); then L' and k steps of
-drift apply. The last step is set to ``simulate``'s terminal prices, from
-the same kernel call, so it equals them bitwise.
+drift apply. The last step is set to ``simulate``'s terminal prices: the
+writer draws z_T path by path, where ``simulate`` draws it for thousands of
+paths at once, with the same bits, and both take it to log prices by the
+kernel's ``log_terminal``, so it equals them bitwise.
 
 On Linux, with more than one CPU and more than one block, the blocks are
 formatted in forked processes through ``gbmrisk.forking.run_forked``, one
@@ -33,8 +35,8 @@ import numpy as np
 
 from . import forking
 from .estimation import MarketParams
-from .simulation import (SimConfig, _available_cpus, _correlate,
-                         _fill_normals, _path_kernel, _PathKernel)
+from .simulation import (_TERMINAL_COUNTER, SimConfig, _available_cpus,
+                         _correlate, _fill_normals, _path_kernel, _PathKernel)
 
 __all__ = ["write_paths_csv"]
 
@@ -55,9 +57,12 @@ def _log_paths(kernel: _PathKernel, n_steps: int, start: int,
     """log(S_k / S_0) of paths [start, stop) at steps 1..n_steps, shape
     (stop - start, n_steps, n_assets), by the Brownian bridge above, worked
     asset-major so that every operation runs along a path's steps."""
-    z_t, log_t = kernel.terminal(start, stop)
+    paths = range(start, stop)
+    z_t = np.empty((stop - start, len(kernel.drift)))
+    _fill_normals(z_t, kernel.seed, paths, _TERMINAL_COUNTER)
+    log_t = kernel.log_terminal(z_t)
     z = np.empty((stop - start, n_steps, z_t.shape[1]))
-    _fill_normals(z, kernel.seed, start)
+    _fill_normals(z, kernel.seed, paths)
     dt = kernel.horizon / n_steps
     walk = np.ascontiguousarray(z.transpose(2, 0, 1))
     walk *= math.sqrt(dt)

@@ -13,6 +13,14 @@ keyed (seed, p) whose counter starts at (0, 0, 0, 2**63), the seed in
 [0, 2**64); its step normals from the same key at counter 0, a range the
 terminal draw never reaches (Salmon et al., Random123, SC'11).
 
+Philox is counter-based, so ``simulate`` computes the words of thousands
+of paths at once in uint64 arithmetic, and turns each into a normal by
+numpy's ziggurat fast path (Marsaglia & Tsang, 2000), one exact multiply
+by an entry of numpy's own tables. A path where some word leaves the fast
+path, ~4% at 3 assets, is drawn by numpy's generator re-keyed for it, as
+the paths.csv writer draws every path. Both give the bits of a Philox
+built for the path.
+
 z L' is a fixed-order elementwise sum, not a BLAS product, whose rounding
 varies with the row and thread counts. So a path's prices depend on its key
 alone: a run's first k paths equal a k-path run bitwise, on any CPU count.
@@ -26,6 +34,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from . import _ziggurat
 from .estimation import MarketParams
 from .optimizer import WeightVector
 from .rules import RULES, check, step_count
@@ -167,8 +176,8 @@ def _available_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _fill_normals(z: np.ndarray, seed: int, start: int, counter: int = 0):
-    """z[i] = the normals of path start + i, keyed (seed, start + i) with
+def _fill_normals(z: np.ndarray, seed: int, paths, counter: int = 0):
+    """z[i] = the normals of path paths[i], keyed (seed, paths[i]) with
     the counter's top word ``counter``; a 3-d z fills step-major. One
     Philox serves every path: assigning it this state re-keys it with a
     fresh counter and an empty buffer, the state a new Philox starts in;
@@ -179,10 +188,99 @@ def _fill_normals(z: np.ndarray, seed: int, start: int, counter: int = 0):
              "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     bit_gen = np.random.Philox()
     gen = np.random.Generator(bit_gen)
-    for p, row in enumerate(z, start):
+    for p, row in zip(paths, z):
         key[1] = p
         bit_gen.state = fresh
         gen.standard_normal(out=row)
+
+
+# Philox4x64-10 (Salmon et al., SC'11), as numpy's Philox computes it: its
+# round multipliers, each with its 32-bit halves, and key increments
+_PHILOX_M = tuple((np.uint64(m), np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32))
+                  for m in (0xD2E7470EE14C6C93, 0xCA5A826395121157))
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_LOW32, _BITS32 = np.uint64(0xFFFFFFFF), np.uint64(32)
+# numpy's ziggurat tables indexed by a word's low 9 bits, layer and sign:
+# the sign folds into WI, as rabs * -w is -(rabs * w) bit for bit
+_KI = np.tile(np.array(_ziggurat.KI, dtype=np.uint64), 2)
+_WI = np.concatenate([_ziggurat.WI, np.negative(_ziggurat.WI)])
+_LAYER_SIGN, _RABS = np.uint64(0x1FF), np.uint64(2**52 - 1)
+# (path, block) pairs per vector pass: a pass holds a few dozen arrays of
+# that many words, so this bounds its memory; the bits do not depend on it.
+_DRAW_BLOCKS = 16384
+
+
+def _mulhilo(multiplier: tuple,
+             x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The high and low words of the 128-bit products m * x, for an entry
+    (m, m_lo, m_hi) of _PHILOX_M, from 32-bit halves; no partial sum passes
+    2**64 - 1. In place where it can be: a fresh array costs more than the
+    arithmetic on it."""
+    m, m_lo, m_hi = multiplier
+    lo = x * m
+    hi = x >> _BITS32
+    x_lo = x & _LOW32
+    carry = hi * m_lo
+    part = x_lo * m_lo
+    part >>= _BITS32
+    carry += part
+    x_lo *= m_hi
+    np.bitwise_and(carry, _LOW32, out=part)
+    x_lo += part
+    carry >>= _BITS32
+    x_lo >>= _BITS32
+    hi *= m_hi
+    hi += carry
+    hi += x_lo
+    return hi, lo
+
+
+def _philox_words(seed: int, paths: np.ndarray, blocks: int) -> np.ndarray:
+    """The first 4 * blocks words of the terminal streams keyed (seed, p)
+    for p in the uint64 array ``paths``, one column a path: block b is
+    Philox4x64-10 of the counter (b + 1, 0, 0, 2**63), the block numpy's
+    Philox yields b-th after a re-key."""
+    c0 = np.arange(1, blocks + 1, dtype=np.uint64)[:, None]
+    c1 = c2 = np.zeros((1, 1), np.uint64)
+    c3 = np.full((1, 1), _TERMINAL_COUNTER, np.uint64)
+    k0, k1 = seed, paths[None, :].copy()
+    for r in range(10):
+        if r:
+            k0 = (k0 + _PHILOX_W[0]) % 2**64
+            k1 += np.uint64(_PHILOX_W[1])
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ np.uint64(k0), lo1, hi0 ^ c3 ^ k1, lo0
+    words = np.stack(np.broadcast_arrays(c0, c1, c2, c3), axis=1)
+    return words.reshape(4 * blocks, len(paths))
+
+
+def _terminal_normals(z: np.ndarray, seed: int, start: int):
+    """z[:, i] = the first len(z) terminal normals of path start + i, as
+    ``_fill_normals`` draws them, bit for bit; z is (normals, paths).
+
+    The Philox words of many paths at once go through numpy's ziggurat
+    fast path, an exact multiply rabs * WI[idx], a pass per _DRAW_BLOCKS
+    (path, block) pairs; the paths where some word leaves it, ~1.5% of
+    words, are redrawn by ``_fill_normals``."""
+    count = len(z)
+    blocks = -(-count // 4)
+    step = max(1, _DRAW_BLOCKS // blocks)
+    for lo in range(0, z.shape[1], step):
+        cols = z[:, lo:lo + step]
+        paths = np.arange(start + lo, start + lo + cols.shape[1],
+                          dtype=np.uint64)
+        words = _philox_words(seed, paths, blocks)[:count]
+        layer_sign = (words & _LAYER_SIGN).astype(np.intp)
+        rabs = words >> np.uint64(9)
+        rabs &= _RABS
+        np.multiply(rabs, _WI[layer_sign], out=cols)
+        slow = np.flatnonzero(np.logical_or.reduce(rabs >= _KI[layer_sign]))
+        if slow.size:
+            redrawn = np.empty((slow.size, count))
+            _fill_normals(redrawn, seed, paths[slow].tolist(),
+                          _TERMINAL_COUNTER)
+            cols[:, slow] = redrawn.T
 
 
 def _correlate(z: np.ndarray, l: np.ndarray) -> np.ndarray:
@@ -211,12 +309,17 @@ class _PathKernel:
     def terminal(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
         """Paths [start, stop)'s terminal normals and log(S_T / S_0), each
         (paths, assets)."""
-        z = np.empty((stop - start, len(self.drift)))
-        _fill_normals(z, self.seed, start, _TERMINAL_COUNTER)
+        z = np.empty((len(self.drift), stop - start))
+        _terminal_normals(z, self.seed, start)
+        return z.T, self.log_terminal(z.T)
+
+    def log_terminal(self, z: np.ndarray) -> np.ndarray:
+        """log(S_T / S_0) of the paths whose terminal normals are z's rows,
+        (paths, assets)."""
         log_t = _correlate(z.T, self.l)
         log_t *= math.sqrt(self.horizon)
         log_t += (self.drift * self.horizon)[:, None]
-        return z, np.ascontiguousarray(log_t.T)
+        return np.ascontiguousarray(log_t.T)
 
 
 def _path_kernel(params: MarketParams, config: SimConfig) -> _PathKernel:

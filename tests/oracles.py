@@ -1,10 +1,11 @@
 """Independent reference implementations the tests compare the package
 against: the explicit double-sum variance and an exhaustive simplex-lattice
 search for the minimum-variance weights, the per-path normal stream that
-simulate must reproduce, every recorded path rebuilt in one bridge call,
-the all-rows paths.csv formatter whose bytes the streaming writer must
-reproduce, and the closed-form lognormal VaR of a single GBM asset that
-the simulated VaR must approach."""
+simulate must reproduce and whether it leaves numpy's ziggurat fast path,
+a probe of numpy's ziggurat tables, every recorded path rebuilt in one
+bridge call, the all-rows paths.csv formatter whose bytes the streaming
+writer must reproduce, and the closed-form lognormal VaR of a single GBM
+asset that the simulated VaR must approach."""
 
 from __future__ import annotations
 
@@ -76,18 +77,86 @@ def grid_oracle_min_variance(
     return WeightVector(params.tickers, lattice[int(np.argmin(objectives))])
 
 
-def draw_standard_normals(seed: int, path_index: int, count: int,
-                          counter: int = 0) -> np.ndarray:
-    """Standard normals from a fresh Philox keyed by (seed, path_index) whose
-    counter's top word is ``counter`` (2**63 for the terminal draw): the
-    per-path stream that simulate's re-keyed generator must reproduce."""
+def philox(seed: int, path_index: int, counter: int = 0,
+           block: int = 0) -> np.random.Philox:
+    """A fresh Philox keyed by (seed, path_index) whose counter is (block, 0,
+    0, counter), so that its first words are the stream's block ``block``.
+    The key and counter go in as uint64 arrays: a list of Python ints above
+    2**63 reaches numpy's Philox through float64."""
     key = np.array(
         [seed & 0xFFFFFFFFFFFFFFFF, path_index & 0xFFFFFFFFFFFFFFFF],
         dtype=np.uint64,
     )
-    bit_gen = np.random.Philox(key=key, counter=np.array([0, 0, 0, counter],
-                                                          dtype=np.uint64))
-    return np.random.Generator(bit_gen).standard_normal(count)
+    return np.random.Philox(key=key, counter=np.array(
+        [block, 0, 0, counter], dtype=np.uint64))
+
+
+def draw_standard_normals(seed: int, path_index: int, count: int,
+                          counter: int = 0) -> np.ndarray:
+    """Standard normals from a fresh Philox keyed by (seed, path_index) whose
+    counter's top word is ``counter`` (2**63 for the terminal draw): the
+    per-path stream that simulate's draw must reproduce."""
+    return np.random.Generator(philox(seed, path_index, counter)
+                               ).standard_normal(count)
+
+
+def leaves_fast_path(seed: int, path_index: int, count: int,
+                     counter: int = 0) -> bool:
+    """Whether any of the first ``count`` normals of that stream leaves
+    numpy's ziggurat fast path, which takes exactly one word a normal: the
+    draw then takes more than ``count`` words of the Philox, whose state
+    counts them."""
+    bit_gen = philox(seed, path_index, counter)
+    np.random.Generator(bit_gen).standard_normal(count)
+    state = bit_gen.state
+    words = 4 * (int(state["state"]["counter"][0]) - 1) + state["buffer_pos"]
+    return words > count
+
+
+def _untemper(y: int) -> int:
+    """The MT19937 state word that its tempering maps to the 32-bit y."""
+    y ^= y >> 18
+    y ^= (y << 15) & 0xEFC60000
+    x = y
+    for _ in range(4):
+        x = y ^ ((x << 7) & 0x9D2C5680)
+    y = x & 0xFFFFFFFF
+    return y ^ (y >> 11) ^ (y >> 22)
+
+
+def ziggurat_draw(words: list[int]) -> tuple[float, int]:
+    """numpy's own Generator.standard_normal on a generator whose next
+    64-bit words are ``words`` (then MT19937's stream of seed 0): the
+    normal and the number of 64-bit words it took. MT19937 takes any key
+    as its state and reads two tempered 32-bit key words a 64-bit word,
+    the high word first, so untempered words give exactly ``words``."""
+    bit_gen = np.random.MT19937(0)
+    state = bit_gen.state
+    key = state["state"]["key"]
+    for i, word in enumerate(words):
+        key[2 * i] = _untemper(word >> 32)
+        key[2 * i + 1] = _untemper(word & 0xFFFFFFFF)
+    state["state"] = {"key": key, "pos": 0}
+    bit_gen.state = state
+    normal = np.random.Generator(bit_gen).standard_normal()
+    return normal, bit_gen.state["state"]["pos"] // 2
+
+
+def ziggurat_layer(layer: int) -> tuple[int, float]:
+    """numpy's (ki_double, wi_double) at ``layer``, from its draws alone.
+
+    wi is the normal drawn from rabs = 1, sign 0, the next word 0, so that
+    layer 1's slow path accepts. ki is the least rabs whose draw takes more
+    than one word, found by bisection: the fast path is rabs < ki."""
+    wi = ziggurat_draw([(1 << 9) | layer, 0])[0]
+    lo, hi = 0, 1 << 52
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if ziggurat_draw([(mid << 9) | layer, 2**64 - 1])[1] == 1:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo, wi
 
 
 def rebuilt_paths(params: MarketParams, config: SimConfig) -> np.ndarray:

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
-from gbmrisk import forking, paths_csv, simulation
+from gbmrisk import _ziggurat, forking, paths_csv, simulation
 from gbmrisk.optimizer import WeightVector
 from gbmrisk.simulation import (
     CholeskyError,
@@ -29,7 +29,8 @@ from gbmrisk.simulation import (
 
 from conftest import make_params, random_psd, random_universe
 from oracles import (analytic_var_single_asset, draw_standard_normals,
-                     rebuilt_paths, reference_paths_csv)
+                     leaves_fast_path, philox, rebuilt_paths,
+                     reference_paths_csv, ziggurat_draw, ziggurat_layer)
 
 SQRT2 = 1.4142135623730951
 
@@ -190,6 +191,77 @@ class TestDrawStandardNormals:
         )
         result = scipy_stats.kstest(sample, "norm")
         assert result.pvalue > 0.01
+
+
+class TestVectorDraw:
+    """simulate's terminal draw, Philox words for many paths at once through
+    numpy's ziggurat fast path, bit for bit the per-path stream."""
+
+    @staticmethod
+    def both_kinds(seed, paths, count):
+        # the paths compared include some whose first `count` normals all
+        # take the fast path and some that leave it
+        leaves = {leaves_fast_path(seed, p, count, 2**63) for p in paths}
+        assert leaves == {False, True}
+
+    @pytest.mark.parametrize("blocks", [1, 2, 7, 50])
+    @pytest.mark.parametrize("seed", [0, 42, 2**63, 2**64 - 1])
+    def test_philox_words_match_numpy(self, seed, blocks):
+        paths = [*range(40), *range(2**32 - 20, 2**32 + 20),
+                 *(2**63 + k for k in range(-10, 10)), 2**64 - 1]
+        words = simulation._philox_words(
+            seed, np.array(paths, dtype=np.uint64), blocks)
+        assert words.shape == (4 * blocks, len(paths))
+        for i, p in enumerate(paths):
+            expected = np.concatenate([
+                philox(seed, p, 2**63, b).random_raw(4)
+                for b in range(blocks)])
+            assert np.array_equal(words[:, i], expected), (p, seed)
+        self.both_kinds(seed, paths, 4 * blocks)
+
+    @pytest.mark.parametrize("count", [*range(1, 11), 50, 200])
+    def test_normals_match_the_per_path_stream(self, count):
+        # 1,000 paths across 2**32 at a seed near the top of its range
+        seed, start = 2**64 - 1 - count, 2**32 - 500
+        z = np.empty((count, 1000))
+        simulation._terminal_normals(z, seed, start)
+        paths = range(start, start + 1000)
+        expected = np.array([draw_standard_normals(seed, p, count, 2**63)
+                             for p in paths])
+        assert np.array_equal(z.T, expected)
+        self.both_kinds(seed, paths, count)
+
+    @pytest.mark.parametrize("delta", [-1, 0, 1])
+    @pytest.mark.parametrize("count", [3, 200])
+    def test_pass_boundaries(self, count, delta):
+        # a pass's worth of paths less one, exactly, and plus one
+        n = simulation._DRAW_BLOCKS // -(-count // 4) + delta
+        z = np.empty((count, n))
+        simulation._terminal_normals(z, 9, 12_345)
+        paths = range(12_345, 12_345 + n)
+        expected = np.array([draw_standard_normals(9, p, count, 2**63)
+                             for p in paths])
+        assert np.array_equal(z.T, expected)
+        self.both_kinds(9, paths, count)
+
+    def test_tables_are_numpys(self):
+        # at every layer: wi is numpy's draw at rabs 1, and -wi with the
+        # sign bit; rabs = ki - 1 takes the fast path, one word, and rabs =
+        # ki leaves it. A few layers are read afresh by bisection
+        ki, wi = _ziggurat.KI, _ziggurat.WI
+        assert len(ki) == len(wi) == 256
+        for layer in range(256):
+            assert ziggurat_draw([(1 << 9) | layer, 0])[0] == wi[layer]
+            assert ziggurat_draw([(1 << 9) | 256 | layer, 0])[0] == -wi[layer]
+            if ki[layer] > 0:
+                below = ((ki[layer] - 1) << 9) | layer
+                fast = ziggurat_draw([below, 2**64 - 1])
+                assert fast[1] == 1
+                assert fast[0] == (ki[layer] - 1) * wi[layer]
+            slow = ziggurat_draw([(ki[layer] << 9) | layer, 2**64 - 1])
+            assert slow[1] > 1
+        for layer in (0, 1, 2, 128, 255):
+            assert ziggurat_layer(layer) == (ki[layer], wi[layer])
 
 
 class TestSimConfig:
@@ -493,6 +565,19 @@ class TestSimulate:
         finally:
             tracemalloc.stop()
         assert peak < 10e6
+
+    def test_draw_memory_bounded_at_1e5_paths(self, three_asset_params):
+        # the run's own (paths, assets) arrays, 2.4 MB each, and one pass of
+        # the vector draw; a single pass over all paths would hold ~17 MB
+        config = SimConfig(weights=weights_for(three_asset_params),
+                           n_paths=100_000)
+        tracemalloc.start()
+        try:
+            simulate(three_asset_params, config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12e6
 
     def test_seed_changes_output(self, three_asset_params):
         w = weights_for(three_asset_params)
