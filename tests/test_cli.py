@@ -936,6 +936,25 @@ class TestPathsCsv:
         cli.write_report_files(result, tmp_path)
         assert (tmp_path / "paths.csv").read_bytes() == expected
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_any_ticker_bytes(self, workers, tmp_path, monkeypatch):
+        # tickers are header cells: non-ASCII, or quoted around a comma;
+        # paths.csv writes them as they are, in UTF-8
+        lines = (DATA_DIR / "crypto_like.csv").read_text().splitlines()
+        lines[0] = 'date,"CR,A",Ωμέγα,Cé'
+        prices = tmp_path / "tickers.csv"
+        prices.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        self.on_cpus(monkeypatch, workers)
+        result = run_pipeline(RunConfig(price_csv=str(prices), n_paths=30,
+                                        record_paths=True))
+        assert result.params.tickers == ("CR,A", "Ωμέγα", "Cé")
+        out = tmp_path / "out"
+        out.mkdir()
+        cli.write_report_files(result, out)
+        paths = rebuilt_paths(result.params, result.simulation.config_echo)
+        expected = reference_paths_csv(paths, result.params.tickers)
+        assert (out / "paths.csv").read_bytes() == expected
+
     def test_single_block_starts_no_pool(self, recorded, tmp_path,
                                          monkeypatch):
         # workers are clamped to the block count, so one block runs here
