@@ -15,11 +15,18 @@ import pickle
 import sys
 import traceback
 
-__all__ = ["process_count", "run_forked"]
+__all__ = ["available_cpus", "process_count", "run_forked"]
 
 # Bytes before each part's result a process sends: its length, or minus
 # the length of the pickled (exception, traceback) the part raised.
 _HEADER = 8
+
+
+def available_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where supported)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def process_count(workers: int) -> int:

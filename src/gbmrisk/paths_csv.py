@@ -43,8 +43,8 @@ import numpy as np
 
 from . import _shortest, forking
 from .estimation import MarketParams
-from .simulation import (_TERMINAL_COUNTER, SimConfig, _available_cpus,
-                         _correlate, _fill_normals, _path_kernel, _PathKernel)
+from .simulation import (_TERMINAL_COUNTER, SimConfig, _correlate,
+                         _fill_normals, _path_kernel, _PathKernel)
 
 __all__ = ["write_paths_csv"]
 
@@ -147,7 +147,8 @@ def write_paths_csv(params: MarketParams, sim_config: SimConfig,
     block = _block_paths(sim_config, params.n_assets)
     starts = range(0, sim_config.n_paths, block)
     format_block = _block_formatter(params, sim_config, block)
-    workers = forking.process_count(min(_available_cpus(), len(starts)))
+    workers = forking.process_count(
+        min(forking.available_cpus(), len(starts)))
     with open(path, "wb") as handle:
         handle.write(b"path,step,ticker,price\n")
         if workers == 1:

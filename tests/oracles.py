@@ -4,17 +4,21 @@ search for the minimum-variance weights, the per-path normal stream that
 simulate must reproduce and whether it leaves numpy's ziggurat fast path,
 a probe of numpy's ziggurat tables, every recorded path rebuilt in one
 bridge call, the all-rows paths.csv formatter whose bytes the streaming
-writer must reproduce, and the closed-form lognormal VaR of a single GBM
-asset that the simulated VaR must approach."""
+writer must reproduce, the closed-form lognormal VaR of a single GBM
+asset that the simulated VaR must approach, and the plain CSV reader whose
+results and errors the price loader must reproduce."""
 
 from __future__ import annotations
 
+import csv
 import math
+from pathlib import Path
 from statistics import NormalDist
 
 import numpy as np
 
 from gbmrisk.estimation import MarketParams
+from gbmrisk.market_data import PriceDataError, PriceSeries
 from gbmrisk.optimizer import OptimizerError, WeightVector, _check_dims
 from gbmrisk.risk import RiskError
 from gbmrisk.paths_csv import _log_paths
@@ -208,3 +212,40 @@ def analytic_var_single_asset(
         return s0 * math.exp(mu * horizon_years)
     z = NormalDist().inv_cdf(alpha)
     return s0 * math.exp((mu - sigma**2 / 2.0) * horizon_years + scale * z)
+
+
+def reference_load_prices(path: str | Path) -> PriceSeries:
+    """``load_prices`` the plain way: ``csv.reader`` over the decoded text
+    and ``float`` a cell, with the loader's checks and messages."""
+    path = Path(path)
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise PriceDataError(f"{path}: empty file") from None
+        if not header or header[0] != "date":
+            raise PriceDataError(f"{path}: first header cell must be 'date'")
+        tickers = tuple(header[1:])
+        if not tickers:
+            raise PriceDataError(f"{path}: no ticker columns")
+        rows: dict[str, list[float]] = {}
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(tickers) + 1:
+                raise PriceDataError(f"{path}:{lineno}: ragged row")
+            date = row[0]
+            if date in rows:
+                raise PriceDataError(f"{path}:{lineno}: duplicate date {date!r}")
+            try:
+                values = [float(cell) for cell in row[1:]]
+            except ValueError:
+                raise PriceDataError(
+                    f"{path}:{lineno}: non-numeric price") from None
+            rows[date] = values
+    if not rows:
+        raise PriceDataError(f"{path}: no data rows")
+    dates = tuple(sorted(rows))
+    prices = np.array([rows[d] for d in dates], dtype=np.float64)
+    return PriceSeries(tickers, dates, prices)

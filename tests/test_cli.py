@@ -427,7 +427,7 @@ class TestCliCommands:
         assert self.run(*base, "--out-dir", str(out2)) == 0
         # the paths.csv writer's process count follows the CPUs it sees
         for out, cpus in ((out3, 1), (out4, 4)):
-            monkeypatch.setattr(paths_csv, "_available_cpus", lambda: cpus)
+            monkeypatch.setattr(forking, "available_cpus", lambda: cpus)
             assert self.run(*base, "--record-paths", "--out-dir", str(out)) == 0
         ref = (out1 / "report.json").read_bytes()
         assert (out2 / "report.json").read_bytes() == ref
@@ -899,7 +899,7 @@ class TestPathsCsv:
     @staticmethod
     def on_cpus(monkeypatch, cpus: int) -> None:
         """Make the writer see ``cpus`` CPUs, whatever the machine has."""
-        monkeypatch.setattr(paths_csv, "_available_cpus", lambda: cpus)
+        monkeypatch.setattr(forking, "available_cpus", lambda: cpus)
 
     @pytest.mark.parametrize("workers", [1, 2, None])
     @pytest.mark.parametrize("blocks, extra", [
@@ -1072,7 +1072,7 @@ class TestPathsCsv:
                                                   monkeypatch):
         # paths are rebuilt from their keys as paths.csv streams, so nothing
         # holds every path. 25-step paths keep the test fast.
-        monkeypatch.setattr(paths_csv, "_available_cpus", lambda: 1)
+        monkeypatch.setattr(forking, "available_cpus", lambda: 1)
 
         def peak(n_paths: int) -> int:
             config = RunConfig(price_csv=str(DATA_DIR / "crypto_like.csv"),

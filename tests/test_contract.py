@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from gbmrisk import __version__, cli, paths_csv
+from gbmrisk import __version__, cli, forking
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ("equity_like", "crypto_like")
@@ -105,7 +105,7 @@ def fresh(tmp_path_factory) -> dict[str, str]:
             out = root / case
             with pytest.MonkeyPatch.context() as patch:
                 if case == SERIAL:
-                    patch.setattr(paths_csv, "_available_cpus", lambda: 1)
+                    patch.setattr(forking, "available_cpus", lambda: 1)
                 assert cli.main([*argv, "--out-dir", str(out)]) == 0, case
             for path in sorted(out.iterdir()):
                 digests[f"{case}/{path.name}"] = _sha256(path)

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import csv
 import math
+import tracemalloc
+from decimal import Decimal
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gbmrisk import market_data
 from gbmrisk.market_data import (
     PriceDataError,
     PriceSeries,
@@ -17,6 +21,8 @@ from gbmrisk.market_data import (
     log_returns,
     save_prices,
 )
+
+from oracles import reference_load_prices
 
 LN_1_1 = 0.09531017980432486  # ln(1.1)
 LN_0_9 = -0.10536051565782628  # ln(0.9)
@@ -138,6 +144,234 @@ class TestCsvIO:
         save_prices(s, path)
         loaded = load_prices(path)
         assert np.array_equal(loaded.prices, s.prices)
+
+
+def outcome(read, path):
+    """What ``read(path)`` gives: tickers, dates and price bits, or the
+    type and message of what it raises."""
+    try:
+        s = read(path)
+    except Exception as exc:  # compared, type and message, not handled
+        return type(exc), str(exc)
+    return s.tickers, s.dates, s.prices.tobytes()
+
+
+def perturb(text: bytes, kinds, rng: np.random.Generator) -> bytes:
+    """save_prices output with a change of each of the given kinds."""
+    header, *rows = text.split(b"\r\n")[:-1]
+    rows = [row.split(b",") for row in rows]
+    end = b"\n" if "lf" in kinds else b"\r\n"
+    for kind in kinds:
+        r = int(rng.integers(len(rows)))
+        c = int(rng.integers(1, len(rows[r]))) if len(rows[r]) > 1 else 0
+        cell = rows[r][c]
+        if kind == "unsorted":
+            rows = [rows[i] for i in rng.permutation(len(rows))]
+        elif kind == "blank":
+            rows.insert(int(rng.integers(len(rows) + 1)), [b""])
+        elif kind == "ragged":
+            rows[r] = rows[r][:-1] if len(rows[r]) > 2 else rows[r] + [b"1.0"]
+        elif kind == "duplicate":
+            rows.append(list(rows[r]))
+        elif kind == "date_utf8":
+            rows[r][0] = "\u00e9t\u00e9-".encode() + rows[r][0]
+        elif kind == "quoted_date":
+            rows[r][0] = b'"' + rows[r][0] + b'"'
+        elif kind == "moved_cell" and len(rows) > 1 and len(rows[r]) > 2:
+            rows[(r + 1) % len(rows)].append(rows[r].pop())
+        elif kind == "header_cr":
+            header += b"\rB"
+        elif kind in ("long", "exponent") and c:
+            x = float(np.exp(rng.normal(0.0, 2.0)))
+            # 18 to 25 digits
+            digits = int(rng.integers(18, 26)) - len(str(int(x)))
+            rows[r][c] = (f"{x:.{max(1, digits)}f}" if kind == "long"
+                          else f"{x:.6e}").encode()
+        elif kind in CELL_CHANGES and c:
+            rows[r][c] = CELL_CHANGES[kind](cell)
+    body = end.join(b",".join(row) for row in [[header], *rows])
+    if "bom" in kinds:
+        body = b"\xef\xbb\xbf" + body
+    return body if "no_final_newline" in kinds else body + end
+
+
+CELL_CHANGES = {
+    "trailing_zero": lambda cell: cell + b"0",
+    "leading_zeros": lambda cell: b"00" + cell,
+    "tiny": lambda cell: b"1e-05",
+    "space": lambda cell: b" " + cell,
+    "underscore": lambda cell: b"1_0.5",
+    "plus": lambda cell: b"+" + cell,
+    "quoted": lambda cell: b'"' + cell + b'"',
+    "text": lambda cell: b"oops",
+    "empty": lambda cell: b"",
+    "zero": lambda cell: b"0.0",
+    "invalid_utf8": lambda cell: cell + b"\xff",
+    "nonascii_digit": lambda cell: "\uff11.5".encode(),
+    "lone_cr": lambda cell: cell + b"\r",
+    "two_points": lambda cell: cell + b".5",
+    "bare_point": lambda cell: b".",
+    "no_whole": lambda cell: b".5",
+    "no_fraction": lambda cell: b"5.",
+    "integer": lambda cell: cell.split(b".")[0],
+}
+PERTURBATIONS = (
+    "lf", "no_final_newline", "unsorted", "trailing_zero", "leading_zeros",
+    "exponent", "tiny", "space", "underscore", "plus", "long", "quoted",
+    "blank", "bom", "invalid_utf8", "date_utf8", "nonascii_digit", "ragged",
+    "duplicate", "text", "empty", "zero", "two_points", "bare_point",
+    "no_whole", "no_fraction", "integer", "lone_cr", "quoted_date",
+    "moved_cell", "header_cr")
+
+
+def table(rng: np.random.Generator, n_dates: int, n_assets: int,
+          scale: float = 2.0) -> PriceSeries:
+    """Random lognormal prices, log-scale ``scale``, on dates in order."""
+    prices = np.exp(rng.normal(0.0, scale, size=(n_dates, n_assets)))
+    return series([f"T{i}" for i in range(n_assets)],
+                  [f"2024-{1 + d // 28:02d}-{1 + d % 28:02d}"
+                   for d in range(n_dates)], prices)
+
+
+def decimal_file(path, cells) -> None:
+    """A canonical file whose rows each hold a date, one of ``cells`` and
+    three prices of the pass's form."""
+    rows = ["date,A,B,C,D"]
+    for i, cell in enumerate(cells):
+        rows.append(f"d{i:06d},{cell},1.{i + 1},2{i}.25,0.{i + 7}")
+    path.write_bytes(("\r\n".join(rows) + "\r\n").encode())
+
+
+@pytest.fixture
+def float_calls(monkeypatch):
+    """The count of ``float`` calls in market_data while a test loads: the
+    cells the vector pass left uncertified."""
+    calls = [0]
+
+    def spy_float(text):
+        calls[0] += 1
+        return float(text)
+
+    monkeypatch.setattr(market_data, "float", spy_float, raising=False)
+    return calls
+
+
+class TestCanonicalReader:
+    """load_prices' vectorized pass against the plain reader: the same
+    tickers, dates and price bits, or the same error."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n_dates=st.integers(min_value=1, max_value=6),
+        n_assets=st.integers(min_value=1, max_value=4),
+        kinds=st.lists(st.sampled_from(PERTURBATIONS), max_size=3),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_perturbed_files_read_as_the_reference(
+            self, tmp_path_factory, n_dates, n_assets, kinds, seed):
+        rng = np.random.default_rng(seed)
+        path = tmp_path_factory.mktemp("csv") / "p.csv"
+        save_prices(table(rng, n_dates, n_assets), path)
+        path.write_bytes(perturb(path.read_bytes(), kinds, rng))
+        assert (outcome(load_prices, path)
+                == outcome(reference_load_prices, path))
+
+    @staticmethod
+    def check_set(path, cells, float_calls) -> None:
+        # the pass itself reads the file, certifying some of the set's
+        # cells and handing the others to float
+        decimal_file(path, cells)
+        expected = outcome(reference_load_prices, path)
+        assert outcome(load_prices, path) == expected
+        float_calls[0] = 0
+        assert outcome(market_data._read_canonical, path) == expected
+        assert 0 < float_calls[0] < len(cells)
+
+    def test_midpoints_and_their_neighbours(self, tmp_path, float_calls):
+        # x + ulp/2 written out in full, a tie, and a unit of its last
+        # digit either side, in binades where that is 19 digits or fewer
+        rng = np.random.default_rng(7)
+        cells = []
+        for e in range(44, 60):
+            for x in (2.0**e * (1 + rng.random(8))).tolist():
+                mid = (Decimal(x) + Decimal(math.nextafter(x, math.inf))) / 2
+                text = f"{mid:f}" if "." in f"{mid:f}" else f"{mid:f}.0"
+                last = Decimal(1).scaleb(-len(text.split(".")[1]))
+                cells += [text, f"{mid - last:f}", f"{mid + last:f}"]
+        self.check_set(tmp_path / "p.csv", cells, float_calls)
+
+    def test_mantissas_around_two_to_the_53(self, tmp_path, float_calls):
+        cells = []
+        for m in range(2**53 - 2, 2**53 + 3):
+            digits = str(m)
+            for point in range(1, len(digits)):
+                cells.append(f"{digits[:point]}.{digits[point:]}")
+            cells.append(f"{digits}.0")
+        self.check_set(tmp_path / "p.csv", cells, float_calls)
+
+    def test_22_and_23_decimals(self, tmp_path, float_calls):
+        rng = np.random.default_rng(22)
+        cells = []
+        for k in (22, 23):
+            for digits in rng.integers(1, 10**6, 20):
+                d = str(digits)
+                cells += ["0." + d.rjust(k, "0"),
+                          d[0] + "." + d[1:].ljust(k, "0")]
+        cells += [repr(x) for x in (rng.random(20) + 1.0).tolist()]
+        self.check_set(tmp_path / "p.csv", cells, float_calls)
+
+    def test_powers_of_two(self, tmp_path, float_calls):
+        cells = []
+        for e in range(-20, 64):
+            x = 2.0**e
+            for y in (x, math.nextafter(x, 0.0), math.nextafter(x, math.inf)):
+                cells += [repr(y), f"{y:.17f}", f"{Decimal(y):f}"]
+        cells = [c if "." in c else c + ".0" for c in cells]
+        self.check_set(tmp_path / "p.csv", cells, float_calls)
+
+    @pytest.mark.parametrize("text", [
+        "date,A\nd1,1.5\nd2,1.2345678\n",
+        "date,A\nd1,1.5\nd2,1.23456789\n",
+        "date,A\nd1,1.5\nd234567890,1.5\n",
+        "date,ABCDEFGHIJ\nd1,1.5\n"])
+    def test_csv_field_size_limit_holds(self, tmp_path, text):
+        # a field longer than csv's limit, 9 here, is csv's error
+        path = tmp_path / "p.csv"
+        path.write_text(text)
+        limit = csv.field_size_limit(9)
+        try:
+            assert (outcome(load_prices, path)
+                    == outcome(reference_load_prices, path))
+        finally:
+            csv.field_size_limit(limit)
+
+    def test_cells_mostly_of_other_forms_go_to_csv(self, tmp_path):
+        path = tmp_path / "p.csv"
+        s = table(np.random.default_rng(3), 40, 3)
+        path.write_text("date,T0,T1,T2\n" + "".join(
+            f"{d}," + ",".join(f"{x:.6e}" for x in row) + "\n"
+            for d, row in zip(s.dates, s.prices.tolist())))
+        assert market_data._read_canonical(path) is None
+        assert (outcome(load_prices, path)
+                == outcome(reference_load_prices, path))
+
+    def test_wide_table_takes_the_vector_pass_in_bounded_memory(
+            self, tmp_path, float_calls):
+        # 200 assets x 253 dates, the benchmark's wide universe
+        path = tmp_path / "wide.csv"
+        s = table(np.random.default_rng(200), 253, 200, scale=1.0)
+        save_prices(s, path)
+        float_calls[0] = 0
+        loaded = market_data._read_canonical(path)
+        assert loaded.prices.tobytes() == s.prices.tobytes()
+        assert float_calls[0] == 0
+        tracemalloc.start()
+        try:
+            load_prices(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3e6, peak
 
 
 class TestLogReturns:

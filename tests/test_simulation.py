@@ -357,6 +357,23 @@ class TestStepSlices:
         assert np.array_equal(second[:, -1], log_t[block:2 * block])
 
 
+class TestDrawSelection:
+    """simulate draws by the vector pass at few assets and path by path at
+    many, the per-path stream's bits either way."""
+
+    @pytest.mark.parametrize("n_assets, vector", [(10, True), (30, False)])
+    def test_simulate_matches_the_per_path_stream(self, n_assets, vector):
+        params, config = wide_inputs(n_assets, n_paths=300, seed=2024)
+        share = simulation._FAST_NORMAL**n_assets
+        assert (share >= simulation._VECTOR_SHARE) == vector
+        z = np.array([draw_standard_normals(2024, p, n_assets, 2**63)
+                      for p in range(300)])
+        log_t = simulation._path_kernel(params, config).log_terminal(z)
+        expected = np.exp(log_t) * config.initial_prices
+        assert np.array_equal(simulate(params, config).terminal_asset_prices,
+                              expected)
+
+
 class TestSimulate:
     def test_zero_volatility_is_deterministic_growth(self):
         params = make_params(("A",), [0.05], [[0.0]])
@@ -497,7 +514,7 @@ class TestSimulate:
         log *= config.initial_prices
         paths = np.concatenate([np.full((9, 1, 1), 50.0), log], axis=1)
         monkeypatch.setattr(paths_csv, "_REBUILD_CELLS", chunk * (n + 1))
-        monkeypatch.setattr(paths_csv, "_available_cpus", lambda: workers)
+        monkeypatch.setattr(forking, "available_cpus", lambda: workers)
         out = tmp_path / "paths.csv"
         paths_csv.write_paths_csv(params, config, out)
         assert out.read_bytes() == reference_paths_csv(paths, ("A",))
@@ -524,7 +541,7 @@ class TestSimulate:
         # 100 paths x 200 assets: the benchmark's wide universe
         return wide_inputs(200, n_paths=100)
 
-    @pytest.mark.skipif(simulation._available_cpus() < 2,
+    @pytest.mark.skipif(forking.available_cpus() < 2,
                         reason="needs a second CPU")
     def test_wide_bits_do_not_depend_on_the_cpu_count(self):
         # the shock product is a fixed-order elementwise sum, where one BLAS
