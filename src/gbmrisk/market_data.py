@@ -20,17 +20,16 @@ nearest double (ties to even) is what ``float`` returns (Clinger, "How to
 read floating point numbers accurately", PLDI 1990; Lemire, "Number
 parsing at a gigabyte per second", SPE 2021):
 
-- m <= 2**53: m and T = 10**k are exact doubles, so x = m / T, one
-  correctly rounded division, is that double.
-- m > 2**53: m = m_hi + m_lo, with m_hi = float(m) and m_lo the exact
-  int64 difference, below 2**11, and the candidate is x = m_hi / T.
-  Dekker's TwoProduct gives x T = P + E exactly. m_hi - P is exact by
-  Sterbenz's lemma, and is an integer below 2**13 like m_lo, so
-  b = (m_hi - P) + m_lo is exact and s = b - E is the residual m - x T
-  rounded once. h = ulp(x) T / 2, a power of two times T, is exact, and
-  so is 3h, as 3 * 5**k < 2**53. If |s| < h then |m - x T| < h, as
-  rounding is monotone and h is a double: x lies strictly within half an
-  ulp of m / T, so it is the nearest double and no tie. If instead
+- m = m_hi + m_lo, with m_hi = float(m) and m_lo the exact int64
+  difference, 0 for m <= 2**53 and below 2**11 above, and the candidate
+  is x = m_hi / T, T = 10**k exact. Dekker's TwoProduct gives x T = P + E
+  exactly. m_hi - P is exact by Sterbenz's lemma, and so is
+  b = (m_hi - P) + m_lo: m_lo is 0, or m_hi - P is an integer below 2**13
+  like m_lo. So s = b - E is the residual m - x T rounded once.
+  h = ulp(x) T / 2, a power of two times T, is exact, and so is 3h, as
+  3 * 5**k < 2**53. If |s| < h then |m - x T| < h, as rounding is
+  monotone and h is a double: x lies strictly within half an ulp of
+  m / T, so it is the nearest double and no tie. If instead
   h < |s| < 3h, the same holds for x's neighbour toward m / T, x + ulp(x)
   or x - ulp(x), whose residual is s - 2h or s + 2h.
 - A power of two, whose ulp below is half as wide, as x or as that
@@ -219,7 +218,6 @@ _GROUP_SCALES = (np.uint64(10**14), np.uint64(10**7))
 
 _POW10 = np.array([10.0**k for k in range(_WINDOW)])
 _POW10_HI, _POW10_LO = _split(_POW10)
-_EXACT = np.uint64(2**53)
 _EXPONENT = np.uint64(0x7FF << 52)
 _MANTISSA = np.uint64((1 << 52) - 1)
 
@@ -373,23 +371,12 @@ def _read_cells(windows: np.ndarray, view: memoryview, starts: np.ndarray,
 
 def _certified(m: np.ndarray, k: np.ndarray):
     """``(x, certain)``: x[i] is the double nearest m[i] / 10**k[i] where
-    certain[i], by the argument of the module docstring."""
+    certain[i], by the argument of the module docstring: the candidate
+    m_hi / 10**k or its neighbour toward m / 10**k."""
     t = _POW10[k]
-    x = m.astype(np.float64)
-    x /= t
-    certain = m <= _EXACT
-    big = np.flatnonzero(~certain)
-    if big.size:
-        x[big], certain[big] = _nearest(x[big], m[big], t[big], k[big])
-    return x, certain
-
-
-def _nearest(x: np.ndarray, m: np.ndarray, t: np.ndarray, k: np.ndarray):
-    """``(y, certain)`` for candidates x of m / t, t = 10**k exact, m >
-    2**53: y is x or its neighbour toward m / t, certain where it is the
-    nearest double."""
     m_hi = m.astype(np.float64)
     m_lo = (m - m_hi.astype(np.uint64)).view(np.int64).astype(np.float64)
+    x = m_hi / t
     p = x * t
     # Dekker's TwoProduct: x t - p = ((x_hi t_hi - p) + x_hi t_lo
     # + x_lo t_hi) + x_lo t_lo, exactly

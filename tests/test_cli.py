@@ -1179,22 +1179,33 @@ def key_shape(row):
     return None
 
 
-def test_scaling_scripts_smoke(monkeypatch):
-    # each script's rows keep the keys of the committed record it made
+@pytest.fixture
+def scaling(monkeypatch):
+    """scripts/scaling.py, imported as a module."""
+    monkeypatch.syspath_prepend(str(DATA_DIR.parent / "scripts"))
+    return importlib.import_module("scaling")
+
+
+def test_scaling_scripts_smoke(scaling):
+    # the script's rows keep the keys of the committed record it made
     root = DATA_DIR.parent
-    monkeypatch.syspath_prepend(str(root / "scripts"))
-    monkeypatch.chdir(root)
-    sim_scaling = importlib.import_module("sim_scaling")
-    record_scaling = importlib.import_module("record_scaling")
-    for bench, rows, row in (
-        ("BENCH_21.json", "shapes", sim_scaling.measure(50, 3)),
-        ("BENCH_13.json", "rows", record_scaling.measure(
-            root / "src", "data/crypto_like.csv", 20, 42, 1)),
+    committed = json.loads((root / "BENCH_26.json").read_text())
+    for rows, row in (
+        ("shapes", scaling.measure_shape(root / "src", 50, 3, 1)),
+        ("rows", scaling.measure_row(root / "src", 20, 1)),
     ):
-        committed = json.loads((root / bench).read_text())
         for record in committed.values():
             for pinned in record[rows]:
-                assert key_shape(row) == key_shape(pinned), bench
+                assert key_shape(row) == key_shape(pinned), rows
+
+
+def test_scaling_child_reports_its_own_peak(scaling):
+    # a child's peak RSS is its own: ru_maxrss would carry across exec the
+    # peak of this process, which holds a 64 MiB array, more than the
+    # child's whole peak
+    held = np.ones(2**23)
+    row = scaling.run_child(DATA_DIR.parent / "src", 1, "record", 20)
+    assert row["peak_rss_b"] < held.nbytes
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
