@@ -1,9 +1,13 @@
-"""Python's ``repr`` of many floats at once, as fixed-width byte rows.
+"""Python's ``repr`` of many floats at once, laid into rows of bytes.
 
-``reprs(x)`` gives each float of x a row of WIDTH bytes: the ASCII of its
-``repr`` with PAD bytes among it, so that deleting every PAD byte leaves
-the repr. PAD, 0xFF, never occurs in UTF-8, so a caller may lay UTF-8
-text beside the rows and delete PAD from the whole buffer at once.
+``Reprs(x)`` finds the ``repr`` of each float of x, and ``lay(out)``
+writes each into its row of a caller's byte buffer: the ASCII of the
+repr with PAD bytes among it, so that deleting every PAD byte leaves the
+repr. PAD, 0xFF, never occurs in UTF-8, so a caller may lay UTF-8 text
+beside the rows and delete PAD from the whole buffer at once. The rows
+are only as wide as x needs: of the "0.000" prefix and the point columns,
+they keep those some certified repr of x fills, so prices of a few
+magnitudes take ~20 bytes a row rather than WIDTH.
 
 ``repr`` prints the shortest digits that read back as x, and of those
 the nearest to x (Gay's dtoa, mode 0), positionally for 1e-4 <= x < 1e16.
@@ -35,7 +39,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["PAD", "WIDTH", "reprs"]
+__all__ = ["PAD", "WIDTH", "Reprs"]
 
 PAD = b"\xff"
 # the widest certified repr, "0.000" and 17 digits, interleaved with the
@@ -73,27 +77,73 @@ def _layouts() -> np.ndarray:
 
 
 _LAYOUTS = _layouts()
+_DIGIT = np.array([column in _DIGIT_COLUMNS for column in range(WIDTH)])
+# "0000" to "9999", each as the four ASCII bytes of a little-endian uint32
+_ASCII = np.arange(ord("0"), ord("9") + 1, dtype=np.uint32)
+_QUADS = (_ASCII[:, None, None, None] | _ASCII[:, None, None] << 8
+          | _ASCII[:, None] << 16 | _ASCII << 24).astype("<u4").ravel()
 
 
-def reprs(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(chars, fast)`` for the float64 vector x: chars[i] is repr(x[i])
-    in ASCII with PAD bytes among it, shape (len(x), WIDTH), and fast[i]
-    whether x[i] was certified here rather than formatted by ``repr``."""
-    fast = (x >= 1e-4) & (x < 1e14) & (x.view(np.uint64) & _MANTISSA != 0)
-    # 1.5 stands in for the rest: then every x c lies in [1e15, 1e18), and
-    # no int cast wraps
-    row, big, e, h, certain = _scaled(np.where(fast, x, 1.5))
-    fast &= certain
-    digits, drops, certain = _shortest(big, e, h)
-    del big, e, h  # a block's peak memory is reached below
-    fast &= certain
-    chars = _layout(row, digits, drops)
-    slow = np.flatnonzero(~fast)
-    if slow.size:
-        chars[slow] = np.frombuffer(b"".join(
-            repr(v).encode().ljust(WIDTH, PAD) for v in x[slow].tolist()
-        ), np.uint8).reshape(slow.size, WIDTH)
-    return chars, fast
+class Reprs:
+    """The reprs of the float64 vector x, found at once and laid out by
+    ``lay``: ``width`` is the bytes a row needs, ``slow`` the indices of
+    the x formatted by ``repr`` rather than certified here."""
+
+    def __init__(self, x: np.ndarray):
+        fast = (x >= 1e-4) & (x < 1e14) & (x.view(np.uint64) & _MANTISSA != 0)
+        # 1.5 stands in for the rest: then every x c lies in [1e15, 1e18),
+        # and no int cast wraps
+        row, big, e, h, certain = _scaled(np.where(fast, x, 1.5))
+        fast &= certain
+        digits, self.drops, certain = _shortest(big, e, h)
+        del big, e, h
+        fast &= certain
+        # digits 0-8 and 9-16
+        self.high = (digits // 10**8).astype(np.uint32)
+        self.low = (digits - self.high.astype(np.int64) * 10**8).astype(
+            np.uint32)
+        del digits  # a block's peak memory is reached in the caller
+        self.row = row
+        self.slow = np.flatnonzero(~fast)
+        self.slow_reprs = [repr(v).encode() for v in x[self.slow].tolist()]
+        # the columns of the layouts x uses, and every digit column
+        present = np.bincount(row[fast], minlength=len(_LAYOUTS)) > 0
+        used = _DIGIT | (_LAYOUTS[present] != ord(PAD)).any(axis=0)
+        self.columns = np.flatnonzero(used)
+        self.width = max([len(self.columns), *map(len, self.slow_reprs)])
+
+    def lay(self, out: np.ndarray) -> None:
+        """Write each repr into its row of ``out``, a (len(x), width) uint8
+        array, ASCII with PAD bytes among it; every byte of ``out`` is
+        written, and it may be a view of a wider buffer."""
+        digit = _DIGIT[self.columns]
+        # the prefix and point columns, each a byte of the price's layout
+        for j, column in zip(np.flatnonzero(~digit),
+                             _LAYOUTS.T[self.columns[~digit]]):
+            out[:, j] = np.take(column, self.row, mode="clip")
+        out[:, len(self.columns):] = ord(PAD)
+        places = np.flatnonzero(digit)
+        # digit 0, then digits 1-16 as four groups of four, each written at
+        # once where its places are adjacent, a byte at a time elsewhere
+        top = self.high // 10**8
+        out[:, places[0]] = top + ord("0")
+        for group, q in enumerate((self.high - top * 10**8, self.low)):
+            above = q // 10**4
+            for part, quad in enumerate((above, q - above * 10**4)):
+                at = places[1 + 8 * group + 4 * part:][:4]
+                chars = np.take(_QUADS, quad, mode="clip")
+                if at[3] - at[0] == 3:
+                    out[:, at[0]:at[0] + 4].view("<u4")[:, 0] = chars
+                else:
+                    for place, char in zip(
+                            at, chars.view(np.uint8).reshape(-1, 4).T):
+                        out[:, place] = char
+        for column, dropped in zip(places[:-3:-1], self.drops):
+            np.copyto(out[:, column], ord(PAD), where=dropped)
+        if self.slow.size:
+            out[self.slow] = np.frombuffer(b"".join(
+                r.ljust(self.width, PAD) for r in self.slow_reprs
+            ), np.uint8).reshape(self.slow.size, self.width)
 
 
 def _scaled(y: np.ndarray):
@@ -103,6 +153,7 @@ def _scaled(y: np.ndarray):
     # next to a power of ten log10 may put k one off: then P leaves its
     # range below, or, at either end of the table, the clip puts k right
     row = np.floor(np.log10(y)).astype(np.int64) - _K_MIN
+    np.clip(row, 0, _K_MAX - _K_MIN, out=row)
     p = y * np.take(_SCALE, row, mode="clip")
     # Dekker's TwoProduct: e = ((y_hi c_hi - p) + y_hi c_lo + y_lo c_hi)
     # + y_lo c_lo, in place
@@ -153,20 +204,3 @@ def _shortest(big: np.ndarray, e: np.ndarray, h: np.ndarray):
             drops.append(passes)
     certain &= ~passes  # 14 digits read back: a shorter string may exist
     return digits, drops, certain
-
-
-def _layout(row: np.ndarray, digits: np.ndarray, drops) -> np.ndarray:
-    """The certified reprs: each row's layout, its digits in their columns
-    and PAD for the dropped ones."""
-    chars = np.take(_LAYOUTS, row, axis=0, mode="clip")
-    high = (digits // 10**8).astype(np.uint32)  # digits 0-8
-    low = (digits - high.astype(np.int64) * 10**8).astype(np.uint32)
-    for columns, q in ((_DIGIT_COLUMNS[8::-1], high),
-                       (_DIGIT_COLUMNS[:8:-1], low)):
-        for column in columns:
-            next_q = q // 10
-            chars[:, column] = q - next_q * 10 + ord("0")
-            q = next_q
-    for column, dropped in zip((35, 34), drops):
-        np.copyto(chars[:, column], ord(PAD), where=dropped)
-    return chars

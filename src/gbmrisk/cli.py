@@ -39,7 +39,7 @@ from .risk import (
     rolling_var_backtest,
 )
 from .paths_csv import write_paths_csv
-from .rules import RULES, check, shown, step_count
+from .rules import CONTAINERS, RULES, check, check_items, shown, step_count
 from .simulation import SimConfig, SimulationResult, simulate
 
 __all__ = [
@@ -100,29 +100,15 @@ class RunConfig:
         for key in _SCALAR_TYPES:
             _stage("config", check, key, getattr(self, key), ValueError)
         _stage("config", step_count, self.horizon_years, self.trading_days, ValueError)
+        for key in CONTAINERS:
+            if getattr(self, key) is not None:
+                _stage("config", check_items, key, getattr(self, key),
+                       ValueError)
         if self.tickers is not None:
-            if not isinstance(self.tickers, (list, tuple)) or not all(
-                isinstance(t, str) for t in self.tickers
-            ):
-                raise PipelineError(
-                    "config",
-                    f"tickers must be a list of strings, got {self.tickers!r}",
-                )
             object.__setattr__(self, "tickers", tuple(self.tickers))
-        weights = self.explicit_weights
-        if weights is not None:
-            if not isinstance(weights, dict) or not all(
-                isinstance(t, str) for t in weights
-            ):
-                raise PipelineError(
-                    "config",
-                    f"explicit_weights must be an object of numbers, got {weights!r}",
-                )
-            for w in weights.values():
-                _stage("config", check, "explicit_weights", w, ValueError)
-            object.__setattr__(
-                self, "explicit_weights", {t: float(w) for t, w in weights.items()}
-            )
+        if self.explicit_weights is not None:
+            object.__setattr__(self, "explicit_weights", {
+                t: float(w) for t, w in self.explicit_weights.items()})
         has_weights = self.explicit_weights is not None
         if (mode == "explicit-weights") != has_weights:
             raise PipelineError(
@@ -331,7 +317,8 @@ def write_report_files(result: PipelineResult, out_dir: Path) -> list[Path]:
 
     paths.csv is formatted on one process per CPU this process may run on,
     with the same bytes for any count; on Linux this forks the calling
-    process through ``gbmrisk.forking.run_forked``.
+    process through ``gbmrisk.forking.run_forked``, and each forked
+    process writes its own blocks of the file.
     """
     written = []
     report_path = out_dir / "report.json"

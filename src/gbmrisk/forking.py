@@ -1,11 +1,14 @@
-"""Work split over forked processes, its results handed back down pipes.
+"""Work split over forked processes, each writing its own bytes to a file.
 
 The paths.csv writer splits its blocks this way. A forked process
-inherits everything the work needs (the kernel, numpy already imported)
-without pickling it, and runs its own interpreter: the per-path re-keying
-and the row formatting hold the GIL, and threads would queue on it. Fork
-without exec is the safe default start method on Linux only, so elsewhere
-the work runs in the calling process.
+inherits everything the work needs (the kernel, numpy already imported,
+the open file) without pickling it, and runs its own interpreter: the
+per-path re-keying and the row formatting hold the GIL, and threads would
+queue on it. Each process writes its own bytes with ``os.pwrite``, at an
+offset the calling process derives from the lengths it is sent, so no
+byte of the file passes through a pipe or through the calling process.
+Fork without exec is the safe default start method on Linux only, so
+elsewhere the work runs in the calling process.
 """
 
 from __future__ import annotations
@@ -17,8 +20,9 @@ import traceback
 
 __all__ = ["available_cpus", "process_count", "run_forked"]
 
-# Bytes before each part's result a process sends: its length, or minus
-# the length of the pickled (exception, traceback) the part raised.
+# Bytes of each number sent down a pipe: a part's length, or minus the
+# length of the pickled (exception, traceback) it raised, one way; a
+# part's file offset the other.
 _HEADER = 8
 
 
@@ -34,65 +38,94 @@ def process_count(workers: int) -> int:
     return workers if sys.platform == "linux" else 1
 
 
-def run_forked(produce, parts, processes: int, consume) -> None:
-    """Call ``produce(part)`` for every one of ``parts`` in ``processes``
-    forked processes, process w taking parts w, w + processes, ..., and
-    hand the bytes each call returns back here in order of ``parts``:
-    ``consume(part, size, read)`` gets their length and ``read(n)``, which
-    returns the next n of them, and must read all ``size``.
+def run_forked(fd: int, offset: int, produce, parts,
+               processes: int) -> None:
+    """Write the bytes ``produce(part)`` returns for every one of ``parts``
+    to file descriptor ``fd``, back to back in order of ``parts`` from
+    ``offset`` on, in ``processes`` forked processes, process w taking
+    parts w, w + processes, ....
 
-    What a part raised is raised here, from a ChildProcessError carrying
-    its traceback; a process that ends before a part's bytes raises
+    A process sends each part's length here and waits for its offset,
+    which this process gives once it has every earlier part's length; the
+    process then writes the part there itself, and goes on to its next.
+
+    What a part raised, in ``produce`` or in its write, is raised here,
+    from a ChildProcessError carrying its traceback; a process that ends
+    before a part's length, or with a non-zero status, raises
     ChildProcessError. Every process is reaped before this returns or
-    raises.
+    raises, and on return every part is written.
     """
-    pids, pipes = [], []
+    pids, lengths, offsets = [], [], []
     try:
         for w in range(processes):
-            read_fd, write_fd = os.pipe()
-            pipes.append(open(read_fd, "rb"))
+            length_r, length_w = os.pipe()
+            offset_r, offset_w = os.pipe()
+            lengths.append(open(length_r, "rb"))
+            offsets.append(open(offset_w, "wb", buffering=0))
             try:
                 pid = os.fork()
                 if pid == 0:
                     try:
-                        # holding no read end, it gets EPIPE if this dies
-                        for pipe in pipes:
+                        # holding none of this process's ends, it gets
+                        # EPIPE or EOF if this fails
+                        for pipe in lengths + offsets:
                             pipe.close()
-                        _send(write_fd, produce, parts[w::processes])
+                        _write(fd, length_w, offset_r, produce,
+                               parts[w::processes])
                     finally:
                         os._exit(1)  # never return into the caller's stack
             finally:
-                os.close(write_fd)
+                os.close(length_w)
+                os.close(offset_r)
             pids.append(pid)
-        for i, part in enumerate(parts):
-            pipe, pid = pipes[i % processes], pids[i % processes]
-            consume(part, _receive(pipe, pid), lambda n: _read(pipe, n, pid))
+        for i in range(len(parts)):
+            w = i % processes
+            size = _receive(lengths[w], pids[w])
+            offsets[w].write(offset.to_bytes(_HEADER, "little"))
+            offset += size
+        for pipe, pid in zip(lengths, pids):
+            if pipe.peek(1):  # at EOF once the process has exited
+                _receive(pipe, pid)  # what its last write raised
     finally:
-        # after a failure, a process still sending gets EPIPE and exits
-        for pipe in pipes:
+        # a process waiting for an offset reads EOF, and one still
+        # formatting gets EPIPE; either exits
+        for pipe in lengths + offsets:
             pipe.close()
-        for pid in pids:
-            os.waitpid(pid, 0)
+        statuses = [(pid, os.waitpid(pid, 0)[1]) for pid in pids]
+    for pid, status in statuses:
+        if status:
+            raise ChildProcessError(
+                f"forked process {pid} exited with status {status}")
 
 
-def _send(fd: int, produce, parts) -> None:
-    """In a forked process: send each part's result, or what it raised,
-    down pipe ``fd``, then exit."""
-    with open(fd, "wb") as pipe:
+def _write(fd: int, length_fd: int, offset_fd: int, produce, parts) -> None:
+    """In a forked process: for each part, send its bytes' length down pipe
+    ``length_fd``, read its offset from pipe ``offset_fd`` and write the
+    bytes to ``fd`` there; send what a part raised instead; then exit."""
+    with open(length_fd, "wb") as lengths, open(offset_fd, "rb") as offsets:
         try:
             for part in parts:
                 data = memoryview(produce(part)).cast("B")
-                pipe.write(len(data).to_bytes(_HEADER, "little", signed=True))
-                pipe.write(data)
+                lengths.write(len(data).to_bytes(_HEADER, "little",
+                                                 signed=True))
+                lengths.flush()
+                at = offsets.read(_HEADER)
+                if len(at) < _HEADER:
+                    os._exit(1)  # the calling process failed
+                at = int.from_bytes(at, "little")
+                while data:
+                    written = os.pwrite(fd, data, at)
+                    data, at = data[written:], at + written
         except Exception as exc:
             error = pickle.dumps((exc, traceback.format_exc()))
-            pipe.write((-len(error)).to_bytes(_HEADER, "little", signed=True))
-            pipe.write(error)
+            lengths.write((-len(error)).to_bytes(_HEADER, "little",
+                                                 signed=True))
+            lengths.write(error)
     os._exit(0)
 
 
 def _receive(pipe, pid: int) -> int:
-    """The length of process ``pid``'s next result; raise what it raised
+    """The length of process ``pid``'s next part; raise what it raised
     instead."""
     size = int.from_bytes(_read(pipe, _HEADER, pid), "little", signed=True)
     if size < 0:

@@ -11,9 +11,12 @@ A block is formatted in one vectorized pass (``gbmrisk._shortest``): each
 price's shortest round-trip digits, the ones ``repr`` prints, come from one
 error-free product and integer arithmetic, and ``repr`` itself formats
 only the ~0.7% of prices the pass cannot certify. The rows are laid out
-as fixed-width fields in one byte buffer, "{path}," | "{step},{ticker}," |
-price | newline, padded with a byte UTF-8 never holds, and deleting that
-byte leaves the block's rows.
+as fixed-width fields in one byte buffer, "{path}," | "{step}," |
+"{ticker}," | price | newline, the prices written straight into it, each
+field padded to the widest of its kind in the block with a byte UTF-8
+never holds; deleting that byte leaves the block's rows. A price field
+keeps only the point and leading-zero columns some price of its block
+uses: ~24 bytes of the 36 a price may need, for crypto_like's prices.
 
 A path is rebuilt by a Brownian bridge (Glasserman, Monte Carlo Methods in
 Financial Engineering, 2003, 3.1): independent walks B_k from the path's
@@ -26,17 +29,18 @@ kernel's ``log_terminal``, so it equals them bitwise.
 
 On Linux, with more than one CPU and more than one block, the blocks are
 formatted in forked processes through ``gbmrisk.forking.run_forked``, one
-process per CPU this process may run on and at most one per block; the
-writing process copies their rows to the file in order, 64 KiB at a time,
-and holds no block, whatever the process count. Elsewhere, or on one CPU
-or with one block, the writing process formats the blocks itself, one at
-a time.
+process per CPU this process may run on and at most one per block. Each
+process writes its own blocks into the file with ``os.pwrite``; the
+writing process writes the header, and sends each block its offset,
+which it sums from the lengths of the blocks before it. So it holds no
+block and copies no byte of one, whatever the process count. Elsewhere,
+or on one CPU or with one block, the writing process formats the blocks
+itself, one at a time, and writes each in turn.
 """
 
 from __future__ import annotations
 
 import math
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -100,43 +104,54 @@ def _prices(kernel: _PathKernel, sim_config: SimConfig, start: int,
     return prices.reshape(-1)
 
 
+def _padded(texts) -> np.ndarray:
+    """The UTF-8 of each of ``texts``, PAD to the widest, one a row."""
+    cells = [text.encode("utf-8") for text in texts]
+    width = max(map(len, cells))
+    return np.frombuffer(b"".join(cell.ljust(width, _shortest.PAD)
+                                  for cell in cells),
+                         np.uint8).reshape(len(cells), width)
+
+
 def _block_formatter(params: MarketParams, sim_config: SimConfig, block: int):
     """``format_block(start)``: the paths.csv rows of paths [start,
-    start + block) as bytes. The kernel and the rows' cells are built
-    once, here."""
+    start + block) as bytes. The kernel and the rows' step and ticker
+    cells are built once, here."""
     kernel = _path_kernel(params, sim_config)
     n_paths = sim_config.n_paths
-    # "{step},{ticker}," in the order of a path's prices
-    cells = [
-        f"{step},{ticker},".encode("utf-8")
-        for step in range(sim_config.n_steps + 1)
-        for ticker in params.tickers
-    ]
-    # the fields every block shares, a cell and a newline a row, with PAD
-    # where the path and the price go
-    lead = len(f"{n_paths - 1},")
-    price = lead + max(map(len, cells))
-    fields = np.full((len(cells), price + _shortest.WIDTH + 1),
-                     ord(_shortest.PAD), np.uint8)
-    for row, cell in zip(fields, cells):
-        row[lead:lead + len(cell)] = np.frombuffer(cell, np.uint8)
-    fields[:, -1] = ord("\n")
+    # "{step}," | "{ticker}," in the order of a path's prices
+    steps = _padded(f"{step}," for step in range(sim_config.n_steps + 1))
+    tickers = _padded(f"{ticker}," for ticker in params.tickers)
+    cells = np.empty((len(steps), len(tickers),
+                      steps.shape[1] + tickers.shape[1]), np.uint8)
+    cells[..., :steps.shape[1]] = steps[:, None]
+    cells[..., steps.shape[1]:] = tickers
+    cells = cells.reshape(-1, cells.shape[-1])
 
     def format_block(start: int) -> bytearray:
         stop = min(start + block, n_paths)
-        chars = _shortest.reprs(_prices(kernel, sim_config, start, stop))[0]
-        data = bytearray((stop - start) * fields.nbytes)
-        rows = np.frombuffer(data, np.uint8).reshape((-1,) + fields.shape)
-        rows[:] = fields
-        rows[:, :, :lead] = np.frombuffer(b"".join(
-            f"{p},".encode().ljust(lead, _shortest.PAD)
-            for p in range(start, stop)
-        ), np.uint8).reshape(-1, 1, lead)
-        rows[:, :, price:-1] = chars.reshape(stop - start, len(cells), -1)
-        del chars  # before the rows are compacted
+        reprs = _shortest.Reprs(_prices(kernel, sim_config, start, stop))
+        # a row: "{path}," | cell | price | newline, each field PAD-filled
+        # to the widest of its kind in this block; one path's rows are
+        # laid out once and copied to every path
+        paths = _padded(f"{p}," for p in range(start, stop))
+        lead = paths.shape[1]
+        price = lead + cells.shape[1]
+        path = np.empty((len(cells), price + reprs.width + 1), np.uint8)
+        path[:, lead:price] = cells
+        path[:, -1] = ord("\n")
+        data = bytearray((stop - start) * path.nbytes)
+        rows = np.frombuffer(data, np.uint8).reshape((-1,) + path.shape)
+        rows[:] = path
+        rows[:, :, :lead] = paths[:, None]
+        reprs.lay(rows.reshape(-1, path.shape[1])[:, price:-1])
+        del reprs  # before the rows are compacted
         return data.translate(None, _shortest.PAD)
 
     return format_block
+
+
+_HEADER = b"path,step,ticker,price\n"
 
 
 def write_paths_csv(params: MarketParams, sim_config: SimConfig,
@@ -150,22 +165,11 @@ def write_paths_csv(params: MarketParams, sim_config: SimConfig,
     workers = forking.process_count(
         min(forking.available_cpus(), len(starts)))
     with open(path, "wb") as handle:
-        handle.write(b"path,step,ticker,price\n")
+        handle.write(_HEADER)
         if workers == 1:
             for start in starts:
                 handle.write(format_block(start))
         else:
-            forking.run_forked(format_block, starts, workers,
-                               partial(_copy_block, handle))
-
-
-_COPY_BYTES = 1 << 16  # the most of a block this process holds at a time
-
-
-def _copy_block(handle, start: int, size: int, read) -> None:
-    """Copy the ``size`` bytes of the block at ``start``, which ``read``
-    returns, to ``handle``."""
-    while size:
-        chunk = read(min(size, _COPY_BYTES))
-        handle.write(chunk)
-        size -= len(chunk)
+            handle.flush()
+            forking.run_forked(handle.fileno(), len(_HEADER), format_block,
+                               starts, workers)

@@ -1,13 +1,16 @@
 """The one rule of each named scalar the library accepts, as ``RULES[name]
 = (type, range test, range in words)``; a type alone allows any value of it.
 ``check`` applies a rule and raises the caller's own error class, so every
-entry point that takes the name accepts and rejects the same values."""
+entry point that takes the name accepts and rejects the same values.
+``CONTAINERS[name] = (container types, item type, in words)`` is the rule
+of a named list or map, which ``check_items`` applies with RULES[name] to
+each of a map's values."""
 
 from __future__ import annotations
 
 import sys
 
-__all__ = ["RULES", "check", "shown", "step_count"]
+__all__ = ["CONTAINERS", "RULES", "check", "check_items", "shown", "step_count"]
 
 # The largest count numpy can give one float64 each within sys.maxsize bytes.
 _MAX_COUNT = sys.maxsize // 8
@@ -32,6 +35,11 @@ RULES = {
     "explicit_weights": (float,),  # the rule of each weight in the map
 }
 
+CONTAINERS = {
+    "tickers": ((list, tuple), str, "a list of strings"),
+    "explicit_weights": (dict, str, "an object of numbers"),  # str keys
+}
+
 
 def shown(value: object) -> str:
     """``repr(value)``, or the size of an int too long for ``repr``."""
@@ -54,6 +62,20 @@ def check(name: str, value: object, error: type[Exception]) -> None:
         raise error(f"{name} must be finite, got {shown(value)}")
     if in_range and not in_range[0](value):
         raise error(f"{name} must be {in_range[1]}, got {shown(value)}")
+
+
+def check_items(name: str, value: object, error: type[Exception]) -> None:
+    """Raise ``error`` naming ``name`` unless ``value`` keeps
+    ``CONTAINERS[name]``, every item (a map's every key) of its item type,
+    and every value of a map keeps ``RULES[name]``."""
+    kinds, item, words = CONTAINERS[name]
+    if not isinstance(value, kinds) or not all(
+        isinstance(i, item) for i in value
+    ):
+        raise error(f"{name} must be {words}, got {shown(value)}")
+    if isinstance(value, dict):
+        for v in value.values():
+            check(name, v, error)
 
 
 def step_count(years: float, per_year: int, error: type[Exception]) -> int:

@@ -4,9 +4,10 @@ search for the minimum-variance weights, the per-path normal stream that
 simulate must reproduce and whether it leaves numpy's ziggurat fast path,
 a probe of numpy's ziggurat tables, every recorded path rebuilt in one
 bridge call, the all-rows paths.csv formatter whose bytes the streaming
-writer must reproduce, the closed-form lognormal VaR of a single GBM
-asset that the simulated VaR must approach, and the plain CSV reader whose
-results and errors the price loader must reproduce."""
+writer must reproduce, the window-by-window loop whose VaR thresholds
+the vector backtest must reproduce, the closed-form lognormal VaR of a
+single GBM asset that the simulated VaR must approach, and the plain CSV
+reader whose results and errors the price loader must reproduce."""
 
 from __future__ import annotations
 
@@ -185,6 +186,21 @@ def reference_paths_csv(paths: np.ndarray, tickers: tuple[str, ...]) -> bytes:
             for ticker, price in zip(tickers, prices):
                 rows.append(f"{p},{step},{ticker},{price!r}")
     return ("\n".join(rows) + "\n").encode("utf-8")
+
+
+def rolling_var_thresholds(values: np.ndarray, alpha: float,
+                           window: int) -> np.ndarray:
+    """The backtest's VaR thresholds, one window at a time: each trailing
+    window's mean and population std, and values[t - 1] exp(m + s z)."""
+    returns = np.log(values[1:] / values[:-1])
+    z = NormalDist().inv_cdf(alpha)
+    thresholds = np.empty(returns.size - window)
+    for k in range(thresholds.size):
+        trailing = returns[k : k + window]
+        m = float(trailing.mean())
+        s = float(trailing.std())
+        thresholds[k] = values[window + k] * math.exp(m + s * z)
+    return thresholds
 
 
 def analytic_var_single_asset(

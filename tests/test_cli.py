@@ -8,6 +8,7 @@ raw counter-based streams) and must agree with the package's report.
 from __future__ import annotations
 
 import argparse
+import errno
 import hashlib
 import importlib.util
 import json
@@ -224,6 +225,29 @@ class TestRunConfig:
             assert len(set(verdicts)) == 1, (key, value, verdicts)
             if key == "window" and type(value) is float:  # a count
                 assert verdicts[0], value
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("tickers", "CRA", "tickers must be a list of strings, got 'CRA'"),
+        ("tickers", ["CRA", 1],
+         "tickers must be a list of strings, got ['CRA', 1]"),
+        ("explicit_weights", [["CRA", 1.0]], "explicit_weights must be an "
+         "object of numbers, got [['CRA', 1.0]]"),
+        ("explicit_weights", {1: 1.0},
+         "explicit_weights must be an object of numbers, got {1: 1.0}"),
+        ("explicit_weights", {"CRA": "1"},
+         "explicit_weights must be float, got '1'"),
+        ("explicit_weights", {"CRA": math.inf},
+         "explicit_weights must be finite, got inf"),
+    ])
+    def test_container_fields_keep_their_rules(self, key, value, message):
+        # a list or map field breaks its container rule, or a weight the
+        # rule of a number, with the config stage's own message
+        fields = {"portfolio_mode": "explicit-weights",
+                  "explicit_weights": {"CRA": 1.0}, key: value}
+        with pytest.raises(PipelineError) as err:
+            RunConfig(price_csv="x", **fields)
+        assert err.value.stage == "config"
+        assert str(err.value) == f"stage config: {message}"
 
     def test_seed_range(self, tmp_path):
         assert RunConfig(price_csv="x", seed=2**64 - 1).seed == 2**64 - 1
@@ -917,12 +941,12 @@ class TestPathsCsv:
         cli.write_report_files(result, tmp_path)
         assert (tmp_path / "paths.csv").read_bytes() == expected
 
-    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("workers", [1, 2, 8])
     @pytest.mark.parametrize("block", [1, 5, None])
     def test_bytes_equal_for_any_block_size(self, workers, block, recorded,
                                             tmp_path, monkeypatch):
         # blocks of 1 path, 5 paths and the default; 23 paths leave a
-        # partial last block at each size
+        # partial last block at each size; 8 workers outnumber the CPUs
         self.on_cpus(monkeypatch, workers)
         result = recorded(23)
         config = result.simulation.config_echo
@@ -1017,23 +1041,57 @@ class TestPathsCsv:
             cli.write_report_files(recorded(100), tmp_path)
         assert_no_children()
 
+    def test_worker_that_dies_writing_is_reported(self, recorded, tmp_path,
+                                                  monkeypatch):
+        # two blocks on two workers: each sends its length and gets its
+        # offset, then dies in its write, so only the exit status tells
+        def dies(*args):
+            os._exit(3)
+
+        monkeypatch.setattr(os, "pwrite", dies)
+        self.on_cpus(monkeypatch, 2)
+        result = recorded(2 * self.block_paths(recorded(1)))
+        with pytest.raises(ChildProcessError, match="exited with status"):
+            cli.write_report_files(result, tmp_path)
+        assert_no_children()
+
     def test_writer_error_stops_the_workers(self, recorded, tmp_path,
                                             monkeypatch):
-        # a failure in this process, with every worker still formatting or
-        # blocked on its pipe, still reaps them all
-        real_copy = paths_csv._copy_block
-        copied = []
+        # a failure in this process, with every worker formatting or
+        # waiting for its offset, still reaps them all; the workers call
+        # no _receive, so the patch fails only here
+        real_receive = forking._receive
+        received = []
 
-        def copy_one_then_fail(*args):
-            if copied:
+        def receive_one_then_fail(*args):
+            received.append(real_receive(*args))
+            if len(received) == 2:  # that worker now waits for its offset
                 raise BlockFailed(os.getpid())
-            copied.append(real_copy(*args))
+            return received[-1]
 
-        monkeypatch.setattr(paths_csv, "_copy_block", copy_one_then_fail)
+        monkeypatch.setattr(forking, "_receive", receive_one_then_fail)
         self.on_cpus(monkeypatch, 2)
         with pytest.raises(BlockFailed) as err:
             cli.write_report_files(recorded(100), tmp_path)
         assert err.value.args[0] == os.getpid()
+        assert_no_children()
+
+    @pytest.mark.parametrize("blocks", [2, 9])
+    def test_worker_write_error_surfaces(self, blocks, recorded, tmp_path,
+                                         monkeypatch):
+        # each worker writes its own blocks: what its write raised, such as
+        # a full disk, is raised here with its traceback, its last block's
+        # write too (two blocks on two workers)
+        def full_disk(*args):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(os, "pwrite", full_disk)
+        self.on_cpus(monkeypatch, 2)
+        result = recorded(blocks * self.block_paths(recorded(1)))
+        with pytest.raises(OSError) as err:
+            cli.write_report_files(result, tmp_path)
+        assert err.value.errno == errno.ENOSPC
+        assert "full_disk" in str(err.value.__cause__)
         assert_no_children()
 
     def test_pooled_write_leaves_no_children_or_warnings(self, recorded,
@@ -1047,8 +1105,10 @@ class TestPathsCsv:
             cli.write_report_files(recorded(100), tmp_path)
         assert_no_children()
 
-    def test_writer_memory_is_bounded(self, tmp_path):
-        # the all-rows writer peaks at ~22 MB here, in proportion to the file
+    @staticmethod
+    def writer_peak(tmp_path) -> tuple[int, int]:
+        """This process's traced peak over a 200-path write, and the bytes
+        of one paths.csv block."""
         config = RunConfig(price_csv=str(DATA_DIR / "crypto_like.csv"),
                            n_paths=200, record_paths=True)
         result = run_pipeline(config)
@@ -1058,15 +1118,24 @@ class TestPathsCsv:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert (tmp_path / "paths.csv").stat().st_size > 4_000_000
+        size = (tmp_path / "paths.csv").stat().st_size
+        assert size > 4_000_000
+        return peak, size * TestPathsCsv.block_paths(result) // 200
+
+    def test_writer_memory_is_bounded(self, tmp_path, monkeypatch):
+        # one CPU: this process formats every block, one at a time; the
+        # all-rows writer peaked at ~22 MB here, in proportion to the file
+        self.on_cpus(monkeypatch, 1)
+        peak, _ = self.writer_peak(tmp_path)
         assert peak < 1_000_000
 
     def test_writer_memory_is_bounded_on_many_cpus(self, tmp_path,
                                                    monkeypatch):
-        # the formatting processes hand their rows over a pipe, so the bound
-        # above holds whatever the process count
+        # the formatting processes write their own rows, so this one holds
+        # none of them, whatever the process count
         self.on_cpus(monkeypatch, 8)
-        self.test_writer_memory_is_bounded(tmp_path)
+        peak, block = self.writer_peak(tmp_path)
+        assert peak < block / 3
 
     def test_recorded_run_memory_is_flat_in_paths(self, tmp_path,
                                                   monkeypatch):

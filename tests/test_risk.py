@@ -21,7 +21,7 @@ from gbmrisk.risk import (
 from gbmrisk.simulation import SimConfig, simulate
 
 from conftest import make_params
-from oracles import analytic_var_single_asset
+from oracles import analytic_var_single_asset, rolling_var_thresholds
 
 Z_05 = -1.6448536269514722  # 5% standard normal quantile
 
@@ -124,6 +124,21 @@ class TestRollingBacktest:
         assert result.thresholds[0] == pytest.approx(8.0, rel=1e-12)
         assert result.n_violations == 1
         assert result.violation_rate == 1.0
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(300, 1_600), st.sampled_from([2, 20, 100, 252]),
+           st.floats(0.001, 0.1), st.integers(0, 2**32 - 1))
+    def test_thresholds_match_the_loop_bitwise(self, days, window, vol,
+                                               seed):
+        # every window's mean and std at once give the bits of the loop
+        # that takes one window at a time
+        rng = np.random.default_rng(seed)
+        values = 100.0 * np.exp(np.cumsum(rng.normal(0.0, vol, days)))
+        for alpha in (0.01, 0.05):
+            result = rolling_var_backtest(values, alpha=alpha, window=window)
+            assert np.array_equal(
+                result.thresholds,
+                rolling_var_thresholds(values, alpha, window))
 
     def test_no_violation_when_value_rises(self):
         values = np.array([1.0, 2.0, 4.0, 64.0])

@@ -19,10 +19,17 @@ from conftest import DATA_DIR
 
 
 def formatted(x: np.ndarray) -> tuple[list[bytes], np.ndarray]:
-    """Each x's bytes from the vector formatter, and which were fast."""
-    chars, fast = _shortest.reprs(np.ascontiguousarray(x, np.float64))
-    assert chars.shape == (len(x), _shortest.WIDTH)
-    return [row.tobytes().replace(_shortest.PAD, b"") for row in chars], fast
+    """Each x's bytes from the vector formatter, laid into rows with a
+    byte on each side that it must leave alone, and which were fast."""
+    reprs = _shortest.Reprs(np.ascontiguousarray(x, np.float64))
+    assert reprs.width <= _shortest.WIDTH
+    rows = np.full((len(x), reprs.width + 2), ord("|"), np.uint8)
+    reprs.lay(rows[:, 1:-1])
+    assert (rows[:, [0, -1]] == ord("|")).all()
+    fast = np.ones(len(x), bool)
+    fast[reprs.slow] = False
+    return [row[1:-1].tobytes().replace(_shortest.PAD, b"")
+            for row in rows], fast
 
 
 def assert_reprs(x, *, both_paths: bool = True) -> None:
@@ -117,7 +124,7 @@ def test_fast_path_takes_most_prices():
     for start in range(0, config.n_paths, block):
         stop = min(start + block, config.n_paths)
         x = paths_csv._prices(kernel, config, start, stop)
-        fast += int(_shortest.reprs(x)[1].sum())
+        fast += len(x) - len(_shortest.Reprs(x).slow)
         total += len(x)
     assert total == 1_000 * 253 * 3
     assert fast / total >= 0.98
@@ -128,3 +135,21 @@ def test_other_doubles_fall_back(x):
     got, fast = formatted(np.array([x, 2.5]))
     assert got == [repr(x).encode(), b"2.5"]
     assert not fast[0]
+
+
+@pytest.mark.parametrize("x, slow, width", [
+    # 17 digit columns and the point after digit 0
+    ([1.0000000000000002, 9.999999999999998], 0, 18),
+    # and "0.0" before the digits of 0.01 <= x < 0.1
+    ([1.0000000000000002, 0.012345678901234568], 0, 21),
+    # and the points after digits 1 and 3
+    ([1.0000000000000002, 12.345678901234567, 1234.5678901234567], 0, 20),
+    # a fallback repr wider than the columns
+    ([1.0000000000000002, -1.2345678901234567], 1, 19),
+    # a fallback repr adds no column of its own
+    ([123.45678901234568, 1e300], 1, 18),
+])
+def test_rows_keep_only_the_columns_used(x, slow, width):
+    reprs = _shortest.Reprs(np.array(x))
+    assert (len(reprs.slow), reprs.width) == (slow, width)
+    assert formatted(np.array(x))[0] == [repr(v).encode() for v in x]
