@@ -7,6 +7,8 @@ per-path re-keying and the row formatting hold the GIL, and threads would
 queue on it. Each process writes its own bytes with ``os.pwrite``, at an
 offset the calling process derives from the lengths it is sent, so no
 byte of the file passes through a pipe or through the calling process.
+A process formats its next part while its last one waits for that
+offset, so it holds at most two parts, and the calling process none.
 Fork without exec is the safe default start method on Linux only, so
 elsewhere the work runs in the calling process.
 """
@@ -45,13 +47,17 @@ def run_forked(fd: int, offset: int, produce, parts,
     ``offset`` on, in ``processes`` forked processes, process w taking
     parts w, w + processes, ....
 
-    A process sends each part's length here and waits for its offset,
-    which this process gives once it has every earlier part's length; the
-    process then writes the part there itself, and goes on to its next.
+    A process sends each part's length here as soon as it has produced
+    the part; only then does it read the offset of its previous part,
+    which this process gives once it has every earlier part's length, and
+    write that part there itself. So a process produces its next part
+    while its last one waits for its offset, and holds at most two parts;
+    this process holds none.
 
     What a part raised, in ``produce`` or in its write, is raised here,
-    from a ChildProcessError carrying its traceback; a process that ends
-    before a part's length, or with a non-zero status, raises
+    from a ChildProcessError carrying its traceback, also when its process
+    ended before it read an earlier part's offset; a process that ends
+    before a part's length or offset, or with a non-zero status, raises
     ChildProcessError. Every process is reaped before this returns or
     raises, and on return every part is written.
     """
@@ -81,7 +87,15 @@ def run_forked(fd: int, offset: int, produce, parts,
         for i in range(len(parts)):
             w = i % processes
             size = _receive(lengths[w], pids[w])
-            offsets[w].write(offset.to_bytes(_HEADER, "little"))
+            try:
+                offsets[w].write(offset.to_bytes(_HEADER, "little"))
+            except BrokenPipeError:
+                # the process ended before it read this offset: raise
+                # what it raised after this part's length, or that it
+                # ended
+                _receive(lengths[w], pids[w])
+                raise ChildProcessError(
+                    f"forked process {pids[w]} ended before its offset")
             offset += size
         for pipe, pid in zip(lengths, pids):
             if pipe.peek(1):  # at EOF once the process has exited
@@ -100,28 +114,42 @@ def run_forked(fd: int, offset: int, produce, parts,
 
 def _write(fd: int, length_fd: int, offset_fd: int, produce, parts) -> None:
     """In a forked process: for each part, send its bytes' length down pipe
-    ``length_fd``, read its offset from pipe ``offset_fd`` and write the
-    bytes to ``fd`` there; send what a part raised instead; then exit."""
+    ``length_fd``; then read the offset of the part before it from pipe
+    ``offset_fd`` and write that part's bytes to ``fd`` there. So a process
+    formats its next part while its last one waits for its offset, holds
+    at most two, and writes its last part once that part's offset comes.
+    Send what a part raised instead; then exit."""
     with open(length_fd, "wb") as lengths, open(offset_fd, "rb") as offsets:
         try:
+            held = None  # the last part, its length sent, not yet written
             for part in parts:
                 data = memoryview(produce(part)).cast("B")
                 lengths.write(len(data).to_bytes(_HEADER, "little",
                                                  signed=True))
                 lengths.flush()
-                at = offsets.read(_HEADER)
-                if len(at) < _HEADER:
-                    os._exit(1)  # the calling process failed
-                at = int.from_bytes(at, "little")
-                while data:
-                    written = os.pwrite(fd, data, at)
-                    data, at = data[written:], at + written
+                if held is not None:
+                    _place(fd, held, offsets)
+                held = data
+            if held is not None:
+                _place(fd, held, offsets)
         except Exception as exc:
             error = pickle.dumps((exc, traceback.format_exc()))
             lengths.write((-len(error)).to_bytes(_HEADER, "little",
                                                  signed=True))
             lengths.write(error)
     os._exit(0)
+
+
+def _place(fd: int, data: memoryview, offsets) -> None:
+    """Read ``data``'s offset from pipe ``offsets`` and write it to ``fd``
+    there."""
+    at = offsets.read(_HEADER)
+    if len(at) < _HEADER:
+        os._exit(1)  # the calling process failed
+    at = int.from_bytes(at, "little")
+    while data:
+        written = os.pwrite(fd, data, at)
+        data, at = data[written:], at + written
 
 
 def _receive(pipe, pid: int) -> int:

@@ -32,8 +32,10 @@ formatted in forked processes through ``gbmrisk.forking.run_forked``, one
 process per CPU this process may run on and at most one per block. Each
 process writes its own blocks into the file with ``os.pwrite``; the
 writing process writes the header, and sends each block its offset,
-which it sums from the lengths of the blocks before it. So it holds no
-block and copies no byte of one, whatever the process count. Elsewhere,
+which it sums from the lengths of the blocks before it. A formatting
+process formats its next block while its last one waits for that offset,
+so it holds at most two blocks; the writing process holds none and
+copies no byte of one, whatever the process count. Elsewhere,
 or on one CPU or with one block, the writing process formats the blocks
 itself, one at a time, and writes each in turn.
 """

@@ -173,13 +173,14 @@ def _fill_normals(z: np.ndarray, seed: int, paths, counter: int = 0):
     """z[i] = the normals of path paths[i], keyed (seed, paths[i]) with
     the counter's top word ``counter``; a 3-d z fills step-major. One
     Philox serves every path: assigning it this state re-keys it with a
-    fresh counter and an empty buffer, the state a new Philox starts in;
-    lists of Python ints assign faster than uint64 arrays."""
+    fresh counter and an empty buffer, the state a new Philox starts in,
+    so it is built from a constant seed, not from OS entropy; lists of
+    Python ints assign faster than uint64 arrays."""
     key = [seed, 0]
     fresh = {"bit_generator": "Philox", "buffer": [0, 0, 0, 0],
              "state": {"counter": [0, 0, 0, counter], "key": key},
              "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    bit_gen = np.random.Philox()
+    bit_gen = np.random.Philox(0)
     gen = np.random.Generator(bit_gen)
     for p, row in zip(paths, z):
         key[1] = p
@@ -309,10 +310,11 @@ class _PathKernel:
     horizon: float
     seed: int
 
-    def terminal(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-        """Paths [start, stop)'s terminal normals and log(S_T / S_0), each
-        (paths, assets): by the vector pass where it pays, path by path
-        through ``_fill_normals`` elsewhere, the same bits either way."""
+    def terminal(self, start: int, stop: int) -> np.ndarray:
+        """Paths [start, stop)'s log(S_T / S_0), (paths, assets), from
+        their terminal normals: drawn by the vector pass where it pays,
+        path by path through ``_fill_normals`` elsewhere, the same bits
+        either way."""
         n_assets = len(self.drift)
         if _FAST_NORMAL**n_assets >= _VECTOR_SHARE:
             z = np.empty((n_assets, stop - start))
@@ -322,7 +324,7 @@ class _PathKernel:
             _fill_normals(z, self.seed, range(start, stop), _TERMINAL_COUNTER)
             # asset-major, as _correlate works along an asset's paths
             z = np.ascontiguousarray(z.T)
-        return z.T, self.log_terminal(z.T)
+        return self.log_terminal(z.T)
 
     def log_terminal(self, z: np.ndarray) -> np.ndarray:
         """log(S_T / S_0) of the paths whose terminal normals are z's rows,
@@ -355,7 +357,7 @@ def simulate(
         check("workers", workers, SimulationError)
     kernel = _path_kernel(params, config)
     s0 = config.initial_prices
-    _, terminal = kernel.terminal(0, config.n_paths)
+    terminal = kernel.terminal(0, config.n_paths)
     np.exp(terminal, out=terminal)
     terminal *= s0
     if not np.all(terminal > 0.0):

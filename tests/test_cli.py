@@ -18,6 +18,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 from dataclasses import fields
@@ -48,7 +49,8 @@ from oracles import leaves_fast_path, rebuilt_paths, reference_paths_csv
 
 
 class BlockFailed(Exception):
-    """Raised by a block formatter in a test; it names the raising pid."""
+    """Raised by a block formatter in a test; it names the raising pid,
+    and the block's first path where it is given."""
 
 
 # values every run parameter's rule is tried on
@@ -925,6 +927,24 @@ class TestPathsCsv:
         """Make the writer see ``cpus`` CPUs, whatever the machine has."""
         monkeypatch.setattr(forking, "available_cpus", lambda: cpus)
 
+    @staticmethod
+    def relay_once_ended(monkeypatch) -> None:
+        """Make this process receive a worker's next length only once the
+        worker has ended, or after 2 s, so that an offset sent to a worker
+        that ended early meets a closed pipe. The workers call no
+        _receive, and WNOWAIT leaves each of them to be reaped."""
+        real_receive = forking._receive
+
+        def receive_once_ended(pipe, pid):
+            deadline = time.monotonic() + 2
+            ended = os.WEXITED | os.WNOHANG | os.WNOWAIT
+            while (os.waitid(os.P_PID, pid, ended) is None
+                   and time.monotonic() < deadline):
+                time.sleep(0.001)
+            return real_receive(pipe, pid)
+
+        monkeypatch.setattr(forking, "_receive", receive_once_ended)
+
     @pytest.mark.parametrize("workers", [1, 2, None])
     @pytest.mark.parametrize("blocks, extra", [
         (0, 1), (1, -1), (1, 0), (1, 1), (2, 3)])
@@ -1005,22 +1025,72 @@ class TestPathsCsv:
         cli.write_report_files(result, tmp_path)
         assert (tmp_path / "paths.csv").read_bytes() == expected
 
-    def test_worker_error_surfaces_and_leaves_no_children(self, recorded,
-                                                          tmp_path,
+    @pytest.mark.parametrize("fails_from", [0, 2], ids=["first", "later"])
+    def test_worker_error_surfaces_and_leaves_no_children(self, fails_from,
+                                                          recorded, tmp_path,
                                                           monkeypatch):
-        # the forked formatting processes inherit the patched formatter
+        # the forked formatting processes inherit the patched formatter;
+        # blocks from the third on fail a worker that still holds an
+        # unwritten block, its first, and that may have ended before its
+        # first block's offset is sent
         def failing_formatter(*args):
-            def format_block(start):
-                raise BlockFailed(os.getpid())
-            return format_block
+            format_block = real_formatter(*args)
 
+            def fails(start):
+                if start >= fails_from * args[2]:
+                    raise BlockFailed(os.getpid(), start)
+                return format_block(start)
+            return fails
+
+        real_formatter = paths_csv._block_formatter
         monkeypatch.setattr(paths_csv, "_block_formatter", failing_formatter)
         self.on_cpus(monkeypatch, 2)
+        self.relay_once_ended(monkeypatch)
+        result = recorded(100)
         with pytest.raises(BlockFailed) as err:
-            cli.write_report_files(recorded(100), tmp_path)
+            cli.write_report_files(result, tmp_path)
         assert err.value.args[0] != os.getpid()  # raised in a child
-        assert "BlockFailed" in str(err.value.__cause__)  # its traceback
+        # the first failing block's own exception, with its traceback
+        assert err.value.args[1] == fails_from * self.block_paths(result)
+        assert "BlockFailed" in str(err.value.__cause__)
         assert_no_children()
+
+    def test_workers_format_ahead_of_their_writes(self, recorded, tmp_path,
+                                                  monkeypatch):
+        # a worker formats its next block before it writes the one it
+        # formatted last, and holds at most two: as it formats each of its
+        # three blocks it has written 0, 0 and 1. The workers inherit both
+        # patches; this process writes no block, so each count starts at 0
+        written = [0]
+        formatted = tmp_path / "formatted.txt"
+
+        def counting_pwrite(*args):
+            written[0] += 1
+            return real_pwrite(*args)
+
+        def logging_formatter(*args):
+            format_block = real_formatter(*args)
+
+            def logged(start):
+                with open(formatted, "a") as log:
+                    log.write(f"{os.getpid()} {start} {written[0]}\n")
+                return format_block(start)
+            return logged
+
+        real_pwrite, real_formatter = os.pwrite, paths_csv._block_formatter
+        monkeypatch.setattr(os, "pwrite", counting_pwrite)
+        monkeypatch.setattr(paths_csv, "_block_formatter", logging_formatter)
+        self.on_cpus(monkeypatch, 2)
+        block = self.block_paths(recorded(1))
+        cli.write_report_files(recorded(6 * block), tmp_path)
+        counts, starts = {}, []
+        for line in formatted.read_text().splitlines():
+            pid, start, count = map(int, line.split())
+            counts.setdefault(pid, []).append(count)
+            starts.append(start)
+        assert sorted(starts) == list(range(0, 6 * block, block))
+        assert os.getpid() not in counts
+        assert list(counts.values()) == [[0, 0, 1], [0, 0, 1]]
 
     def test_worker_that_dies_is_reported(self, recorded, tmp_path,
                                           monkeypatch):
@@ -1037,7 +1107,23 @@ class TestPathsCsv:
 
         monkeypatch.setattr(paths_csv, "_block_formatter", dying_formatter)
         self.on_cpus(monkeypatch, 2)
+        self.relay_once_ended(monkeypatch)
         with pytest.raises(ChildProcessError, match="ended before its block"):
+            cli.write_report_files(recorded(100), tmp_path)
+        assert_no_children()
+
+    def test_worker_that_dies_holding_a_block_is_reported(self, recorded,
+                                                          tmp_path,
+                                                          monkeypatch):
+        # each worker sends its second block's length, then dies as it
+        # would read its first block's offset
+        def dies(*args):
+            os._exit(3)
+
+        monkeypatch.setattr(forking, "_place", dies)
+        self.on_cpus(monkeypatch, 2)
+        self.relay_once_ended(monkeypatch)
+        with pytest.raises(ChildProcessError, match="ended before its offset"):
             cli.write_report_files(recorded(100), tmp_path)
         assert_no_children()
 

@@ -353,7 +353,7 @@ class TestStepSlices:
         second = paths_csv._log_paths(kernel, n_steps, block, 2 * block)
         assert second.shape == (block, n_steps, n_assets)
         assert np.array_equal(second, whole[block:2 * block])
-        _, log_t = kernel.terminal(0, config.n_paths)
+        log_t = kernel.terminal(0, config.n_paths)
         assert np.array_equal(second[:, -1], log_t[block:2 * block])
 
 
@@ -458,7 +458,7 @@ class TestSimulate:
         kernel = simulation._path_kernel(params, config)
         rebuilt = rebuilt_paths(params, replace(config, n_paths=64))
         return (params, config, simulate(params, config, workers=1), kernel,
-                kernel.terminal(0, config.n_paths)[1],
+                kernel.terminal(0, config.n_paths),
                 rebuilt[:, -1, :].copy(), {})
 
     @pytest.mark.parametrize("workers", [1, 2, None])
@@ -477,7 +477,7 @@ class TestSimulate:
         if chunk not in chunked:
             n = config.n_paths
             chunked[chunk] = np.concatenate([
-                kernel.terminal(s, min(s + chunk, n))[1]
+                kernel.terminal(s, min(s + chunk, n))
                 for s in range(0, n, chunk)])
         assert np.array_equal(chunked[chunk], log_t)
         assert np.array_equal(rebuilt_terminal,
