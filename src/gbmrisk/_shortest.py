@@ -4,10 +4,12 @@
 writes each into its row of a caller's byte buffer: the ASCII of the
 repr with PAD bytes among it, so that deleting every PAD byte leaves the
 repr. PAD, 0xFF, never occurs in UTF-8, so a caller may lay UTF-8 text
-beside the rows and delete PAD from the whole buffer at once. The rows
-are only as wide as x needs: of the "0.000" prefix and the point columns,
-they keep those some certified repr of x fills, so prices of a few
-magnitudes take ~20 bytes a row rather than WIDTH.
+beside the rows, such as the cells ``padded`` makes, and delete PAD from
+the whole buffer at once; ``paths.csv`` and ``save_prices`` write their
+rows so. The rows may be any (..., width) view, such as the price fields
+of rows of text. They are only as wide as x needs: of the "0.000" prefix
+and the point columns, they keep those some certified repr of x fills,
+so prices of a few magnitudes take ~20 bytes a row rather than WIDTH.
 
 ``repr`` prints the shortest digits that read back as x, and of those
 the nearest to x (Gay's dtoa, mode 0), positionally for 1e-4 <= x < 1e16.
@@ -39,7 +41,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["PAD", "WIDTH", "Reprs"]
+__all__ = ["PAD", "WIDTH", "Reprs", "padded"]
 
 PAD = b"\xff"
 # the widest certified repr, "0.000" and 17 digits, interleaved with the
@@ -113,37 +115,49 @@ class Reprs:
         self.width = max([len(self.columns), *map(len, self.slow_reprs)])
 
     def lay(self, out: np.ndarray) -> None:
-        """Write each repr into its row of ``out``, a (len(x), width) uint8
-        array, ASCII with PAD bytes among it; every byte of ``out`` is
-        written, and it may be a view of a wider buffer."""
+        """Write each repr into its row of ``out``, a (..., width) uint8
+        array of len(x) rows in C order, ASCII with PAD bytes among it;
+        every byte of ``out`` is written, and it may be a view of a wider
+        buffer, such as the price fields of rows of text."""
+        shape = out.shape[:-1]
         digit = _DIGIT[self.columns]
         # the prefix and point columns, each a byte of the price's layout
+        row = self.row.reshape(shape)
         for j, column in zip(np.flatnonzero(~digit),
                              _LAYOUTS.T[self.columns[~digit]]):
-            out[:, j] = np.take(column, self.row, mode="clip")
-        out[:, len(self.columns):] = ord(PAD)
+            out[..., j] = np.take(column, row, mode="clip")
+        out[..., len(self.columns):] = ord(PAD)
         places = np.flatnonzero(digit)
         # digit 0, then digits 1-16 as four groups of four, each written at
         # once where its places are adjacent, a byte at a time elsewhere
-        top = self.high // 10**8
-        out[:, places[0]] = top + ord("0")
-        for group, q in enumerate((self.high - top * 10**8, self.low)):
+        high, low = self.high.reshape(shape), self.low.reshape(shape)
+        top = high // 10**8
+        out[..., places[0]] = top + ord("0")
+        for group, q in enumerate((high - top * 10**8, low)):
             above = q // 10**4
             for part, quad in enumerate((above, q - above * 10**4)):
                 at = places[1 + 8 * group + 4 * part:][:4]
                 chars = np.take(_QUADS, quad, mode="clip")
                 if at[3] - at[0] == 3:
-                    out[:, at[0]:at[0] + 4].view("<u4")[:, 0] = chars
+                    out[..., at[0]:at[0] + 4].view("<u4")[..., 0] = chars
                 else:
-                    for place, char in zip(
-                            at, chars.view(np.uint8).reshape(-1, 4).T):
-                        out[:, place] = char
+                    for place, char in zip(at, np.moveaxis(
+                            chars[..., None].view(np.uint8), -1, 0)):
+                        out[..., place] = char
         for column, dropped in zip(places[:-3:-1], self.drops):
-            np.copyto(out[:, column], ord(PAD), where=dropped)
+            np.copyto(out[..., column], ord(PAD), where=dropped.reshape(shape))
         if self.slow.size:
-            out[self.slow] = np.frombuffer(b"".join(
+            out[np.unravel_index(self.slow, shape)] = np.frombuffer(b"".join(
                 r.ljust(self.width, PAD) for r in self.slow_reprs
             ), np.uint8).reshape(self.slow.size, self.width)
+
+
+def padded(cells) -> np.ndarray:
+    """The UTF-8 of each str of ``cells``, PAD to the widest, one a row."""
+    cells = [cell.encode("utf-8") for cell in cells]
+    width = max(map(len, cells))
+    return np.frombuffer(b"".join(cell.ljust(width, PAD) for cell in cells),
+                         np.uint8).reshape(len(cells), width)
 
 
 def _scaled(y: np.ndarray):
@@ -154,23 +168,25 @@ def _scaled(y: np.ndarray):
     # range below, or, at either end of the table, the clip puts k right
     row = np.floor(np.log10(y)).astype(np.int64) - _K_MIN
     np.clip(row, 0, _K_MAX - _K_MIN, out=row)
+    c_hi, c_lo = (np.take(table, row, mode="clip")
+                  for table in (_SCALE_HI, _SCALE_LO))
     p = y * np.take(_SCALE, row, mode="clip")
     # Dekker's TwoProduct: e = ((y_hi c_hi - p) + y_hi c_lo + y_lo c_hi)
-    # + y_lo c_lo, in place
+    # + y_lo c_lo, each product in place
     y_hi, y_lo = _split(y)
-    e = y_hi * np.take(_SCALE_HI, row, mode="clip")
+    e = y_hi * c_hi
     e -= p
-    term = np.empty_like(e)
-    for a, b in ((y_hi, _SCALE_LO), (y_lo, _SCALE_HI), (y_lo, _SCALE_LO)):
-        e += np.multiply(a, np.take(b, row, mode="clip"), out=term)
-    del y_hi, y_lo, term
+    e += np.multiply(y_hi, c_lo, out=y_hi)
+    e += np.multiply(y_lo, c_hi, out=y_hi)
+    e += np.multiply(y_lo, c_lo, out=y_lo)
+    del y_hi, y_lo
     certain = (p > 1e16) & (p < 1e17)
     whole = np.rint(e)
     e -= whole  # exact
     certain &= np.abs(e) != 0.5
     big = p.astype(np.int64)
     big += whole.astype(np.int64)
-    h = np.take(_SCALE, row, mode="clip")
+    h = np.add(c_hi, c_lo, out=c_hi)  # c itself: the split is exact
     h *= (y.view(np.uint64) & _EXPONENT).view(np.float64) * 2.0**-53
     return row, big, e, h, certain
 

@@ -15,6 +15,7 @@ elsewhere the work runs in the calling process.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import pickle
 import sys
@@ -52,7 +53,8 @@ def run_forked(fd: int, offset: int, produce, parts,
     which this process gives once it has every earlier part's length, and
     write that part there itself. So a process produces its next part
     while its last one waits for its offset, and holds at most two parts;
-    this process holds none.
+    this process holds none. Process w starts on CPU w of this process's
+    affinity mask, cycling through it, and may then run on any of them.
 
     What a part raised, in ``produce`` or in its write, is raised here,
     from a ChildProcessError carrying its traceback, also when its process
@@ -62,6 +64,7 @@ def run_forked(fd: int, offset: int, produce, parts,
     raises, and on return every part is written.
     """
     pids, lengths, offsets = [], [], []
+    mask = sorted(os.sched_getaffinity(0))
     try:
         for w in range(processes):
             length_r, length_w = os.pipe()
@@ -76,6 +79,12 @@ def run_forked(fd: int, offset: int, produce, parts,
                         # EPIPE or EOF if this fails
                         for pipe in lengths + offsets:
                             pipe.close()
+                        with contextlib.suppress(OSError):
+                            # start on a CPU of its own, then may move:
+                            # left alone, processes forked together can
+                            # share one CPU for a whole write
+                            os.sched_setaffinity(0, {mask[w % len(mask)]})
+                            os.sched_setaffinity(0, mask)
                         _write(fd, length_w, offset_r, produce,
                                parts[w::processes])
                     finally:

@@ -29,14 +29,14 @@ kernel's ``log_terminal``, so it equals them bitwise.
 
 On Linux, with more than one CPU and more than one block, the blocks are
 formatted in forked processes through ``gbmrisk.forking.run_forked``, one
-process per CPU this process may run on and at most one per block. Each
-process writes its own blocks into the file with ``os.pwrite``; the
-writing process writes the header, and sends each block its offset,
-which it sums from the lengths of the blocks before it. A formatting
-process formats its next block while its last one waits for that offset,
-so it holds at most two blocks; the writing process holds none and
-copies no byte of one, whatever the process count. Elsewhere,
-or on one CPU or with one block, the writing process formats the blocks
+process per CPU this process may run on and at most one per block, each
+started on a CPU of its own. Each process writes its own blocks into the
+file with ``os.pwrite``; the writing process writes the header, and sends
+each block its offset, which it sums from the lengths of the blocks before
+it. A formatting process formats its next block while its last one waits
+for that offset, so it holds at most two blocks; the writing process holds
+none and copies no byte of one, whatever the process count. Elsewhere, or
+on one CPU or with one block, the writing process formats the blocks
 itself, one at a time, and writes each in turn.
 """
 
@@ -58,8 +58,11 @@ __all__ = ["write_paths_csv"]
 # 12 paths at 252 steps x 3 assets (~270 KB of rows), and at least one. The
 # bytes do not depend on it; it trades a block's memory against the fixed
 # cost of a rebuild, two Philox builds, and of the ~100 numpy calls that
-# format it. Writing 1,000 crypto_like paths on two CPUs took 0.175 / 0.149
-# / 0.150 s (medians of 11) at 6 / 12 / 24 paths a block.
+# format it. Larger blocks would be faster on two CPUs: at 24 paths the
+# benchmark's record_paths op took 0.138 s against 0.158 s (medians, lower
+# in 5 of 5 pairs), and 48 paths were slower than 24. The serial write's
+# 1 MB memory bound holds the block at 12 paths: its traced peak is 884 KB
+# there, 1,162 KB at 16 paths, and Reprs of one block peaks at 786 KB.
 _REBUILD_CELLS = 12 * 253 * 3
 
 
@@ -106,15 +109,6 @@ def _prices(kernel: _PathKernel, sim_config: SimConfig, start: int,
     return prices.reshape(-1)
 
 
-def _padded(texts) -> np.ndarray:
-    """The UTF-8 of each of ``texts``, PAD to the widest, one a row."""
-    cells = [text.encode("utf-8") for text in texts]
-    width = max(map(len, cells))
-    return np.frombuffer(b"".join(cell.ljust(width, _shortest.PAD)
-                                  for cell in cells),
-                         np.uint8).reshape(len(cells), width)
-
-
 def _block_formatter(params: MarketParams, sim_config: SimConfig, block: int):
     """``format_block(start)``: the paths.csv rows of paths [start,
     start + block) as bytes. The kernel and the rows' step and ticker
@@ -122,8 +116,9 @@ def _block_formatter(params: MarketParams, sim_config: SimConfig, block: int):
     kernel = _path_kernel(params, sim_config)
     n_paths = sim_config.n_paths
     # "{step}," | "{ticker}," in the order of a path's prices
-    steps = _padded(f"{step}," for step in range(sim_config.n_steps + 1))
-    tickers = _padded(f"{ticker}," for ticker in params.tickers)
+    steps = _shortest.padded(f"{step},"
+                             for step in range(sim_config.n_steps + 1))
+    tickers = _shortest.padded(f"{ticker}," for ticker in params.tickers)
     cells = np.empty((len(steps), len(tickers),
                       steps.shape[1] + tickers.shape[1]), np.uint8)
     cells[..., :steps.shape[1]] = steps[:, None]
@@ -136,7 +131,7 @@ def _block_formatter(params: MarketParams, sim_config: SimConfig, block: int):
         # a row: "{path}," | cell | price | newline, each field PAD-filled
         # to the widest of its kind in this block; one path's rows are
         # laid out once and copied to every path
-        paths = _padded(f"{p}," for p in range(start, stop))
+        paths = _shortest.padded(f"{p}," for p in range(start, stop))
         lead = paths.shape[1]
         price = lead + cells.shape[1]
         path = np.empty((len(cells), price + reprs.width + 1), np.uint8)

@@ -6,8 +6,10 @@ a probe of numpy's ziggurat tables, every recorded path rebuilt in one
 bridge call, the all-rows paths.csv formatter whose bytes the streaming
 writer must reproduce, the window-by-window loop whose VaR thresholds
 the vector backtest must reproduce, the closed-form lognormal VaR of a
-single GBM asset that the simulated VaR must approach, and the plain CSV
-reader whose results and errors the price loader must reproduce."""
+single GBM asset that the simulated VaR must approach, the plain CSV
+reader whose results and errors the price loader must reproduce, and the
+cell-by-cell CSV writer whose bytes and errors the price writer must
+reproduce."""
 
 from __future__ import annotations
 
@@ -265,3 +267,14 @@ def reference_load_prices(path: str | Path) -> PriceSeries:
     dates = tuple(sorted(rows))
     prices = np.array([rows[d] for d in dates], dtype=np.float64)
     return PriceSeries(tickers, dates, prices)
+
+
+def reference_save_prices(series: PriceSeries, path: str | Path) -> None:
+    """``save_prices`` the plain way: ``csv.writer`` over a UTF-8 text file,
+    a row at a time, each price as ``repr(float(p))``."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["date", *series.tickers])
+        for i, date in enumerate(series.dates):
+            writer.writerow([date, *(repr(float(p))
+                                     for p in series.prices[i])])

@@ -1092,6 +1092,34 @@ class TestPathsCsv:
         assert os.getpid() not in counts
         assert list(counts.values()) == [[0, 0, 1], [0, 0, 1]]
 
+    def test_workers_start_on_cpus_of_their_own(self, recorded, tmp_path,
+                                                 monkeypatch):
+        # each worker pins itself to one CPU of this process's mask, worker
+        # w to CPU w, so that it starts apart from the others, then gives
+        # itself the whole mask back; the workers inherit the patch
+        calls = tmp_path / "affinity.txt"
+
+        def logged(pid, cpus):
+            with open(calls, "a") as log:
+                log.write(f"{os.getpid()} {sorted(cpus)}\n")
+            real_setaffinity(pid, cpus)
+
+        real_setaffinity = os.sched_setaffinity
+        monkeypatch.setattr(os, "sched_setaffinity", logged)
+        self.on_cpus(monkeypatch, 2)
+        out = tmp_path / "out"
+        out.mkdir()
+        cli.write_report_files(recorded(4 * self.block_paths(recorded(1))),
+                               out)
+        mask = sorted(os.sched_getaffinity(0))
+        by_worker = {}
+        for line in calls.read_text().splitlines():
+            pid, cpus = line.split(" ", 1)
+            by_worker.setdefault(int(pid), []).append(cpus)
+        assert os.getpid() not in by_worker
+        assert sorted(by_worker.values()) == sorted(
+            [str([mask[w % len(mask)]]), str(mask)] for w in range(2))
+
     def test_worker_that_dies_is_reported(self, recorded, tmp_path,
                                           monkeypatch):
         real_formatter = paths_csv._block_formatter
@@ -1352,6 +1380,21 @@ def test_scaling_scripts_smoke(scaling):
         for record in committed.values():
             for pinned in record[rows]:
                 assert key_shape(row) == key_shape(pinned), rows
+
+
+def test_scaling_save_prices_pairs_two_packages(scaling, monkeypatch):
+    # two rounds, each running both packages' children; a row keeps the
+    # keys of the committed record, the baseline's those of its own side
+    monkeypatch.setattr(scaling, "REPEATS", 2)
+    src = DATA_DIR.parent / "src"
+    row = scaling.measure_save(src, 3, 1, baseline=src)
+    committed = json.loads((DATA_DIR.parent / "BENCH_30.json").read_text())
+    for pinned in committed["change"]["save_prices"]:
+        assert key_shape(row) == key_shape(pinned)
+    side = {key: row[key] for key in ("cold_s", "warm_s", "peak_rss_mb")}
+    assert key_shape(row["baseline"]) == key_shape(side)
+    assert len(row["cold_s"]["runs_s"]) == len(
+        row["baseline"]["cold_s"]["runs_s"]) == 2
 
 
 def test_scaling_child_reports_its_own_peak(scaling):

@@ -22,7 +22,7 @@ from gbmrisk.market_data import (
     save_prices,
 )
 
-from oracles import reference_load_prices
+from oracles import reference_load_prices, reference_save_prices
 
 LN_1_1 = 0.09531017980432486  # ln(1.1)
 LN_0_9 = -0.10536051565782628  # ln(0.9)
@@ -372,6 +372,96 @@ class TestCanonicalReader:
         finally:
             tracemalloc.stop()
         assert peak <= 3e6, peak
+
+
+def written(write, s: PriceSeries, path):
+    """What ``write(s, path)`` gives: the file's bytes, or the type and
+    message of what it raises."""
+    try:
+        write(s, path)
+    except Exception as exc:  # compared, type and message, not handled
+        return type(exc), str(exc)
+    return path.read_bytes()
+
+
+# text csv.writer quotes or that is not ASCII, among plain characters
+cell_text = st.text(st.one_of(
+    st.sampled_from(',"\r\n Ωé€𝄞'),
+    st.characters(blacklist_categories=("Cs",))), max_size=6)
+# prices outside the vector pass's certified range, powers of two, and
+# decimals of 14 digits or fewer, which repr prints shorter than 15
+prices = st.one_of(
+    st.floats(min_value=1e-300, max_value=1e-4, exclude_max=True),
+    st.floats(min_value=1e14, max_value=1e300),
+    st.integers(-1022, 1023).map(lambda n: 2.0**n),
+    st.builds(lambda m, e: float(f"{m}e{e}"),
+              st.integers(1, 10**14 - 1), st.integers(-18, 4)),
+    st.floats(min_value=1e-4, max_value=1e14),
+)
+
+
+class TestPriceWriter:
+    """save_prices against the cell-by-cell csv.writer loop, byte for
+    byte."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n_dates=st.integers(1, 6),
+           n_assets=st.integers(1, 4), empty_first=st.booleans())
+    def test_bytes_match_the_reference(self, tmp_path_factory, data,
+                                       n_dates, n_assets, empty_first):
+        # an empty date sorts first, and alone on a row csv writes '""'
+        dates = sorted(data.draw(st.lists(cell_text, min_size=n_dates,
+                                          max_size=n_dates, unique=True)))
+        if empty_first and "" not in dates:
+            dates[0] = ""
+            dates.sort()
+        tickers = data.draw(st.lists(cell_text, min_size=n_assets,
+                                     max_size=n_assets, unique=True))
+        values = data.draw(st.lists(prices, min_size=n_dates * n_assets,
+                                    max_size=n_dates * n_assets))
+        s = series(tickers, dates,
+                   np.reshape(values, (n_dates, n_assets)))
+        out = tmp_path_factory.mktemp("csv")
+        expected = written(reference_save_prices, s, out / "reference.csv")
+        assert written(save_prices, s, out / "p.csv") == expected
+
+    def test_blocks_of_rows_give_the_same_bytes(self, tmp_path):
+        # 1,300 rows of 7 prices: blocks of 4,096 // 7 = 585 rows, the
+        # last one short
+        s = table(np.random.default_rng(11), 1300, 7, scale=6.0)
+        assert (written(save_prices, s, tmp_path / "p.csv")
+                == written(reference_save_prices, s, tmp_path / "r.csv"))
+
+    @pytest.mark.parametrize("tickers, dates", [
+        (["A", "B\ud800"], ["2024-01-02", "2024-01-03"]),
+        (["A", "B"], ["2024-01-02", "2024-01-03\udcff"]),
+    ], ids=["ticker", "date"])
+    def test_unencodable_text_raises_as_the_reference(self, tmp_path,
+                                                      tickers, dates):
+        # the same error, having written no more than the reference did
+        s = series(tickers, dates, [[1.0, 2.0], [3.0, 4.0]])
+        got = written(save_prices, s, tmp_path / "p.csv")
+        assert got[0] is UnicodeEncodeError
+        assert got == written(reference_save_prices, s, tmp_path / "r.csv")
+        reference = (tmp_path / "r.csv").read_bytes()
+        assert reference.startswith((tmp_path / "p.csv").read_bytes())
+
+    def test_memory_is_flat_in_rows(self, tmp_path):
+        # rows go out a block at a time: holding every row of 4,096 x 50
+        # prices would add some 3 MB
+        def peak(n_dates: int) -> int:
+            prices = np.random.default_rng(n_dates).lognormal(
+                3.0, 1.0, (n_dates, 50))
+            s = series([f"T{i}" for i in range(50)],
+                       [f"{d:06d}" for d in range(n_dates)], prices)
+            tracemalloc.start()
+            try:
+                save_prices(s, tmp_path / "p.csv")
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(4096) - peak(1024) < 1_000_000
 
 
 class TestLogReturns:

@@ -6,6 +6,9 @@ halfway cases. Each dense set must reach both the vector pass and the
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -153,3 +156,37 @@ def test_rows_keep_only_the_columns_used(x, slow, width):
     reprs = _shortest.Reprs(np.array(x))
     assert (len(reprs.slow), reprs.width) == (slow, width)
     assert formatted(np.array(x))[0] == [repr(v).encode() for v in x]
+
+
+def test_lays_into_the_fields_of_wider_rows():
+    # as save_prices lays them: a (rows, assets, width) view of rows of
+    # text, each field after a byte that lay leaves alone, the fallback
+    # reprs among them
+    rng = np.random.default_rng(3)
+    x = np.concatenate([np.exp(rng.normal(0.0, 10.0, 58)), [1e300, 0.5]])
+    reprs = _shortest.Reprs(x)
+    assert len(reprs.slow) >= 2
+    text = np.full((12, 2 + 5 * (reprs.width + 1)), ord("|"), np.uint8)
+    fields = text[:, 1:-1].reshape(12, 5, reprs.width + 1)
+    reprs.lay(fields[..., 1:])
+    assert (text[:, [0, -1]] == ord("|")).all()
+    assert (fields[..., 0] == ord("|")).all()
+    got = [field.tobytes().replace(_shortest.PAD, b"")
+           for field in fields[..., 1:].reshape(-1, reprs.width)]
+    assert got == [repr(v).encode() for v in x.tolist()]
+
+
+def test_scaled_terms_are_exact():
+    # y c = big + e exactly, and h is exactly half of y's ulp times c, in
+    # rational arithmetic; where k is certified, c is 10**(16 - k)
+    rng = np.random.default_rng(11)
+    y = np.concatenate([np.exp(rng.uniform(-9.0, 32.0, 2_000)),
+                        neighbours(np.array([1e-4, 1.0, 1e13]), 4)])
+    row, big, e, h, certain = _shortest._scaled(y)
+    assert certain.mean() > 0.9
+    for v, k, b, err, half in zip(y.tolist(), row.tolist(), big.tolist(),
+                                  e.tolist(), h.tolist()):
+        c = Fraction(10) ** (16 - k - _shortest._K_MIN)
+        assert Fraction(v) * c == b + Fraction(err)
+        assert abs(err) <= 0.5
+        assert Fraction(half) == Fraction(math.ulp(v)) / 2 * c
