@@ -3,9 +3,9 @@
 Rows are ``path,step,ticker,price`` with floats as ``repr``, in path, step
 and ticker order, step 0 being the initial prices. The paths are not
 stored: each is a pure function of its key (seed, path index), so they are
-rebuilt a block at a time (12 whole paths at 252 steps x 3 assets), and
-each block is formatted apart from every other, so the bytes are the same
-for any block size or number of processes.
+rebuilt a block of whole paths at a time, and each block is formatted
+apart from every other, so the bytes are the same for any block size or
+number of processes.
 
 A block is formatted in one vectorized pass (``gbmrisk._shortest``): each
 price's shortest round-trip digits, the ones ``repr`` prints, come from one
@@ -27,17 +27,26 @@ writer draws z_T path by path, where ``simulate`` draws it for thousands of
 paths at once, with the same bits, and both take it to log prices by the
 kernel's ``log_terminal``, so it equals them bitwise.
 
-On Linux, with more than one CPU and more than one block, the blocks are
-formatted in forked processes through ``gbmrisk.forking.run_forked``, one
-process per CPU this process may run on and at most one per block, each
-started on a CPU of its own. Each process writes its own blocks into the
-file with ``os.pwrite``; the writing process writes the header, and sends
-each block its offset, which it sums from the lengths of the blocks before
-it. A formatting process formats its next block while its last one waits
-for that offset, so it holds at most two blocks; the writing process holds
-none and copies no byte of one, whatever the process count. Elsewhere, or
-on one CPU or with one block, the writing process formats the blocks
-itself, one at a time, and writes each in turn.
+On Linux, with more than one CPU and more than one forked block, the
+blocks are formatted in forked processes through
+``gbmrisk.forking.run_forked``, one process per CPU this process may run on
+and at most one per block, each started on a CPU of its own. Each process
+writes its own blocks into the file with ``os.pwrite``; the writing process
+writes the header, and sends each block its offset, which it sums from the
+lengths of the blocks before it. A formatting process formats its next
+block while its last one waits for that offset, so it holds at most two
+blocks; the writing process holds none and copies no byte of one, whatever
+the process count. Elsewhere, or on one CPU or with one forked block, the
+writing process formats the blocks itself, one at a time, and writes each
+in turn.
+
+A block's size depends on the process that holds it. A formatting process
+takes 24 paths at 252 steps x 3 assets, and fewer with more assets or
+steps: it is a process of its own, and larger blocks pay the fixed cost of
+a block less often. The writing process, when it formats, takes 12 paths,
+so that its peak stays under 1 MB: at 24 paths the padded rows alone take
+~656 KB (36 bytes x 18,216 rows), and their compact copy, ~526 KB, is made
+while they exist, 1.18 MB before the prices' digits count at all.
 """
 
 from __future__ import annotations
@@ -54,21 +63,22 @@ from .simulation import (_TERMINAL_COUNTER, SimConfig, _correlate,
 
 __all__ = ["write_paths_csv"]
 
-# Prices per block, the unit in which whole paths are rebuilt and formatted:
-# 12 paths at 252 steps x 3 assets (~270 KB of rows), and at least one. The
-# bytes do not depend on it; it trades a block's memory against the fixed
-# cost of a rebuild, two Philox builds, and of the ~100 numpy calls that
-# format it. Larger blocks would be faster on two CPUs: at 24 paths the
-# benchmark's record_paths op took 0.138 s against 0.158 s (medians, lower
-# in 5 of 5 pairs), and 48 paths were slower than 24. The serial write's
-# 1 MB memory bound holds the block at 12 paths: its traced peak is 884 KB
-# there, 1,162 KB at 16 paths, and Reprs of one block peaks at 786 KB.
+# Prices per block, the unit in which whole paths are rebuilt and formatted,
+# and at least one path: 12 paths at 252 steps x 3 assets (~270 KB of rows)
+# in the writing process, 24 in a formatting process (see above). The bytes
+# do not depend on it; it trades a block's memory against the fixed cost of
+# a rebuild, two Philox builds, and of the ~100 numpy calls that format it.
+# On two CPUs, 24-path blocks took the benchmark's record_paths op to
+# 0.150 s from 0.167 s (medians of 10 pairs, lower in 10), and 48 paths were
+# slower than 24. The writing process's traced peak, under its 1 MB bound,
+# is 887 KB at 12 paths, 1,163 KB at 16 and 1,735 KB at 24.
 _REBUILD_CELLS = 12 * 253 * 3
+_FORKED_CELLS = 24 * 253 * 3
 
 
-def _block_paths(sim_config: SimConfig, n_assets: int) -> int:
-    """Paths per block."""
-    return max(1, _REBUILD_CELLS // ((sim_config.n_steps + 1) * n_assets))
+def _block_paths(sim_config: SimConfig, n_assets: int, cells: int) -> int:
+    """Paths per block of at most ``cells`` prices, and at least one."""
+    return max(1, cells // ((sim_config.n_steps + 1) * n_assets))
 
 
 def _log_paths(kernel: _PathKernel, n_steps: int, start: int,
@@ -156,17 +166,20 @@ def write_paths_csv(params: MarketParams, sim_config: SimConfig,
     """Write paths.csv for a run of ``sim_config`` on ``params``, rebuilding
     its paths from their keys, on one process per CPU this process may run
     on."""
-    block = _block_paths(sim_config, params.n_assets)
+    block = _block_paths(sim_config, params.n_assets, _FORKED_CELLS)
+    forked_blocks = -(-sim_config.n_paths // block)  # rounded up
+    processes = forking.process_count(
+        min(forking.available_cpus(), forked_blocks))
+    if processes == 1:
+        block = _block_paths(sim_config, params.n_assets, _REBUILD_CELLS)
     starts = range(0, sim_config.n_paths, block)
     format_block = _block_formatter(params, sim_config, block)
-    workers = forking.process_count(
-        min(forking.available_cpus(), len(starts)))
     with open(path, "wb") as handle:
         handle.write(_HEADER)
-        if workers == 1:
+        if processes == 1:
             for start in starts:
                 handle.write(format_block(start))
         else:
             handle.flush()
             forking.run_forked(handle.fileno(), len(_HEADER), format_block,
-                               starts, workers)
+                               starts, processes)

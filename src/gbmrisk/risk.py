@@ -51,7 +51,9 @@ class BacktestResult:
     """Rolling-origin VaR backtest outcome.
 
     thresholds[k] is the VaR value level forecast for test period k and
-    violations[k] whether the realized value fell strictly below it.
+    violations[k] whether the realized value fell strictly below it;
+    means[k] and stds[k] are the mean and population std of the trailing
+    window's log-returns that forecast it.
     """
 
     alpha: float
@@ -61,6 +63,8 @@ class BacktestResult:
     violation_rate: float
     thresholds: np.ndarray = field(repr=False)
     violations: np.ndarray = field(repr=False)
+    means: np.ndarray = field(repr=False)
+    stds: np.ndarray = field(repr=False)
 
 
 def quantile(values: np.ndarray, alpha: float) -> float:
@@ -139,6 +143,8 @@ def rolling_var_backtest(
         violation_rate=n_violations / n_tests,
         thresholds=thresholds,
         violations=violations,
+        means=m,
+        stds=s,
     )
 
 

@@ -9,16 +9,20 @@ the vector backtest must reproduce, the closed-form lognormal VaR of a
 single GBM asset that the simulated VaR must approach, the plain CSV
 reader whose results and errors the price loader must reproduce, and the
 cell-by-cell CSV writer whose bytes and errors the price writer must
-reproduce."""
+reproduce; and, for tests that gate a rate across seeds, a generator of
+iid-normal and GARCH(1,1)-t log-returns and a seed-rate helper that bounds
+a rejection rate with an exact binomial interval."""
 
 from __future__ import annotations
 
 import csv
 import math
+from dataclasses import dataclass
 from pathlib import Path
 from statistics import NormalDist
 
 import numpy as np
+from scipy import stats
 
 from gbmrisk.estimation import MarketParams
 from gbmrisk.market_data import PriceDataError, PriceSeries
@@ -278,3 +282,69 @@ def reference_save_prices(series: PriceSeries, path: str | Path) -> None:
         for i, date in enumerate(series.dates):
             writer.writerow([date, *(repr(float(p))
                                      for p in series.prices[i])])
+
+
+# ROADMAP's heavy-tailed series: GARCH(1,1)-t(3) of daily vol 0.05, the
+# long-run variance omega / (1 - a - b), with a = 0.10 and b = 0.85
+GARCH_T3 = {"omega": 0.05**2 * (1 - 0.10 - 0.85), "a": 0.10, "b": 0.85,
+            "nu": 3.0}
+
+
+def generated_log_returns(seed: int, n_days: int, omega: float,
+                          a: float = 0.0, b: float = 0.0,
+                          nu: float | None = None) -> np.ndarray:
+    """``n_days`` daily log-returns r_t = sigma_t e_t of a GARCH(1,1)
+    process (Bollerslev, 1986), sigma_t^2 = omega + a r_{t-1}^2
+    + b sigma_{t-1}^2, started at its long-run variance omega / (1 - a - b).
+    The e_t are iid standard normal, or, given ``nu`` > 2, Student-t(nu)
+    scaled to unit variance by sqrt((nu - 2) / nu). a = b = 0 gives iid
+    returns of variance omega. One seed gives one series."""
+    if not (omega > 0 and a >= 0 and b >= 0 and a + b < 1):
+        raise ValueError("need omega > 0, a, b >= 0 and a + b < 1")
+    if nu is not None and not nu > 2:
+        raise ValueError("a unit-variance t needs nu > 2")
+    rng = np.random.default_rng(seed)
+    if nu is None:
+        shocks = rng.standard_normal(n_days)
+    else:
+        shocks = rng.standard_t(nu, n_days) * math.sqrt((nu - 2) / nu)
+    returns = np.empty(n_days)
+    var = omega / (1 - a - b)
+    for t, e in enumerate(shocks.tolist()):
+        r = math.sqrt(var) * e
+        returns[t] = r
+        var = omega + a * r * r + b * var
+    return returns
+
+
+# each tail of a 95% interval
+_TAIL = 0.025
+
+
+def clopper_pearson(k: int, n: int) -> tuple[float, float]:
+    """The exact (Clopper-Pearson, 1934) two-sided 95% interval for a
+    binomial rate from ``k`` successes in ``n`` trials, by the beta
+    quantiles."""
+    low = 0.0 if k == 0 else float(stats.beta.ppf(_TAIL, k, n - k + 1))
+    high = 1.0 if k == n else float(stats.beta.ppf(1 - _TAIL, k + 1, n - k))
+    return low, high
+
+
+@dataclass(frozen=True)
+class SeedRate:
+    """How often a test rejected over generated seeds: ``rejections`` of
+    ``n_seeds``, and the exact interval [low, high] for its rate."""
+
+    rejections: int
+    n_seeds: int
+    low: float
+    high: float
+
+
+def seed_rate(rejects, seeds) -> SeedRate:
+    """Run ``rejects(seed)``, true where the test rejects the series that
+    seed generates, over every one of ``seeds``; count the rejections and
+    bound their rate with ``clopper_pearson``."""
+    seeds = list(seeds)
+    k = sum(bool(rejects(seed)) for seed in seeds)
+    return SeedRate(k, len(seeds), *clopper_pearson(k, len(seeds)))

@@ -873,20 +873,36 @@ class TestPathsCsv:
     """paths.csv is streamed a block of paths at a time; its bytes are
     pinned."""
 
-    @pytest.mark.parametrize("fixture, digest", [
+    PINNED = pytest.mark.parametrize("fixture, digest", [
         ("crypto_like",
          "808ab876324239e4cc60d08850f91a40671db1b909530aab8911b1b380f722ee"),
         ("equity_like",
          "9a1443fdf72c24bbb1c79c95be6fb46bac8e562ecca1a9bc729a5024744f3c2a"),
     ], ids=["crypto_like", "equity_like"])
-    def test_bytes_are_pinned(self, fixture, digest, tmp_path):
+
+    @staticmethod
+    def pinned_digest(fixture, tmp_path) -> str:
+        """The sha256 of paths.csv for 300 paths of ``fixture``."""
         assert main([
             "simulate", "--price-csv", str(DATA_DIR / f"{fixture}.csv"),
             "--n-paths", "300", "--seed", "42", "--record-paths",
             "--out-dir", str(tmp_path),
         ]) == 0
         data = (tmp_path / "paths.csv").read_bytes()
-        assert hashlib.sha256(data).hexdigest() == digest
+        return hashlib.sha256(data).hexdigest()
+
+    @PINNED
+    def test_bytes_are_pinned(self, fixture, digest, tmp_path, monkeypatch):
+        # two formatting processes, 13 blocks of 24 paths
+        self.on_cpus(monkeypatch, 2)
+        assert self.pinned_digest(fixture, tmp_path) == digest
+
+    @PINNED
+    def test_serial_bytes_are_pinned(self, fixture, digest, tmp_path,
+                                     monkeypatch):
+        # one CPU: this process formats 25 blocks of 12 paths
+        self.on_cpus(monkeypatch, 1)
+        assert self.pinned_digest(fixture, tmp_path) == digest
 
     @pytest.mark.parametrize("kw", [
         {"tickers": ["EQB"], "portfolio_mode": "explicit-weights",
@@ -917,10 +933,13 @@ class TestPathsCsv:
         return run
 
     @staticmethod
-    def block_paths(result) -> int:
-        """Paths per paths.csv block of a write of ``result``."""
+    def block_paths(result, processes: int) -> int:
+        """Paths per paths.csv block of a write of ``result`` on
+        ``processes`` processes (1: this process formats every block)."""
+        cells = (paths_csv._FORKED_CELLS if processes > 1
+                 else paths_csv._REBUILD_CELLS)
         return paths_csv._block_paths(result.simulation.config_echo,
-                                      result.params.n_assets)
+                                      result.params.n_assets, cells)
 
     @staticmethod
     def on_cpus(monkeypatch, cpus: int) -> None:
@@ -947,15 +966,18 @@ class TestPathsCsv:
 
     @pytest.mark.parametrize("workers", [1, 2, None])
     @pytest.mark.parametrize("blocks, extra", [
-        (0, 1), (1, -1), (1, 0), (1, 1), (2, 3)])
+        (0, 1), (1, -1), (1, 0), (1, 1), (2, 3), (0, 37), (0, 100)])
     def test_bytes_equal_for_any_worker_count(self, workers, blocks, extra,
                                               recorded, tmp_path,
                                               monkeypatch):
-        # path counts around the block size: 1, block - 1, block,
-        # block + 1 and 2 * block + 3; None keeps this machine's CPU count
+        # path counts around the block size of a write on these CPUs: 1,
+        # block - 1, block, block + 1 and 2 * block + 3; and 37 and 100,
+        # multiples of neither the 12- nor the 24-path block. None keeps
+        # this machine's CPU count
         if workers is not None:
             self.on_cpus(monkeypatch, workers)
-        result = recorded(blocks * self.block_paths(recorded(1)) + extra)
+        block = self.block_paths(recorded(1), forking.available_cpus())
+        result = recorded(blocks * block + extra)
         paths = rebuilt_paths(result.params, result.simulation.config_echo)
         expected = reference_paths_csv(paths, result.params.tickers)
         cli.write_report_files(result, tmp_path)
@@ -971,10 +993,11 @@ class TestPathsCsv:
         result = recorded(23)
         config = result.simulation.config_echo
         if block is not None:
-            monkeypatch.setattr(paths_csv, "_REBUILD_CELLS",
-                                block * (config.n_steps + 1)
-                                * result.params.n_assets)
-            assert self.block_paths(result) == block
+            for cells in "_REBUILD_CELLS", "_FORKED_CELLS":
+                monkeypatch.setattr(paths_csv, cells,
+                                    block * (config.n_steps + 1)
+                                    * result.params.n_assets)
+            assert self.block_paths(result, workers) == block
         paths = rebuilt_paths(result.params, config)
         expected = reference_paths_csv(paths, result.params.tickers)
         cli.write_report_files(result, tmp_path)
@@ -1001,15 +1024,34 @@ class TestPathsCsv:
 
     def test_single_block_starts_no_pool(self, recorded, tmp_path,
                                          monkeypatch):
-        # workers are clamped to the block count, so one block runs here
+        # workers are clamped to the count of forked blocks, so one forked
+        # block's paths run here
         def no_fork():
             raise AssertionError("a single-block write forked")
 
         monkeypatch.setattr(os, "fork", no_fork)
         self.on_cpus(monkeypatch, 8)
-        n_paths = self.block_paths(recorded(1))
+        n_paths = self.block_paths(recorded(1), 8)
         cli.write_report_files(recorded(n_paths), tmp_path)
         assert (tmp_path / "paths.csv").stat().st_size > 0
+
+    @pytest.mark.parametrize("n_paths", [13, 24])
+    def test_one_forked_block_formats_here(self, n_paths, recorded, tmp_path,
+                                           monkeypatch):
+        # 13-24 paths are one 24-path block for two formatting processes,
+        # so this process formats them, in its own 12-path blocks
+        def refuse(*args):
+            raise AssertionError("one forked block's paths were forked")
+
+        monkeypatch.setattr(forking, "run_forked", refuse)
+        self.on_cpus(monkeypatch, 2)
+        result = recorded(n_paths)
+        assert self.block_paths(result, 1) == 12
+        assert self.block_paths(result, 2) == 24
+        paths = rebuilt_paths(result.params, result.simulation.config_echo)
+        expected = reference_paths_csv(paths, result.params.tickers)
+        cli.write_report_files(result, tmp_path)
+        assert (tmp_path / "paths.csv").read_bytes() == expected
 
     def test_no_fork_off_linux(self, recorded, tmp_path, monkeypatch):
         # fork without exec is unsafe on other platforms (macOS among them)
@@ -1017,7 +1059,7 @@ class TestPathsCsv:
             raise AssertionError("forked off Linux")
 
         self.on_cpus(monkeypatch, 2)
-        result = recorded(3 * self.block_paths(recorded(1)))
+        result = recorded(3 * self.block_paths(recorded(1), 2))
         cli.write_report_files(result, tmp_path)
         expected = (tmp_path / "paths.csv").read_bytes()
         monkeypatch.setattr(os, "fork", no_fork)
@@ -1051,7 +1093,7 @@ class TestPathsCsv:
             cli.write_report_files(result, tmp_path)
         assert err.value.args[0] != os.getpid()  # raised in a child
         # the first failing block's own exception, with its traceback
-        assert err.value.args[1] == fails_from * self.block_paths(result)
+        assert err.value.args[1] == fails_from * self.block_paths(result, 2)
         assert "BlockFailed" in str(err.value.__cause__)
         assert_no_children()
 
@@ -1081,7 +1123,7 @@ class TestPathsCsv:
         monkeypatch.setattr(os, "pwrite", counting_pwrite)
         monkeypatch.setattr(paths_csv, "_block_formatter", logging_formatter)
         self.on_cpus(monkeypatch, 2)
-        block = self.block_paths(recorded(1))
+        block = self.block_paths(recorded(1), 2)
         cli.write_report_files(recorded(6 * block), tmp_path)
         counts, starts = {}, []
         for line in formatted.read_text().splitlines():
@@ -1109,8 +1151,8 @@ class TestPathsCsv:
         self.on_cpus(monkeypatch, 2)
         out = tmp_path / "out"
         out.mkdir()
-        cli.write_report_files(recorded(4 * self.block_paths(recorded(1))),
-                               out)
+        cli.write_report_files(
+            recorded(4 * self.block_paths(recorded(1), 2)), out)
         mask = sorted(os.sched_getaffinity(0))
         by_worker = {}
         for line in calls.read_text().splitlines():
@@ -1164,7 +1206,7 @@ class TestPathsCsv:
 
         monkeypatch.setattr(os, "pwrite", dies)
         self.on_cpus(monkeypatch, 2)
-        result = recorded(2 * self.block_paths(recorded(1)))
+        result = recorded(2 * self.block_paths(recorded(1), 2))
         with pytest.raises(ChildProcessError, match="exited with status"):
             cli.write_report_files(result, tmp_path)
         assert_no_children()
@@ -1201,7 +1243,7 @@ class TestPathsCsv:
 
         monkeypatch.setattr(os, "pwrite", full_disk)
         self.on_cpus(monkeypatch, 2)
-        result = recorded(blocks * self.block_paths(recorded(1)))
+        result = recorded(blocks * self.block_paths(recorded(1), 2))
         with pytest.raises(OSError) as err:
             cli.write_report_files(result, tmp_path)
         assert err.value.errno == errno.ENOSPC
@@ -1222,7 +1264,8 @@ class TestPathsCsv:
     @staticmethod
     def writer_peak(tmp_path) -> tuple[int, int]:
         """This process's traced peak over a 200-path write, and the bytes
-        of one paths.csv block."""
+        of one 12-path paths.csv block, the block this process formats on
+        one CPU."""
         config = RunConfig(price_csv=str(DATA_DIR / "crypto_like.csv"),
                            n_paths=200, record_paths=True)
         result = run_pipeline(config)
@@ -1234,7 +1277,7 @@ class TestPathsCsv:
             tracemalloc.stop()
         size = (tmp_path / "paths.csv").stat().st_size
         assert size > 4_000_000
-        return peak, size * TestPathsCsv.block_paths(result) // 200
+        return peak, size * TestPathsCsv.block_paths(result, 1) // 200
 
     def test_writer_memory_is_bounded(self, tmp_path, monkeypatch):
         # one CPU: this process formats every block, one at a time; the
@@ -1246,7 +1289,8 @@ class TestPathsCsv:
     def test_writer_memory_is_bounded_on_many_cpus(self, tmp_path,
                                                    monkeypatch):
         # the formatting processes write their own rows, so this one holds
-        # none of them, whatever the process count
+        # none of them, whatever the process count; the bound is a third of
+        # this process's 12-path block, not of their 24-path one
         self.on_cpus(monkeypatch, 8)
         peak, block = self.writer_peak(tmp_path)
         assert peak < block / 3

@@ -140,6 +140,23 @@ class TestRollingBacktest:
                 result.thresholds,
                 rolling_var_thresholds(values, alpha, window))
 
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(300, 1_600), st.sampled_from([2, 20, 100, 252]),
+           st.floats(0.001, 0.1), st.integers(0, 2**32 - 1))
+    def test_rolling_statistics_match_each_window_bitwise(self, days, window,
+                                                          vol, seed):
+        # means[k] and stds[k] are the statistics of returns[k:k + window],
+        # the window that forecasts values[window + k + 1]
+        rng = np.random.default_rng(seed)
+        values = 100.0 * np.exp(np.cumsum(rng.normal(0.0, vol, days)))
+        result = rolling_var_backtest(values, window=window)
+        returns = np.log(values[1:] / values[:-1])
+        assert result.means.shape == result.stds.shape == (result.n_tests,)
+        for k in range(result.n_tests):
+            trailing = returns[k:k + window]
+            assert result.means[k] == trailing.mean()
+            assert result.stds[k] == trailing.std()
+
     def test_no_violation_when_value_rises(self):
         values = np.array([1.0, 2.0, 4.0, 64.0])
         result = rolling_var_backtest(values, alpha=0.05, window=2)

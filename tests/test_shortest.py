@@ -122,7 +122,8 @@ def test_fast_path_takes_most_prices():
         record_paths=True))
     config = result.simulation.config_echo
     kernel = _path_kernel(result.params, config)
-    block = paths_csv._block_paths(config, result.params.n_assets)
+    block = paths_csv._block_paths(config, result.params.n_assets,
+                                   paths_csv._FORKED_CELLS)
     fast = total = 0
     for start in range(0, config.n_paths, block):
         stop = min(start + block, config.n_paths)

@@ -328,20 +328,20 @@ class TestStepSlices:
     @pytest.mark.parametrize("n_assets", [3, 62, 63, 100, 200, 300])
     @pytest.mark.parametrize("n_steps", [1, 2, 52, 251, 252, 504])
     def test_slices_cover_the_path_under_the_bound(self, n_steps, n_assets):
-        # a block is the most whole paths that fit _REBUILD_CELLS prices,
-        # and one path where a path holds more; 2 blocks + 1 path leave a
+        # a block is the most whole paths that fit _REBUILD_CELLS prices
+        # in the writing process, _FORKED_CELLS in a formatting one, and
+        # one path where a path holds more; 2 blocks + 1 path leave a
         # partial last block. The second block's rebuild covers every step
         # of its paths, equals their rows in a rebuild of the whole run and
         # ends at their terminal draw: cutting the run does not move a bit
         params = random_universe(n_assets)
         cells = (n_steps + 1) * n_assets
-        bound = paths_csv._REBUILD_CELLS
-        block = paths_csv._block_paths(
-            SimConfig(weights=weights_for(params), steps_per_year=n_steps),
-            n_assets)
-        assert block >= 1
-        assert block * cells <= bound or block == 1
-        assert (block + 1) * cells > bound
+        shape = SimConfig(weights=weights_for(params), steps_per_year=n_steps)
+        for bound in paths_csv._REBUILD_CELLS, paths_csv._FORKED_CELLS:
+            block = paths_csv._block_paths(shape, n_assets, bound)
+            assert block >= 1
+            assert block * cells <= bound or block == 1
+            assert (block + 1) * cells > bound
         config = SimConfig(weights=weights_for(params), n_paths=2 * block + 1,
                            steps_per_year=n_steps, seed=5)
         starts = range(0, config.n_paths, block)
@@ -513,7 +513,8 @@ class TestSimulate:
         np.exp(log, out=log)
         log *= config.initial_prices
         paths = np.concatenate([np.full((9, 1, 1), 50.0), log], axis=1)
-        monkeypatch.setattr(paths_csv, "_REBUILD_CELLS", chunk * (n + 1))
+        for cells in "_REBUILD_CELLS", "_FORKED_CELLS":
+            monkeypatch.setattr(paths_csv, cells, chunk * (n + 1))
         monkeypatch.setattr(forking, "available_cpus", lambda: workers)
         out = tmp_path / "paths.csv"
         paths_csv.write_paths_csv(params, config, out)
@@ -530,8 +531,10 @@ class TestSimulate:
         expected = reference_paths_csv(
             rebuilt_paths(three_asset_params, config),
             three_asset_params.tickers)
-        monkeypatch.setattr(paths_csv, "_REBUILD_CELLS", 1)
-        assert paths_csv._block_paths(config, 3) == 1
+        for cells in "_REBUILD_CELLS", "_FORKED_CELLS":
+            monkeypatch.setattr(paths_csv, cells, 1)
+        assert paths_csv._block_paths(config, 3, paths_csv._REBUILD_CELLS) == 1
+        assert paths_csv._block_paths(config, 3, paths_csv._FORKED_CELLS) == 1
         out = tmp_path / "paths.csv"
         paths_csv.write_paths_csv(three_asset_params, config, out)
         assert out.read_bytes() == expected
