@@ -26,11 +26,14 @@ Linux only); ru_maxrss would carry its starter's peak across exec.
 affinity mask before it imports gbmrisk (default: all). --src measures
 another checkout's package, e.g. a parent commit unpacked by `git
 archive`, with the same script; --json FILE merges the record into FILE
-under --label, so two sides sit side by side. --baseline SRC runs the
-children of the `rows` and `save_prices` sweeps for SRC's package too,
-shape by shape, each round of two alternating which package goes first,
-and records SRC's under "baseline" in each row: children of one record
-drift by more than a small change's effect, pairs of rounds much less.
+under --label, so two sides sit side by side. The `paths_csv_rebuild`
+row calls the package's internal rebuild, so for it --src must be a
+package of the script's own commit, as the two copies of an A/A record
+are. --baseline SRC runs the children of the `rows` and `save_prices`
+sweeps for SRC's package too, shape by shape, each round of two
+alternating which package goes first, and records SRC's under "baseline"
+in each row: children of one record drift by more than a small change's
+effect, pairs of rounds much less.
 
 Usage: python3 scripts/scaling.py [--n-paths 1000 2000 10000] [--workers W]
        [--src src] [--label change] [--json BENCH.json] [--commit REV]
@@ -226,6 +229,18 @@ def measure_shape(src: Path, n_paths: int, n_assets: int,
                                          "peak_rss_mb": own / MB}}
 
 
+def measure_rebuild() -> dict:
+    """Timings of the Brownian-bridge rebuild of REBUILD_PATHS paths x
+    N_STEPS steps x 3 assets by the gbmrisk package this process
+    imported."""
+    from gbmrisk.simulation import _path_kernel
+
+    kernel = _path_kernel(*inputs(REBUILD_PATHS, 3))
+    runs = timed(lambda: kernel.log_paths(0, REBUILD_PATHS, N_STEPS))
+    return {"n_paths": REBUILD_PATHS, "n_assets": 3,
+            "n_steps": N_STEPS} | summary(runs)
+
+
 def paired_runs(src: Path, baseline: Path | None, workers: int | None,
                 job: str, *args: int) -> tuple[list, list]:
     """REPEATS children of the job on src's package, and as many on
@@ -321,13 +336,7 @@ def main(argv: list[str] | None = None) -> int:
               f"{sim['tracemalloc_peak_mb']:.1f} MB, RSS "
               f"{sim['peak_rss_mb']:.1f} MB", flush=True)
 
-    from gbmrisk import paths_csv, simulation
-
-    kernel = simulation._path_kernel(*inputs(REBUILD_PATHS, 3))
-    record["paths_csv_rebuild"] = {
-        "n_paths": REBUILD_PATHS, "n_assets": 3, "n_steps": N_STEPS,
-    } | summary(timed(lambda: paths_csv._log_paths(kernel, N_STEPS, 0,
-                                                   REBUILD_PATHS)))
+    record["paths_csv_rebuild"] = measure_rebuild()
     print(f"paths.csv rebuild {REBUILD_PATHS} x {N_STEPS} x 3: p50 "
           f"{record['paths_csv_rebuild']['median_s']:.4f} s", flush=True)
 

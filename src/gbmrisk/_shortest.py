@@ -65,6 +65,19 @@ def _split(a):
 _SCALE_HI, _SCALE_LO = _split(_SCALE)
 
 
+def _product_error(a, p, c_hi, c_lo):
+    """a c - p exactly, for p the rounded product a c and c = c_hi + c_lo
+    split by ``_split``: Dekker's TwoProduct, ((a_hi c_hi - p) + a_hi c_lo
+    + a_lo c_hi) + a_lo c_lo, each product in place."""
+    a_hi, a_lo = _split(a)
+    e = a_hi * c_hi
+    e -= p
+    e += np.multiply(a_hi, c_lo, out=a_hi)
+    e += np.multiply(a_lo, c_hi, out=a_hi)
+    e += np.multiply(a_lo, c_lo, out=a_lo)
+    return e
+
+
 def _layouts() -> np.ndarray:
     """Row k - _K_MIN: the bytes of a certified repr of exponent k but its
     digits: "0." and -k - 1 zeros below 1, a point after digit k above."""
@@ -171,15 +184,7 @@ def _scaled(y: np.ndarray):
     c_hi, c_lo = (np.take(table, row, mode="clip")
                   for table in (_SCALE_HI, _SCALE_LO))
     p = y * np.take(_SCALE, row, mode="clip")
-    # Dekker's TwoProduct: e = ((y_hi c_hi - p) + y_hi c_lo + y_lo c_hi)
-    # + y_lo c_lo, each product in place
-    y_hi, y_lo = _split(y)
-    e = y_hi * c_hi
-    e -= p
-    e += np.multiply(y_hi, c_lo, out=y_hi)
-    e += np.multiply(y_lo, c_hi, out=y_hi)
-    e += np.multiply(y_lo, c_lo, out=y_lo)
-    del y_hi, y_lo
+    e = _product_error(y, p, c_hi, c_lo)
     certain = (p > 1e16) & (p < 1e17)
     whole = np.rint(e)
     e -= whole  # exact

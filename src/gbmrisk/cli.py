@@ -541,9 +541,8 @@ def main(argv: list[str] | None = None) -> int:
             series = _load(config)
             params = _fit(config, series)
             path = out_dir / "params.json"
-            _write_bytes(
-                path, _json_bytes(_params_dict(params, series.n_dates - 1))
-            )
+            _stage("write", _write_bytes, path,
+                   _json_bytes(_params_dict(params, series.n_dates - 1)))
             for t, m, s in zip(params.tickers, params.mu, params.sigma):
                 print(f"{t}: mu={m:.6f} sigma={s:.6f}")
             print(f"wrote {path}")
@@ -560,7 +559,7 @@ def main(argv: list[str] | None = None) -> int:
                 "warning": chosen.warning,
                 "version": __version__,
             }
-            _write_bytes(path, _json_bytes(payload))
+            _stage("write", _write_bytes, path, _json_bytes(payload))
             for t, w in chosen.weights.as_dict().items():
                 print(f"{t}: {w:.6f}")
             _warn(chosen.warning)
@@ -568,7 +567,7 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "simulate":
             config = _config_from_args(args)
             result = run_pipeline(config)
-            written = write_report_files(result, out_dir)
+            written = _stage("write", write_report_files, result, out_dir)
             report = result.report
             print(
                 f"VaR({report.var_level:.0%}) value: {report.var_value:.2f}  "
@@ -585,7 +584,7 @@ def main(argv: list[str] | None = None) -> int:
             label_b = args.label_b or Path(args.config_b).stem
             comparison = compare_portfolios(config_a, config_b, label_a, label_b)
             path = out_dir / "comparison.json"
-            _write_bytes(path, _json_bytes(comparison))
+            _stage("write", _write_bytes, path, _json_bytes(comparison))
             print(_comparison_table(comparison))
             for row in comparison.values():
                 _warn(row["report"]["config_echo"]["warning"], f"[{row['label']}] ")
@@ -594,7 +593,7 @@ def main(argv: list[str] | None = None) -> int:
             config = _config_from_args(args)
             result, _, warning, summary = run_backtest(config, window=args.window)
             path = out_dir / "backtest.json"
-            _write_bytes(path, _json_bytes(summary))
+            _stage("write", _write_bytes, path, _json_bytes(summary))
             print(
                 f"violations: {result.n_violations}/{result.n_tests} "
                 f"(rate {result.violation_rate:.4f}, alpha {result.alpha})"

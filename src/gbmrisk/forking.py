@@ -82,7 +82,9 @@ def run_forked(fd: int, offset: int, produce, parts,
                         with contextlib.suppress(OSError):
                             # start on a CPU of its own, then may move:
                             # left alone, processes forked together can
-                            # share one CPU for a whole write
+                            # share one CPU for a whole write: a fresh
+                            # process's first 1,000-path op took 0.18-0.19
+                            # s unpinned, 0.10-0.14 s pinned (two CPUs)
                             os.sched_setaffinity(0, {mask[w % len(mask)]})
                             os.sched_setaffinity(0, mask)
                         _write(fd, length_w, offset_r, produce,
@@ -130,6 +132,9 @@ def _write(fd: int, length_fd: int, offset_fd: int, produce, parts) -> None:
     Send what a part raised instead; then exit."""
     with open(length_fd, "wb") as lengths, open(offset_fd, "rb") as offsets:
         try:
+            # without the look-ahead, a 1,000-path paths.csv write on two
+            # CPUs took 140.7 ms against 136.3 ms (medians of 24
+            # alternating pairs, the faster in only 7)
             held = None  # the last part, its length sent, not yet written
             for part in parts:
                 data = memoryview(produce(part)).cast("B")

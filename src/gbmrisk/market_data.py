@@ -22,10 +22,11 @@ parsing at a gigabyte per second", SPE 2021):
 
 - m = m_hi + m_lo, with m_hi = float(m) and m_lo the exact int64
   difference, 0 for m <= 2**53 and below 2**11 above, and the candidate
-  is x = m_hi / T, T = 10**k exact. Dekker's TwoProduct gives x T = P + E
-  exactly. m_hi - P is exact by Sterbenz's lemma, and so is
-  b = (m_hi - P) + m_lo: m_lo is 0, or m_hi - P is an integer below 2**13
-  like m_lo. So s = b - E is the residual m - x T rounded once.
+  is x = m_hi / T, T = 10**k exact. Dekker's TwoProduct, the one
+  ``gbmrisk._shortest`` writes with, gives x T = P + E exactly. m_hi - P
+  is exact by Sterbenz's lemma, and so is b = (m_hi - P) + m_lo: m_lo is
+  0, or m_hi - P is an integer below 2**13 like m_lo. So s = b - E is the
+  residual m - x T rounded once.
   h = ulp(x) T / 2, a power of two times T, is exact, and so is 3h, as
   3 * 5**k < 2**53. If |s| < h then |m - x T| < h, as rounding is
   monotone and h is a double: x lies strictly within half an ulp of
@@ -61,7 +62,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import _shortest
-from ._shortest import _split
+from ._shortest import _EXPONENT, _MANTISSA, _product_error, _split
 
 __all__ = [
     "PriceDataError",
@@ -225,8 +226,6 @@ _GROUP_SCALES = (np.uint64(10**14), np.uint64(10**7))
 
 _POW10 = np.array([10.0**k for k in range(_WINDOW)])
 _POW10_HI, _POW10_LO = _split(_POW10)
-_EXPONENT = np.uint64(0x7FF << 52)
-_MANTISSA = np.uint64((1 << 52) - 1)
 
 
 def _read_canonical(path: Path) -> PriceSeries | None:
@@ -235,7 +234,8 @@ def _read_canonical(path: Path) -> PriceSeries | None:
     other file, left to ``_read_csv``."""
     with open(path, "rb", buffering=0) as fh:
         size = os.fstat(fh.fileno()).st_size
-        # the text after _FRONT zero bytes, and room for a final newline
+        # the text after _FRONT zero bytes, and room for a final newline, in
+        # one buffer: read_bytes and a copy would hold the text twice
         buf = bytearray(_FRONT + size + 1)
         view = memoryview(buf)
         end = _FRONT
@@ -385,15 +385,7 @@ def _certified(m: np.ndarray, k: np.ndarray):
     m_lo = (m - m_hi.astype(np.uint64)).view(np.int64).astype(np.float64)
     x = m_hi / t
     p = x * t
-    # Dekker's TwoProduct: x t - p = ((x_hi t_hi - p) + x_hi t_lo
-    # + x_lo t_hi) + x_lo t_lo, exactly
-    x_hi, x_lo = _split(x)
-    t_hi, t_lo = _POW10_HI[k], _POW10_LO[k]
-    e = x_hi * t_hi
-    e -= p
-    e += x_hi * t_lo
-    e += x_lo * t_hi
-    e += x_lo * t_lo
+    e = _product_error(x, p, _POW10_HI[k], _POW10_LO[k])  # x t - p
     s = m_hi - p
     s += m_lo
     s -= e  # m - x t, rounded once

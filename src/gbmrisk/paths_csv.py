@@ -3,9 +3,10 @@
 Rows are ``path,step,ticker,price`` with floats as ``repr``, in path, step
 and ticker order, step 0 being the initial prices. The paths are not
 stored: each is a pure function of its key (seed, path index), so they are
-rebuilt a block of whole paths at a time, and each block is formatted
-apart from every other, so the bytes are the same for any block size or
-number of processes.
+rebuilt a block of whole paths at a time, by the Brownian bridge of
+``gbmrisk.simulation``, and each block is formatted apart from every
+other, so the bytes are the same for any block size or number of
+processes.
 
 A block is formatted in one vectorized pass (``gbmrisk._shortest``): each
 price's shortest round-trip digits, the ones ``repr`` prints, come from one
@@ -17,15 +18,6 @@ field padded to the widest of its kind in the block with a byte UTF-8
 never holds; deleting that byte leaves the block's rows. A price field
 keeps only the point and leading-zero columns some price of its block
 uses: ~24 bytes of the 36 a price may need, for crypto_like's prices.
-
-A path is rebuilt by a Brownian bridge (Glasserman, Monte Carlo Methods in
-Financial Engineering, 2003, 3.1): independent walks B_k from the path's
-step normals are pinned to its terminal normals z_T, the draw ``simulate``
-makes, by W_k = B_k + (k/n) (sqrt(T) z_T - B_n); then L' and k steps of
-drift apply. The last step is set to ``simulate``'s terminal prices: the
-writer draws z_T path by path, where ``simulate`` draws it for thousands of
-paths at once, with the same bits, and both take it to log prices by the
-kernel's ``log_terminal``, so it equals them bitwise.
 
 On Linux, with more than one CPU and more than one forked block, the
 blocks are formatted in forked processes through
@@ -51,15 +43,13 @@ while they exist, 1.18 MB before the prices' digits count at all.
 
 from __future__ import annotations
 
-import math
 from pathlib import Path
 
 import numpy as np
 
 from . import _shortest, forking
 from .estimation import MarketParams
-from .simulation import (_TERMINAL_COUNTER, SimConfig, _correlate,
-                         _fill_normals, _path_kernel, _PathKernel)
+from .simulation import SimConfig, _path_kernel
 
 __all__ = ["write_paths_csv"]
 
@@ -81,39 +71,14 @@ def _block_paths(sim_config: SimConfig, n_assets: int, cells: int) -> int:
     return max(1, cells // ((sim_config.n_steps + 1) * n_assets))
 
 
-def _log_paths(kernel: _PathKernel, n_steps: int, start: int,
-               stop: int) -> np.ndarray:
-    """log(S_k / S_0) of paths [start, stop) at steps 1..n_steps, shape
-    (stop - start, n_steps, n_assets), by the Brownian bridge above, worked
-    asset-major so that every operation runs along a path's steps."""
-    paths = range(start, stop)
-    z_t = np.empty((stop - start, len(kernel.drift)))
-    _fill_normals(z_t, kernel.seed, paths, _TERMINAL_COUNTER)
-    log_t = kernel.log_terminal(z_t)
-    z = np.empty((stop - start, n_steps, z_t.shape[1]))
-    _fill_normals(z, kernel.seed, paths)
-    dt = kernel.horizon / n_steps
-    walk = np.ascontiguousarray(z.transpose(2, 0, 1))
-    walk *= math.sqrt(dt)
-    np.cumsum(walk, axis=2, out=walk)
-    k = np.arange(1, n_steps + 1)
-    pin = math.sqrt(kernel.horizon) * z_t.T - walk[..., -1]
-    walk += k / n_steps * pin[..., None]
-    log = _correlate(walk, kernel.l)
-    log += (kernel.drift * dt)[:, None, None] * k
-    log = np.ascontiguousarray(log.transpose(1, 2, 0))
-    log[:, -1] = log_t
-    return log
-
-
-def _prices(kernel: _PathKernel, sim_config: SimConfig, start: int,
+def _prices(kernel, sim_config: SimConfig, start: int,
             stop: int) -> np.ndarray:
     """The prices of paths [start, stop), every step of each path and
     every asset of each step in turn, step 0 being the initial prices."""
     s0 = sim_config.initial_prices
     prices = np.empty((stop - start, sim_config.n_steps + 1, len(s0)))
     prices[:, 0, :] = s0
-    np.exp(_log_paths(kernel, sim_config.n_steps, start, stop),
+    np.exp(kernel.log_paths(start, stop, sim_config.n_steps),
            out=prices[:, 1:, :])
     prices[:, 1:, :] *= s0
     return prices.reshape(-1)

@@ -5,22 +5,29 @@ horizon T, and these have exactly the law of the step walk's endpoint:
 log S_T = log S_0 + (mu - sigma^2/2) T + sqrt(T) z L', for A independent
 standard normals z (A assets) and the Cholesky factor L of the annualized
 covariance (Glasserman, Monte Carlo Methods in Financial Engineering,
-2003, 3.2). ``simulate`` draws those A normals a path; the paths.csv
-writer rebuilds a path's steps by a Brownian bridge pinned to them.
+2003, 3.2). ``simulate`` draws those A normals a path.
 
 Randomness contract: path p's terminal normals come from the Philox stream
 keyed (seed, p) whose counter starts at (0, 0, 0, 2**63), the seed in
 [0, 2**64); its step normals from the same key at counter 0, a range the
 terminal draw never reaches (Salmon et al., Random123, SC'11).
 
+``_PathKernel.log_paths`` rebuilds a path's steps for paths.csv by a
+Brownian bridge (Glasserman, 2003, 3.1): walks B_k of the path's step
+normals are pinned to its terminal normals z_T by
+W_k = B_k + (k/n) (sqrt(T) z_T - B_n), then take L' and k steps of drift.
+It draws z_T path by path, with the bits of ``simulate``'s vector pass,
+and both take it to log prices by ``log_terminal``: its last step equals
+``simulate``'s bitwise.
+
 Philox is counter-based, so ``simulate`` computes the words of thousands
 of paths at once in uint64 arithmetic, and turns each into a normal by
 numpy's ziggurat fast path (Marsaglia & Tsang, 2000), one exact multiply
 by an entry of numpy's own tables. A path where some word leaves the fast
 path, ~4% at 3 assets, is drawn by numpy's generator re-keyed for it, as
-the paths.csv writer draws every path. Past 23 assets, where more than
-30% of paths would leave the pass, ``simulate`` draws every path that way.
-Both give the bits of a Philox built for the path.
+``log_paths`` draws every path. Past 23 assets, where more than 30% of
+paths would leave the pass, ``simulate`` draws every path that way. Both
+give the bits of a Philox built for the path.
 
 z L' is a fixed-order elementwise sum, not a BLAS product, whose rounding
 varies with the row and thread counts. So a path's prices depend on its key
@@ -333,6 +340,29 @@ class _PathKernel:
         log_t *= math.sqrt(self.horizon)
         log_t += (self.drift * self.horizon)[:, None]
         return np.ascontiguousarray(log_t.T)
+
+    def log_paths(self, start: int, stop: int, n_steps: int) -> np.ndarray:
+        """log(S_k / S_0) of paths [start, stop) at steps 1..n_steps,
+        (paths, steps, assets), by the Brownian bridge above, worked
+        asset-major so that every operation runs along a path's steps."""
+        paths = range(start, stop)
+        z_t = np.empty((stop - start, len(self.drift)))
+        _fill_normals(z_t, self.seed, paths, _TERMINAL_COUNTER)
+        log_t = self.log_terminal(z_t)
+        z = np.empty((stop - start, n_steps, z_t.shape[1]))
+        _fill_normals(z, self.seed, paths)
+        dt = self.horizon / n_steps
+        walk = np.ascontiguousarray(z.transpose(2, 0, 1))
+        walk *= math.sqrt(dt)
+        np.cumsum(walk, axis=2, out=walk)
+        k = np.arange(1, n_steps + 1)
+        pin = math.sqrt(self.horizon) * z_t.T - walk[..., -1]
+        walk += k / n_steps * pin[..., None]
+        log = _correlate(walk, self.l)
+        log += (self.drift * dt)[:, None, None] * k
+        log = np.ascontiguousarray(log.transpose(1, 2, 0))
+        log[:, -1] = log_t
+        return log
 
 
 def _path_kernel(params: MarketParams, config: SimConfig) -> _PathKernel:

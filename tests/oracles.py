@@ -28,7 +28,6 @@ from gbmrisk.estimation import MarketParams
 from gbmrisk.market_data import PriceDataError, PriceSeries
 from gbmrisk.optimizer import OptimizerError, WeightVector, _check_dims
 from gbmrisk.risk import RiskError
-from gbmrisk.paths_csv import _log_paths
 from gbmrisk.simulation import SimConfig, _path_kernel
 
 GRID_MAX_ASSETS = 4
@@ -176,7 +175,7 @@ def rebuilt_paths(params: MarketParams, config: SimConfig) -> np.ndarray:
     prices."""
     kernel = _path_kernel(params, config)
     s0 = config.initial_prices
-    prices = _log_paths(kernel, config.n_steps, 0, config.n_paths)
+    prices = kernel.log_paths(0, config.n_paths, config.n_steps)
     np.exp(prices, out=prices)
     prices *= s0
     start = np.broadcast_to(s0, (config.n_paths, 1, len(s0)))

@@ -763,6 +763,26 @@ class TestCliCommands:
         assert self.run("simulate", "--config", str(cfg)) == 2
         assert "unknown config keys" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [
+        "estimate", "optimize", "simulate", "compare", "backtest"])
+    def test_write_failure_names_its_stage(self, command, tmp_path, capsys):
+        # an --out-dir that is a regular file fails the write, which exits
+        # 2 with its stage as every other stage does, not with a traceback
+        csv = ["--price-csv", str(DATA_DIR / "equity_like.csv")]
+        if command == "compare":
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"price_csv": csv[1], "n_paths": 50}))
+            args = ["--config-a", str(cfg), "--config-b", str(cfg)]
+        else:
+            args = csv + {"simulate": ["--n-paths", "50"],
+                          "backtest": ["--window", "100"]}.get(command, [])
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert self.run(command, *args, "--out-dir", str(out)) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: stage write:")
+        assert captured.out == ""
+
     def test_optimize_writes_undefined_sharpe_as_null(self, tmp_path):
         # zero volatility leaves the Sharpe ratio NaN; JSON gets null
         csv = tmp_path / "flat.csv"
@@ -1424,6 +1444,9 @@ def test_scaling_scripts_smoke(scaling):
         for record in committed.values():
             for pinned in record[rows]:
                 assert key_shape(row) == key_shape(pinned), rows
+    rebuild = scaling.measure_rebuild()
+    for record in committed.values():
+        assert key_shape(rebuild) == key_shape(record["paths_csv_rebuild"])
 
 
 def test_scaling_save_prices_pairs_two_packages(scaling, monkeypatch):
@@ -1453,9 +1476,9 @@ def test_scaling_child_reports_its_own_peak(scaling):
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
                     reason="no CPU affinity mask here")
 def test_one_cpu_mask_runs_serially(tmp_path, monkeypatch):
-    # the affinity mask is the one worker rule: on one CPU neither the
-    # simulation (3 chunks here) nor the paths.csv writer (250 blocks)
-    # enters the fork routine or starts a process
+    # the affinity mask is the one worker rule: on one CPU the paths.csv
+    # writer (250 blocks) neither enters the fork routine nor starts a
+    # process, and the simulation never forks
     def refuse(*args, **kwargs):
         raise AssertionError("started a worker on one CPU")
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gbmrisk import _shortest, paths_csv
+from gbmrisk import _shortest, market_data, paths_csv
 from gbmrisk.cli import RunConfig, run_pipeline
 from gbmrisk.simulation import _path_kernel
 
@@ -175,6 +175,29 @@ def test_lays_into_the_fields_of_wider_rows():
     got = [field.tobytes().replace(_shortest.PAD, b"")
            for field in fields[..., 1:].reshape(-1, reprs.width)]
     assert got == [repr(v).encode() for v in x.tolist()]
+
+
+@pytest.mark.parametrize("powers, highs, lows", [
+    (_shortest._SCALE, _shortest._SCALE_HI, _shortest._SCALE_LO),
+    (market_data._POW10, market_data._POW10_HI, market_data._POW10_LO),
+], ids=["writer", "reader"])
+def test_product_error_is_exact(powers, highs, lows):
+    # the one TwoProduct the writer's and the reader's tables share: for
+    # every power of ten c of either, c = c_hi + c_lo, and
+    # _product_error(a, p, c_hi, c_lo) is a c - p exactly, p being the
+    # rounded product, in rational arithmetic; a random, and next to
+    # powers of ten and to 2**53
+    rng = np.random.default_rng(13)
+    a = np.concatenate([np.exp(rng.uniform(-12.0, 40.0, 100)),
+                        neighbours(10.0 ** np.arange(-4, 20), 2),
+                        neighbours(np.array([2.0**53]), 3)])
+    for c, c_hi, c_lo in zip(powers.tolist(), highs.tolist(), lows.tolist()):
+        assert Fraction(c_hi) + Fraction(c_lo) == Fraction(c)
+        p = a * c
+        e = _shortest._product_error(a, p, c_hi, c_lo)
+        for v, rounded, err in zip(a.tolist(), p.tolist(), e.tolist()):
+            exact = Fraction(v) * Fraction(c) - Fraction(rounded)
+            assert exact == Fraction(err)
 
 
 def test_scaled_terms_are_exact():

@@ -349,8 +349,8 @@ class TestStepSlices:
                    for p in range(s, min(s + block, config.n_paths))]
         assert covered == list(range(config.n_paths))
         kernel = simulation._path_kernel(params, config)
-        whole = paths_csv._log_paths(kernel, n_steps, 0, config.n_paths)
-        second = paths_csv._log_paths(kernel, n_steps, block, 2 * block)
+        whole = kernel.log_paths(0, config.n_paths, n_steps)
+        second = kernel.log_paths(block, 2 * block, n_steps)
         assert second.shape == (block, n_steps, n_assets)
         assert np.array_equal(second, whole[block:2 * block])
         log_t = kernel.terminal(0, config.n_paths)
