@@ -16,6 +16,7 @@ import math
 import os
 import sys
 from dataclasses import asdict, dataclass, fields
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -73,6 +74,10 @@ class PipelineError(Exception):
     def __init__(self, stage: str, message: str):
         super().__init__(f"stage {stage}: {message}")
         self.stage = stage
+        self.message = message
+
+    def __reduce__(self):  # pickle calls __init__ with these arguments
+        return type(self), (self.stage, self.message), self.__dict__
 
 
 @dataclass(frozen=True)
@@ -569,8 +574,9 @@ def main(argv: list[str] | None = None) -> int:
             result = run_pipeline(config)
             written = _stage("write", write_report_files, result, out_dir)
             report = result.report
+            level = Decimal(repr(report.var_level)).scaleb(2)  # exact, in %
             print(
-                f"VaR({report.var_level:.0%}) value: {report.var_value:.2f}  "
+                f"VaR({level:f}%) value: {report.var_value:.2f}  "
                 f"potential loss: {report.potential_loss:.2f}  "
                 f"chance of loss: {report.chance_of_loss:.4f}"
             )

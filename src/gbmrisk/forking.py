@@ -132,9 +132,10 @@ def _write(fd: int, length_fd: int, offset_fd: int, produce, parts) -> None:
     Send what a part raised instead; then exit."""
     with open(length_fd, "wb") as lengths, open(offset_fd, "rb") as offsets:
         try:
-            # without the look-ahead, a 1,000-path paths.csv write on two
-            # CPUs took 140.7 ms against 136.3 ms (medians of 24
-            # alternating pairs, the faster in only 7)
+            # without the look-ahead the benchmark's record_paths op (1,000
+            # paths, two CPUs) read report_s.p50 0.153 s against 0.148 s
+            # (medians of 6 alternating 30 s pairs, slower in 5; in 14 of
+            # 20 pairs of 10-30 s runs)
             held = None  # the last part, its length sent, not yet written
             for part in parts:
                 data = memoryview(produce(part)).cast("B")

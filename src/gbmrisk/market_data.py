@@ -5,14 +5,15 @@ header cell ``date``, remaining header cells are tickers, each data row an
 ISO-8601 date followed by decimal prices. Dates are treated as opaque
 sortable strings; no calendar arithmetic happens anywhere in the package.
 
-``load_prices`` reads a file in the form ``save_prices`` writes in one
+``load_prices`` reads a file whole by one of two readers, which give the
+same tickers, dates and price bits. A file in the form ``save_prices``
+writes, every price of which the pass below certifies, is read in one
 vectorized pass over its bytes: no ``"``, every ``\\r`` followed by
-``\\n``, no blank line, and a date and one field per ticker in every row.
-Any other file, any file the pass finds fault with (a decode error, a bad
-header, a ragged row, a duplicate date, a cell ``float`` rejects), and any
-file with a block of cells mostly of other forms, is read by ``csv.reader``
-and ``float`` a cell, which alone word every PriceDataError. Both give the
-same tickers, dates and price bits.
+``\\n``, no blank line, a date and one field per ticker in every row, and
+every price ``[0-9]+.[0-9]+``. Any other file, and any file the pass finds
+fault with (a decode error, a bad header, a ragged row, a duplicate date, a
+price of another form or one left uncertified), is read by ``csv.reader``
+and ``float`` a cell, which alone word every PriceDataError.
 
 The pass reads a cell ``[0-9]+.[0-9]+`` of at most 19 digits as the
 decimal m / 10**k, m < 10**19 its digits, k those after the point, whose
@@ -34,9 +35,9 @@ parsing at a gigabyte per second", SPE 2021):
   h < |s| < 3h, the same holds for x's neighbour toward m / T, x + ulp(x)
   or x - ulp(x), whose residual is s - 2h or s + 2h.
 - A power of two, whose ulp below is half as wide, as x or as that
-  neighbour, and any |s| that lands on h or 3h, are not certified: the
-  cell goes to ``float``, as do cells of every other form (exponent,
-  sign, space, underscore, non-ASCII digit, more than 19 digits).
+  neighbour, and any |s| that lands on h or 3h, are not certified, and
+  neither is a cell of any other form (exponent, sign, space, underscore,
+  non-ASCII digit, more than 19 digits): its file goes to ``csv.reader``.
 
 The digits are gathered from each cell's window of bytes, and their
 float32 products and sums are integers below 2**24, exact in any order;
@@ -163,7 +164,7 @@ def load_prices(path: str | Path) -> PriceSeries:
 
 def _read_csv(path: Path) -> PriceSeries:
     """``load_prices`` by ``csv.reader`` and ``float`` a cell: the reader
-    of every file outside the canonical form, and of every fault."""
+    of every file the vector pass does not read whole, and of every fault."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -207,12 +208,6 @@ _FRONT = _WINDOW
 # many cells, or of _WINDOW times as many bytes, so this bounds its memory;
 # the bits and bytes do not depend on it.
 _BLOCK_CELLS = 4096
-# A block with fewer cells of the pass's form than this share sends its
-# file to csv.reader: the pass's float() of a cell of another form costs
-# ~0.8 us against ~0.35 us a cell for csv.reader and float(). On a 200-asset
-# file the pass read 30% of cells as "1.234560e+02" in 16 ms against 21 ms
-# by csv.reader, and all of them in 49 ms against 18 ms.
-_FORM_SHARE = 0.75
 
 _COMMA, _POINT, _CR, _LF, _ZERO = b",.\r\n0"
 _ROWS = np.arange(_WINDOW, dtype=np.uint8)[:, None]
@@ -229,9 +224,9 @@ _POW10_HI, _POW10_LO = _split(_POW10)
 
 
 def _read_canonical(path: Path) -> PriceSeries | None:
-    """The file's PriceSeries if it has the canonical form and every cell
-    reads, by the vectorized pass of the module docstring; None for any
-    other file, left to ``_read_csv``."""
+    """The file's PriceSeries if it has the canonical form and the
+    vectorized pass of the module docstring certifies every price; None for
+    any other file, left to ``_read_csv``."""
     with open(path, "rb", buffering=0) as fh:
         size = os.fstat(fh.fileno()).st_size
         # the text after _FRONT zero bytes, and room for a final newline, in
@@ -290,7 +285,7 @@ def _read_canonical(path: Path) -> PriceSeries | None:
                 return None
             if b - a > limit:
                 return None
-        if not _read_cells(windows, view, starts, ends, limit,
+        if not _read_cells(windows, starts, ends, limit,
                            prices[block].reshape(-1)):
             return None
     if len(set(dates)) != len(dates):
@@ -323,57 +318,38 @@ def _cells(text: np.ndarray, line_starts: np.ndarray, newlines: np.ndarray,
     return commas[:, 0], (commas + 1).reshape(-1), ends.reshape(-1)
 
 
-def _read_cells(windows: np.ndarray, view: memoryview, starts: np.ndarray,
-                ends: np.ndarray, limit: int, out: np.ndarray) -> bool:
-    """out[i] = float(view[starts[i]:ends[i]]), by the pass where it
-    certifies and by ``float`` elsewhere; False if ``float`` rejects a
-    cell, a cell passes csv's field size limit or under _FORM_SHARE of the
-    cells have the pass's form. windows[j] is the text's _WINDOW bytes
-    from j."""
+def _read_cells(windows: np.ndarray, starts: np.ndarray, ends: np.ndarray,
+                limit: int, out: np.ndarray) -> bool:
+    """out[i] = float(text[starts[i]:ends[i]]), by the pass alone; False if
+    a cell passes csv's field size limit, has another form or is not
+    certified. windows[j] is the text's _WINDOW bytes from j."""
     length = ends - starts
-    if length.max() > limit:
+    if length.max() > min(limit, _WINDOW):
         return False
     # digits[:, i]: the _WINDOW bytes up to cell i's end less "0", those
     # before the cell zeroed; a point reads 254. uint8 arithmetic, which
     # wraps, selects without branches.
     digits = np.ascontiguousarray(windows[ends - _WINDOW].T)
     digits -= _ZERO
-    short = np.minimum(length, _WINDOW).astype(np.uint8)
-    digits *= _ROWS >= _WINDOW - short
+    digits *= _ROWS >= _WINDOW - length.astype(np.uint8)
     k = (_POINT_PLACES @ (digits == _POINT - _ZERO + 256).view(np.uint8)
          ).astype(np.uint8)
     # no point gives k = 0, and a second point stays among the digits
-    form = (k >= 1) & (k <= length - 2) & (length <= _WINDOW)
-    k[~form] = 1
+    if np.any((k < 1) | (k > length - 2)):
+        return False
     # the digits without the point, right-aligned in _WINDOW - 1 rows
     shifted = digits[:-1] - digits[1:]
     shifted *= _ROWS[:-1] < _WINDOW - 1 - k
     shifted += digits[1:]
-    form &= shifted.max(axis=0) <= 9
-    if np.count_nonzero(form) < _FORM_SHARE * len(form):
+    if shifted.max() > 9:
         return False
     groups = (_GROUP_WEIGHTS @ shifted).astype(np.uint64)
     m = groups[0] * _GROUP_SCALES[0]
     m += groups[1] * _GROUP_SCALES[1]
     m += groups[2]
-    m[~form] = 0
     x, certain = _certified(m, k)
     out[:] = x
-    certain &= form
-    slow = np.flatnonzero(~certain)
-    if not slow.size:
-        return True
-    values = []
-    try:
-        for a, b, in_form, m_i, k_i in zip(*(v[slow].tolist() for v in (
-                starts, ends, form, m, k))):
-            # a cell of the form reads as the same decimal written m e-k
-            text = f"{m_i}e-{k_i}" if in_form else bytes(view[a:b]).decode()
-            values.append(float(text))
-    except (UnicodeDecodeError, ValueError):
-        return False
-    out[slow] = values
-    return True
+    return bool(certain.all())
 
 
 def _certified(m: np.ndarray, k: np.ndarray):

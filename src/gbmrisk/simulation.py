@@ -65,6 +65,9 @@ class CholeskyError(SimulationError):
         super().__init__(message)
         self.pivot_index = pivot_index
 
+    def __reduce__(self):  # pickle calls __init__ with these arguments
+        return type(self), (self.args[0], self.pivot_index), self.__dict__
+
 
 @dataclass(frozen=True)
 class SimConfig:

@@ -464,6 +464,16 @@ class TestCliCommands:
             assert (out / "percentiles.csv").read_bytes() == csv_ref
         assert csv_ref.startswith(b"percentile,value\n")
 
+    @pytest.mark.parametrize("alpha, label", [
+        ((), "VaR(5%)"), (("--alpha", "0.025"), "VaR(2.5%)"),
+        (("--alpha", "0.999999"), "VaR(99.9999%)")])
+    def test_simulate_prints_the_level_exactly(self, alpha, label, tmp_path,
+                                               capsys):
+        assert self.run(
+            "simulate", "--price-csv", str(DATA_DIR / "crypto_like.csv"),
+            "--n-paths", "100", "--out-dir", str(tmp_path), *alpha) == 0
+        assert capsys.readouterr().out.startswith(f"{label} value: ")
+
     def test_simulate_report_content(self, tmp_path):
         out = tmp_path / "out"
         code = self.run(

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import csv
+import importlib
 import math
+import re
 import tracemalloc
 from decimal import Decimal
 
@@ -22,6 +24,7 @@ from gbmrisk.market_data import (
     save_prices,
 )
 
+from conftest import DATA_DIR
 from oracles import reference_load_prices, reference_save_prices
 
 LN_1_1 = 0.09531017980432486  # ln(1.1)
@@ -245,7 +248,7 @@ def decimal_file(path, cells) -> None:
 @pytest.fixture
 def float_calls(monkeypatch):
     """The count of ``float`` calls in market_data while a test loads: the
-    cells the vector pass left uncertified."""
+    cells read by ``csv.reader`` rather than the vector pass."""
     calls = [0]
 
     def spy_float(text):
@@ -277,17 +280,30 @@ class TestCanonicalReader:
                 == outcome(reference_load_prices, path))
 
     @staticmethod
-    def check_set(path, cells, float_calls) -> None:
-        # the pass itself reads the file, certifying some of the set's
-        # cells and handing the others to float
+    def check_set(path, cells) -> None:
+        # the set holds cells the pass cannot read, so its file goes to
+        # csv.reader whole; each cell the pass certifies reads as float
         decimal_file(path, cells)
-        expected = outcome(reference_load_prices, path)
-        assert outcome(load_prices, path) == expected
-        float_calls[0] = 0
-        assert outcome(market_data._read_canonical, path) == expected
-        assert 0 < float_calls[0] < len(cells)
+        assert (outcome(load_prices, path)
+                == outcome(reference_load_prices, path))
+        assert market_data._read_canonical(path) is None
+        in_form = [c for c in cells
+                   if re.fullmatch(r"[0-9]+\.[0-9]+", c) and len(c) <= 20]
+        m = np.array([int(c.replace(".", "")) for c in in_form], np.uint64)
+        k = np.array([len(c.split(".")[1]) for c in in_form], np.uint8)
+        x, certain = market_data._certified(m, k)
+        assert certain.any()
+        expected = np.array([float(c) for c in in_form])
+        assert x[certain].tobytes() == expected[certain].tobytes()
+        # a file of the cells of the pass's form alone is refused iff one
+        # of them is not certified
+        path.write_text("date,A\n" + "".join(
+            f"d{i:06d},{c}\n" for i, c in enumerate(in_form)))
+        assert (market_data._read_canonical(path) is None) != certain.all()
+        assert (outcome(load_prices, path)
+                == outcome(reference_load_prices, path))
 
-    def test_midpoints_and_their_neighbours(self, tmp_path, float_calls):
+    def test_midpoints_and_their_neighbours(self, tmp_path):
         # x + ulp/2 written out in full, a tie, and a unit of its last
         # digit either side, in binades where that is 19 digits or fewer
         rng = np.random.default_rng(7)
@@ -298,18 +314,18 @@ class TestCanonicalReader:
                 text = f"{mid:f}" if "." in f"{mid:f}" else f"{mid:f}.0"
                 last = Decimal(1).scaleb(-len(text.split(".")[1]))
                 cells += [text, f"{mid - last:f}", f"{mid + last:f}"]
-        self.check_set(tmp_path / "p.csv", cells, float_calls)
+        self.check_set(tmp_path / "p.csv", cells)
 
-    def test_mantissas_around_two_to_the_53(self, tmp_path, float_calls):
+    def test_mantissas_around_two_to_the_53(self, tmp_path):
         cells = []
         for m in range(2**53 - 2, 2**53 + 3):
             digits = str(m)
             for point in range(1, len(digits)):
                 cells.append(f"{digits[:point]}.{digits[point:]}")
             cells.append(f"{digits}.0")
-        self.check_set(tmp_path / "p.csv", cells, float_calls)
+        self.check_set(tmp_path / "p.csv", cells)
 
-    def test_22_and_23_decimals(self, tmp_path, float_calls):
+    def test_22_and_23_decimals(self, tmp_path):
         rng = np.random.default_rng(22)
         cells = []
         for k in (22, 23):
@@ -318,16 +334,16 @@ class TestCanonicalReader:
                 cells += ["0." + d.rjust(k, "0"),
                           d[0] + "." + d[1:].ljust(k, "0")]
         cells += [repr(x) for x in (rng.random(20) + 1.0).tolist()]
-        self.check_set(tmp_path / "p.csv", cells, float_calls)
+        self.check_set(tmp_path / "p.csv", cells)
 
-    def test_powers_of_two(self, tmp_path, float_calls):
+    def test_powers_of_two(self, tmp_path):
         cells = []
         for e in range(-20, 64):
             x = 2.0**e
             for y in (x, math.nextafter(x, 0.0), math.nextafter(x, math.inf)):
                 cells += [repr(y), f"{y:.17f}", f"{Decimal(y):f}"]
         cells = [c if "." in c else c + ".0" for c in cells]
-        self.check_set(tmp_path / "p.csv", cells, float_calls)
+        self.check_set(tmp_path / "p.csv", cells)
 
     @pytest.mark.parametrize("text", [
         "date,A\nd1,1.5\nd2,1.2345678\n",
@@ -372,6 +388,28 @@ class TestCanonicalReader:
         finally:
             tracemalloc.stop()
         assert peak <= 3e6, peak
+
+    def test_benchmark_inputs_take_the_vector_pass(
+            self, tmp_path, monkeypatch, float_calls):
+        # every file the benchmark reads, the bundled fixtures and its 200-
+        # and 10-asset save_prices tables, is read whole by the pass: a file
+        # with one cell the pass refuses pays a whole csv.reader read
+        monkeypatch.syspath_prepend(str(DATA_DIR.parent / "perfbench"))
+        run = importlib.import_module("run")
+        paths = {run.ROOT / config.price_csv
+                 for workload in run.WORKLOADS
+                 for _, config in run.build_schedule(workload, 42, tmp_path)}
+        assert {path.name for path in paths} == {
+            "crypto_like.csv", "equity_like.csv", "wide.csv",
+            *(f"u{k}.csv" for k in run.SHARPE_INDICES)}
+        for path in paths:
+            float_calls[0] = 0
+            loaded = market_data._read_canonical(path)
+            assert loaded is not None and float_calls[0] == 0, path
+            expected = reference_load_prices(path)
+            assert (loaded.tickers, loaded.dates) == (expected.tickers,
+                                                     expected.dates)
+            assert loaded.prices.tobytes() == expected.prices.tobytes()
 
 
 def written(write, s: PriceSeries, path):
