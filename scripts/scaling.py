@@ -236,7 +236,8 @@ def measure_rebuild() -> dict:
     from gbmrisk.simulation import _path_kernel
 
     kernel = _path_kernel(*inputs(REBUILD_PATHS, 3))
-    runs = timed(lambda: kernel.log_paths(0, REBUILD_PATHS, N_STEPS))
+    runs = timed(lambda: kernel.log_paths(
+        0, kernel.normals(0, REBUILD_PATHS), N_STEPS))
     return {"n_paths": REBUILD_PATHS, "n_assets": 3,
             "n_steps": N_STEPS} | summary(runs)
 

@@ -34,10 +34,13 @@ parsing at a gigabyte per second", SPE 2021):
   m / T, so it is the nearest double and no tie. If instead
   h < |s| < 3h, the same holds for x's neighbour toward m / T, x + ulp(x)
   or x - ulp(x), whose residual is s - 2h or s + 2h.
-- A power of two, whose ulp below is half as wide, as x or as that
-  neighbour, and any |s| that lands on h or 3h, are not certified, and
-  neither is a cell of any other form (exponent, sign, space, underscore,
-  non-ASCII digit, more than 19 digits): its file goes to ``csv.reader``.
+- A power of two x has an ulp below it half as wide as the one above, so
+  it is the nearest double iff -h/2 < m - x T < h; h/2 is exact, so
+  -h/2 < s < h certifies it as above. Its neighbours are not certified,
+  nor is a neighbour that is a power of two, whose ulp below is half as
+  wide, nor an |s| that lands on h or 3h, and neither is a cell of any
+  other form (exponent, sign, space, underscore, non-ASCII digit, more
+  than 19 digits): its file goes to ``csv.reader``.
 
 The digits are gathered from each cell's window of bytes, and their
 float32 products and sums are integers below 2**24, exact in any order;
@@ -375,7 +378,10 @@ def _certified(m: np.ndarray, k: np.ndarray):
     near = h < r
     near &= r < 3.0 * h
     y = np.where(near, np.where(s > 0, bits + 1, bits - 1), bits)
-    certain = (here | near) & (bits & _MANTISSA != 0) & (y & _MANTISSA != 0)
+    # a power of two x is nearest for m / T in (x - h/2T, x + h/T)
+    power = bits & _MANTISSA == 0
+    certain = np.where(power, (-0.5 * h < s) & (s < h),
+                       (here | near) & (y & _MANTISSA != 0))
     return y.view(np.float64), certain
 
 

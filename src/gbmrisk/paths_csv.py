@@ -4,7 +4,8 @@ Rows are ``path,step,ticker,price`` with floats as ``repr``, in path, step
 and ticker order, step 0 being the initial prices. The paths are not
 stored: each is a pure function of its key (seed, path index), so they are
 rebuilt a block of whole paths at a time, by the Brownian bridge of
-``gbmrisk.simulation``, and each block is formatted apart from every
+``gbmrisk.simulation``, pinned to terminal normals drawn for every path
+before the first block, and each block is formatted apart from every
 other, so the bytes are the same for any block size or number of
 processes.
 
@@ -57,7 +58,7 @@ __all__ = ["write_paths_csv"]
 # and at least one path: 12 paths at 252 steps x 3 assets (~270 KB of rows)
 # in the writing process, 24 in a formatting process (see above). The bytes
 # do not depend on it; it trades a block's memory against the fixed cost of
-# a rebuild, two Philox builds, and of the ~100 numpy calls that format it.
+# a rebuild, a Philox build, and of the ~100 numpy calls that format it.
 # On two CPUs, 24-path blocks took the benchmark's record_paths op to
 # 0.150 s from 0.167 s (medians of 10 pairs, lower in 10), and 48 paths were
 # slower than 24. The writing process's traced peak, under its 1 MB bound,
@@ -71,14 +72,15 @@ def _block_paths(sim_config: SimConfig, n_assets: int, cells: int) -> int:
     return max(1, cells // ((sim_config.n_steps + 1) * n_assets))
 
 
-def _prices(kernel, sim_config: SimConfig, start: int,
+def _prices(kernel, z_t: np.ndarray, sim_config: SimConfig, start: int,
             stop: int) -> np.ndarray:
     """The prices of paths [start, stop), every step of each path and
-    every asset of each step in turn, step 0 being the initial prices."""
+    every asset of each step in turn, step 0 being the initial prices;
+    z_t holds the terminal normals of every path of the run."""
     s0 = sim_config.initial_prices
     prices = np.empty((stop - start, sim_config.n_steps + 1, len(s0)))
     prices[:, 0, :] = s0
-    np.exp(kernel.log_paths(start, stop, sim_config.n_steps),
+    np.exp(kernel.log_paths(start, z_t[:, start:stop], sim_config.n_steps),
            out=prices[:, 1:, :])
     prices[:, 1:, :] *= s0
     return prices.reshape(-1)
@@ -86,10 +88,12 @@ def _prices(kernel, sim_config: SimConfig, start: int,
 
 def _block_formatter(params: MarketParams, sim_config: SimConfig, block: int):
     """``format_block(start)``: the paths.csv rows of paths [start,
-    start + block) as bytes. The kernel and the rows' step and ticker
-    cells are built once, here."""
+    start + block) as bytes. The kernel, the run's terminal normals, as
+    many as the run's terminal prices, and the rows' step and ticker cells
+    are built once, here: a draw per block would take a vector pass each."""
     kernel = _path_kernel(params, sim_config)
     n_paths = sim_config.n_paths
+    z_t = kernel.normals(0, n_paths)
     # "{step}," | "{ticker}," in the order of a path's prices
     steps = _shortest.padded(f"{step},"
                              for step in range(sim_config.n_steps + 1))
@@ -102,7 +106,8 @@ def _block_formatter(params: MarketParams, sim_config: SimConfig, block: int):
 
     def format_block(start: int) -> bytearray:
         stop = min(start + block, n_paths)
-        reprs = _shortest.Reprs(_prices(kernel, sim_config, start, stop))
+        reprs = _shortest.Reprs(
+            _prices(kernel, z_t, sim_config, start, stop))
         # a row: "{path}," | cell | price | newline, each field PAD-filled
         # to the widest of its kind in this block; one path's rows are
         # laid out once and copied to every path

@@ -12,22 +12,29 @@ keyed (seed, p) whose counter starts at (0, 0, 0, 2**63), the seed in
 [0, 2**64); its step normals from the same key at counter 0, a range the
 terminal draw never reaches (Salmon et al., Random123, SC'11).
 
+Terminal normal i of a path is Phi^-1(u) for the stream's word i, w, and
+u = ((w >> 12) + 0.5) 2**-52: every u is exact, in [2**-53, 1 - 2**-53],
+and the word ~w draws -z. Phi^-1 is Wichura's AS241 (Applied Statistics
+37(3), 1988) with the coefficients and evaluation order of the standard
+library's ``statistics.NormalDist().inv_cdf``. There is no rejection, so
+a path takes exactly A words. Philox is counter-based, so ``simulate``
+computes the words of thousands of paths at once in uint64 arithmetic,
+and evaluates AS241's central polynomial on every u by IEEE +, -, * and
+/, each its own numpy call, whose bits depend on no CPU feature. The ~15%
+of u with |u - 1/2| > 0.425 then take the tail polynomials after
+``np.log`` and ``np.sqrt``: ``np.log`` keeps them in the numpy dispatch
+domain that ``log_returns`` already puts every VaR in.
+
 ``_PathKernel.log_paths`` rebuilds a path's steps for paths.csv by a
 Brownian bridge (Glasserman, 2003, 3.1): walks B_k of the path's step
 normals are pinned to its terminal normals z_T by
 W_k = B_k + (k/n) (sqrt(T) z_T - B_n), then take L' and k steps of drift.
-It draws z_T path by path, with the bits of ``simulate``'s vector pass,
-and both take it to log prices by ``log_terminal``: its last step equals
-``simulate``'s bitwise.
-
-Philox is counter-based, so ``simulate`` computes the words of thousands
-of paths at once in uint64 arithmetic, and turns each into a normal by
-numpy's ziggurat fast path (Marsaglia & Tsang, 2000), one exact multiply
-by an entry of numpy's own tables. A path where some word leaves the fast
-path, ~4% at 3 assets, is drawn by numpy's generator re-keyed for it, as
-``log_paths`` draws every path. Past 23 assets, where more than 30% of
-paths would leave the pass, ``simulate`` draws every path that way. Both
-give the bits of a Philox built for the path.
+z_T is the draw above, and both take it to log prices by
+``log_terminal``: its last step equals ``simulate``'s bitwise. The step
+normals are numpy's ``Generator.standard_normal`` on a Philox re-keyed for
+each path, whose bits NEP 19 keeps only within one numpy version: drawn
+as AS241 of vector words, 1,000 paths x 756 step normals took ~99 ms,
+against 15 ms this way.
 
 z L' is a fixed-order elementwise sum, not a BLAS product, whose rounding
 varies with the row and thread counts. So a path's prices depend on its key
@@ -41,7 +48,6 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import _ziggurat
 from .estimation import MarketParams
 from .optimizer import WeightVector
 from .rules import RULES, check, step_count
@@ -179,16 +185,16 @@ def _repair_and_factor(cov: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
         f"{last_error}", last_error.pivot_index)
 
 
-def _fill_normals(z: np.ndarray, seed: int, paths, counter: int = 0):
-    """z[i] = the normals of path paths[i], keyed (seed, paths[i]) with
-    the counter's top word ``counter``; a 3-d z fills step-major. One
-    Philox serves every path: assigning it this state re-keys it with a
-    fresh counter and an empty buffer, the state a new Philox starts in,
-    so it is built from a constant seed, not from OS entropy; lists of
-    Python ints assign faster than uint64 arrays."""
+def _fill_normals(z: np.ndarray, seed: int, paths):
+    """z[i] = the step normals of path paths[i], keyed (seed, paths[i]) at
+    counter 0; a 3-d z fills step-major. One Philox serves every path:
+    assigning it this state re-keys it with a fresh counter and an empty
+    buffer, the state a new Philox starts in, so it is built from a
+    constant seed, not from OS entropy; lists of Python ints assign faster
+    than uint64 arrays."""
     key = [seed, 0]
     fresh = {"bit_generator": "Philox", "buffer": [0, 0, 0, 0],
-             "state": {"counter": [0, 0, 0, counter], "key": key},
+             "state": {"counter": [0, 0, 0, 0], "key": key},
              "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     bit_gen = np.random.Philox(0)
     gen = np.random.Generator(bit_gen)
@@ -204,21 +210,34 @@ _PHILOX_M = tuple((np.uint64(m), np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32))
                   for m in (0xD2E7470EE14C6C93, 0xCA5A826395121157))
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _LOW32, _BITS32 = np.uint64(0xFFFFFFFF), np.uint64(32)
-# numpy's ziggurat tables indexed by a word's low 9 bits, layer and sign:
-# the sign folds into WI, as rabs * -w is -(rabs * w) bit for bit
-_KI = np.tile(np.array(_ziggurat.KI, dtype=np.uint64), 2)
-_WI = np.concatenate([_ziggurat.WI, np.negative(_ziggurat.WI)])
-_LAYER_SIGN, _RABS = np.uint64(0x1FF), np.uint64(2**52 - 1)
-# The vector pass draws every path's words, then redraws by _fill_normals
-# each path where some normal leaves the ziggurat's fast path, which one
-# normal takes with probability _FAST_NORMAL. A path of A normals stays in
-# the pass with probability _FAST_NORMAL**A, and below _VECTOR_SHARE of such
-# paths drawing every path by _fill_normals alone is faster. In-process
-# medians of _PathKernel.terminal put the crossover near 20 assets at 1e3
-# paths and near 30 at 1e4, shares of 0.74 and 0.62: at 1e3 paths the pass
-# took 1.4 ms against 2.4 ms at 10 assets, and 7.6 ms against 6.2 ms at 50.
-_FAST_NORMAL = 0.9851
-_VECTOR_SHARE = 0.7
+# AS241's (numerator, denominator) coefficients, highest power first, as
+# statistics._normal_dist_inv_cdf writes them: in r = 0.180625 - q**2 for
+# |q| = |u - 1/2| <= 0.425, and beyond in r = sqrt(-log(min(u, 1 - u)))
+# less 1.6 up to r = 5 and less 5 past it
+_CENTRAL = ((2.50908_09287_30122_6727e+3, 3.34305_75583_58812_8105e+4,
+             6.72657_70927_00870_0853e+4, 4.59219_53931_54987_1457e+4,
+             1.37316_93765_50946_1125e+4, 1.97159_09503_06551_4427e+3,
+             1.33141_66789_17843_7745e+2, 3.38713_28727_96366_6080e+0),
+            (5.22649_52788_52854_5610e+3, 2.87290_85735_72194_2674e+4,
+             3.93078_95800_09271_0610e+4, 2.12137_94301_58659_5867e+4,
+             5.39419_60214_24751_1077e+3, 6.87187_00749_20579_0830e+2,
+             4.23133_30701_60091_1252e+1, 1.0))
+_NEAR = ((7.74545_01427_83414_07640e-4, 2.27238_44989_26918_45833e-2,
+          2.41780_72517_74506_11770e-1, 1.27045_82524_52368_38258e+0,
+          3.64784_83247_63204_60504e+0, 5.76949_72214_60691_40550e+0,
+          4.63033_78461_56545_29590e+0, 1.42343_71107_49683_57734e+0),
+         (1.05075_00716_44416_84324e-9, 5.47593_80849_95344_94600e-4,
+          1.51986_66563_61645_71966e-2, 1.48103_97642_74800_74590e-1,
+          6.89767_33498_51000_04550e-1, 1.67638_48301_83803_84940e+0,
+          2.05319_16266_37758_82187e+0, 1.0))
+_FAR = ((2.01033_43992_92288_13265e-7, 2.71155_55687_43487_57815e-5,
+         1.24266_09473_88078_43860e-3, 2.65321_89526_57612_30930e-2,
+         2.96560_57182_85048_91230e-1, 1.78482_65399_17291_33580e+0,
+         5.46378_49111_64114_36990e+0, 6.65790_46435_01103_77720e+0),
+        (2.04426_31033_89939_78564e-15, 1.42151_17583_16445_88870e-7,
+         1.84631_83175_10054_68180e-5, 7.86869_13114_56132_59100e-4,
+         1.48753_61290_85061_48525e-2, 1.36929_88092_27358_05310e-1,
+         5.99832_20655_58879_37690e-1, 1.0))
 # (path, block) pairs per vector pass: a pass holds a few dozen arrays of
 # that many words, so this bounds its memory; the bits do not depend on it.
 _DRAW_BLOCKS = 16384
@@ -269,14 +288,56 @@ def _philox_words(seed: int, paths: np.ndarray, blocks: int) -> np.ndarray:
     return words.reshape(4 * blocks, len(paths))
 
 
-def _terminal_normals(z: np.ndarray, seed: int, start: int):
-    """z[:, i] = the first len(z) terminal normals of path start + i, as
-    ``_fill_normals`` draws them, bit for bit; z is (normals, paths).
+def _polynomial(coefficients: tuple, r: np.ndarray) -> np.ndarray:
+    """(...(c[0] r + c[1]) r + ...) r + c[-1], each + and * its own numpy
+    call, in the order the standard library evaluates it."""
+    out = r * coefficients[0]
+    for c in coefficients[1:-1]:
+        out += c
+        out *= r
+    out += coefficients[-1]
+    return out
 
-    The Philox words of many paths at once go through numpy's ziggurat
-    fast path, an exact multiply rabs * WI[idx], a pass per _DRAW_BLOCKS
-    (path, block) pairs; the paths where some word leaves it, ~1.5% of
-    words, are redrawn by ``_fill_normals``."""
+
+def _ratio(pair: tuple, r: np.ndarray) -> np.ndarray:
+    """A (numerator, denominator) pair of AS241 polynomials at r."""
+    out = _polynomial(pair[0], r)
+    out /= _polynomial(pair[1], r)
+    return out
+
+
+def _inverse_normal(words: np.ndarray) -> np.ndarray:
+    """Phi^-1(u), u = ((w >> 12) + 0.5) 2**-52, of each word w, as
+    ``statistics.NormalDist().inv_cdf`` evaluates it but with ``np.log``:
+    the central branch on every u, then the tails patched in."""
+    u = (words >> np.uint64(12)).astype(np.float64).reshape(-1)
+    u += 0.5
+    u *= 2.0**-52
+    q = u - 0.5
+    r = q * q
+    np.subtract(0.180625, r, out=r)
+    z = _polynomial(_CENTRAL[0], r)
+    z *= q
+    z /= _polynomial(_CENTRAL[1], r)
+    tail = np.flatnonzero(np.abs(q) > 0.425)
+    q, r = q[tail], u[tail]
+    np.subtract(1.0, r, out=r, where=q > 0.0)
+    np.log(r, out=r)
+    np.negative(r, out=r)
+    np.sqrt(r, out=r)
+    far = np.flatnonzero(r > 5.0)
+    x = _ratio(_NEAR, r - 1.6)
+    if far.size:
+        x[far] = _ratio(_FAR, r[far] - 5.0)
+    np.negative(x, out=x, where=q < 0.0)
+    z[tail] = x
+    return z.reshape(words.shape)
+
+
+def _terminal_normals(z: np.ndarray, seed: int, start: int):
+    """z[:, i] = the first len(z) terminal normals of path start + i; z is
+    (normals, paths). A pass draws the words of _DRAW_BLOCKS (path, block)
+    pairs at once."""
     count = len(z)
     blocks = -(-count // 4)
     step = max(1, _DRAW_BLOCKS // blocks)
@@ -284,17 +345,7 @@ def _terminal_normals(z: np.ndarray, seed: int, start: int):
         cols = z[:, lo:lo + step]
         paths = np.arange(start + lo, start + lo + cols.shape[1],
                           dtype=np.uint64)
-        words = _philox_words(seed, paths, blocks)[:count]
-        layer_sign = (words & _LAYER_SIGN).astype(np.intp)
-        rabs = words >> np.uint64(9)
-        rabs &= _RABS
-        np.multiply(rabs, _WI[layer_sign], out=cols)
-        slow = np.flatnonzero(np.logical_or.reduce(rabs >= _KI[layer_sign]))
-        if slow.size:
-            redrawn = np.empty((slow.size, count))
-            _fill_normals(redrawn, seed, paths[slow].tolist(),
-                          _TERMINAL_COUNTER)
-            cols[:, slow] = redrawn.T
+        cols[:] = _inverse_normal(_philox_words(seed, paths, blocks)[:count])
 
 
 def _correlate(z: np.ndarray, l: np.ndarray) -> np.ndarray:
@@ -320,46 +371,40 @@ class _PathKernel:
     horizon: float
     seed: int
 
+    def normals(self, start: int, stop: int) -> np.ndarray:
+        """Paths [start, stop)'s terminal normals, (assets, paths)."""
+        z = np.empty((len(self.drift), stop - start))
+        _terminal_normals(z, self.seed, start)
+        return z
+
     def terminal(self, start: int, stop: int) -> np.ndarray:
-        """Paths [start, stop)'s log(S_T / S_0), (paths, assets), from
-        their terminal normals: drawn by the vector pass where it pays,
-        path by path through ``_fill_normals`` elsewhere, the same bits
-        either way."""
-        n_assets = len(self.drift)
-        if _FAST_NORMAL**n_assets >= _VECTOR_SHARE:
-            z = np.empty((n_assets, stop - start))
-            _terminal_normals(z, self.seed, start)
-        else:
-            z = np.empty((stop - start, n_assets))
-            _fill_normals(z, self.seed, range(start, stop), _TERMINAL_COUNTER)
-            # asset-major, as _correlate works along an asset's paths
-            z = np.ascontiguousarray(z.T)
-        return self.log_terminal(z.T)
+        """Paths [start, stop)'s log(S_T / S_0), (paths, assets)."""
+        return self.log_terminal(self.normals(start, stop))
 
     def log_terminal(self, z: np.ndarray) -> np.ndarray:
-        """log(S_T / S_0) of the paths whose terminal normals are z's rows,
-        (paths, assets)."""
-        log_t = _correlate(z.T, self.l)
+        """log(S_T / S_0), (paths, assets), of the paths whose terminal
+        normals are z's columns, (assets, paths)."""
+        log_t = _correlate(z, self.l)
         log_t *= math.sqrt(self.horizon)
         log_t += (self.drift * self.horizon)[:, None]
         return np.ascontiguousarray(log_t.T)
 
-    def log_paths(self, start: int, stop: int, n_steps: int) -> np.ndarray:
-        """log(S_k / S_0) of paths [start, stop) at steps 1..n_steps,
-        (paths, steps, assets), by the Brownian bridge above, worked
+    def log_paths(self, start: int, z_t: np.ndarray,
+                  n_steps: int) -> np.ndarray:
+        """log(S_k / S_0) at steps 1..n_steps, (paths, steps, assets), of
+        the paths start, start + 1, ... whose terminal normals are z_t's
+        columns, (assets, paths), by the Brownian bridge above, worked
         asset-major so that every operation runs along a path's steps."""
-        paths = range(start, stop)
-        z_t = np.empty((stop - start, len(self.drift)))
-        _fill_normals(z_t, self.seed, paths, _TERMINAL_COUNTER)
+        n_assets, count = z_t.shape
         log_t = self.log_terminal(z_t)
-        z = np.empty((stop - start, n_steps, z_t.shape[1]))
-        _fill_normals(z, self.seed, paths)
+        z = np.empty((count, n_steps, n_assets))
+        _fill_normals(z, self.seed, range(start, start + count))
         dt = self.horizon / n_steps
         walk = np.ascontiguousarray(z.transpose(2, 0, 1))
         walk *= math.sqrt(dt)
         np.cumsum(walk, axis=2, out=walk)
         k = np.arange(1, n_steps + 1)
-        pin = math.sqrt(self.horizon) * z_t.T - walk[..., -1]
+        pin = math.sqrt(self.horizon) * z_t - walk[..., -1]
         walk += k / n_steps * pin[..., None]
         log = _correlate(walk, self.l)
         log += (self.drift * dt)[:, None, None] * k

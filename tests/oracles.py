@@ -1,17 +1,17 @@
 """Independent reference implementations the tests compare the package
 against: the explicit double-sum variance and an exhaustive simplex-lattice
-search for the minimum-variance weights, the per-path normal stream that
-simulate must reproduce and whether it leaves numpy's ziggurat fast path,
-a probe of numpy's ziggurat tables, every recorded path rebuilt in one
-bridge call, the all-rows paths.csv formatter whose bytes the streaming
-writer must reproduce, the window-by-window loop whose VaR thresholds
-the vector backtest must reproduce, the closed-form lognormal VaR of a
-single GBM asset that the simulated VaR must approach, the plain CSV
-reader whose results and errors the price loader must reproduce, and the
-cell-by-cell CSV writer whose bytes and errors the price writer must
-reproduce; and, for tests that gate a rate across seeds, a generator of
-iid-normal and GARCH(1,1)-t log-returns and a seed-rate helper that bounds
-a rejection rate with an exact binomial interval."""
+search for the minimum-variance weights, the per-path step normal stream
+and the per-path terminal normals that simulate must reproduce, the latter
+by a scalar transcription of the standard library's AS241, every recorded
+path rebuilt in one bridge call, the all-rows paths.csv formatter whose
+bytes the streaming writer must reproduce, the window-by-window loop whose
+VaR thresholds the vector backtest must reproduce, the closed-form
+lognormal VaR of a single GBM asset that the simulated VaR must approach,
+the plain CSV reader whose results and errors the price loader must
+reproduce, and the cell-by-cell CSV writer whose bytes and errors the
+price writer must reproduce; and, for tests that gate a rate across seeds,
+a generator of iid-normal and GARCH(1,1)-t log-returns and a seed-rate
+helper that bounds a rejection rate with an exact binomial interval."""
 
 from __future__ import annotations
 
@@ -101,72 +101,97 @@ def philox(seed: int, path_index: int, counter: int = 0,
         [block, 0, 0, counter], dtype=np.uint64))
 
 
-def draw_standard_normals(seed: int, path_index: int, count: int,
-                          counter: int = 0) -> np.ndarray:
-    """Standard normals from a fresh Philox keyed by (seed, path_index) whose
-    counter's top word is ``counter`` (2**63 for the terminal draw): the
-    per-path stream that simulate's draw must reproduce."""
-    return np.random.Generator(philox(seed, path_index, counter)
-                               ).standard_normal(count)
+def draw_standard_normals(seed: int, path_index: int,
+                          count: int) -> np.ndarray:
+    """Standard normals from a fresh Philox keyed by (seed, path_index) at
+    counter 0: the per-path step stream that paths.csv must reproduce."""
+    return np.random.Generator(philox(seed, path_index)).standard_normal(count)
 
 
-def leaves_fast_path(seed: int, path_index: int, count: int,
-                     counter: int = 0) -> bool:
-    """Whether any of the first ``count`` normals of that stream leaves
-    numpy's ziggurat fast path, which takes exactly one word a normal: the
-    draw then takes more than ``count`` words of the Philox, whose state
-    counts them."""
-    bit_gen = philox(seed, path_index, counter)
-    np.random.Generator(bit_gen).standard_normal(count)
-    state = bit_gen.state
-    words = 4 * (int(state["state"]["counter"][0]) - 1) + state["buffer_pos"]
-    return words > count
+def np_log(x: float) -> float:
+    """numpy's log of one double, taken as an array of them takes it."""
+    return float(np.log(np.array([x]))[0])
 
 
-def _untemper(y: int) -> int:
-    """The MT19937 state word that its tempering maps to the 32-bit y."""
-    y ^= y >> 18
-    y ^= (y << 15) & 0xEFC60000
-    x = y
-    for _ in range(4):
-        x = y ^ ((x << 7) & 0x9D2C5680)
-    y = x & 0xFFFFFFFF
-    return y ^ (y >> 11) ^ (y >> 22)
+def inv_cdf(p: float, log=math.log) -> float:
+    """statistics.NormalDist().inv_cdf(p), Wichura's AS241, transcribed
+    from the standard library's pure-Python _normal_dist_inv_cdf with mean
+    0 and standard deviation 1, but with ``log`` in the tails."""
+    q = p - 0.5
+    if math.fabs(q) <= 0.425:
+        r = 0.180625 - q * q
+        num = (((((((2.50908_09287_30122_6727e+3 * r +
+                     3.34305_75583_58812_8105e+4) * r +
+                     6.72657_70927_00870_0853e+4) * r +
+                     4.59219_53931_54987_1457e+4) * r +
+                     1.37316_93765_50946_1125e+4) * r +
+                     1.97159_09503_06551_4427e+3) * r +
+                     1.33141_66789_17843_7745e+2) * r +
+                     3.38713_28727_96366_6080e+0) * q
+        den = (((((((5.22649_52788_52854_5610e+3 * r +
+                     2.87290_85735_72194_2674e+4) * r +
+                     3.93078_95800_09271_0610e+4) * r +
+                     2.12137_94301_58659_5867e+4) * r +
+                     5.39419_60214_24751_1077e+3) * r +
+                     6.87187_00749_20579_0830e+2) * r +
+                     4.23133_30701_60091_1252e+1) * r +
+                     1.0)
+        return num / den
+    r = p if q <= 0.0 else 1.0 - p
+    r = math.sqrt(-log(r))
+    if r <= 5.0:
+        r = r - 1.6
+        num = (((((((7.74545_01427_83414_07640e-4 * r +
+                     2.27238_44989_26918_45833e-2) * r +
+                     2.41780_72517_74506_11770e-1) * r +
+                     1.27045_82524_52368_38258e+0) * r +
+                     3.64784_83247_63204_60504e+0) * r +
+                     5.76949_72214_60691_40550e+0) * r +
+                     4.63033_78461_56545_29590e+0) * r +
+                     1.42343_71107_49683_57734e+0)
+        den = (((((((1.05075_00716_44416_84324e-9 * r +
+                     5.47593_80849_95344_94600e-4) * r +
+                     1.51986_66563_61645_71966e-2) * r +
+                     1.48103_97642_74800_74590e-1) * r +
+                     6.89767_33498_51000_04550e-1) * r +
+                     1.67638_48301_83803_84940e+0) * r +
+                     2.05319_16266_37758_82187e+0) * r +
+                     1.0)
+    else:
+        r = r - 5.0
+        num = (((((((2.01033_43992_92288_13265e-7 * r +
+                     2.71155_55687_43487_57815e-5) * r +
+                     1.24266_09473_88078_43860e-3) * r +
+                     2.65321_89526_57612_30930e-2) * r +
+                     2.96560_57182_85048_91230e-1) * r +
+                     1.78482_65399_17291_33580e+0) * r +
+                     5.46378_49111_64114_36990e+0) * r +
+                     6.65790_46435_01103_77720e+0)
+        den = (((((((2.04426_31033_89939_78564e-15 * r +
+                     1.42151_17583_16445_88870e-7) * r +
+                     1.84631_83175_10054_68180e-5) * r +
+                     7.86869_13114_56132_59100e-4) * r +
+                     1.48753_61290_85061_48525e-2) * r +
+                     1.36929_88092_27358_05310e-1) * r +
+                     5.99832_20655_58879_37690e-1) * r +
+                     1.0)
+    x = num / den
+    return -x if q < 0.0 else x
 
 
-def ziggurat_draw(words: list[int]) -> tuple[float, int]:
-    """numpy's own Generator.standard_normal on a generator whose next
-    64-bit words are ``words`` (then MT19937's stream of seed 0): the
-    normal and the number of 64-bit words it took. MT19937 takes any key
-    as its state and reads two tempered 32-bit key words a 64-bit word,
-    the high word first, so untempered words give exactly ``words``."""
-    bit_gen = np.random.MT19937(0)
-    state = bit_gen.state
-    key = state["state"]["key"]
-    for i, word in enumerate(words):
-        key[2 * i] = _untemper(word >> 32)
-        key[2 * i + 1] = _untemper(word & 0xFFFFFFFF)
-    state["state"] = {"key": key, "pos": 0}
-    bit_gen.state = state
-    normal = np.random.Generator(bit_gen).standard_normal()
-    return normal, bit_gen.state["state"]["pos"] // 2
+def word_uniform(word: int) -> float:
+    """The terminal draw's u of a 64-bit word: ((w >> 12) + 0.5) 2**-52,
+    exact."""
+    return ((word >> 12) + 0.5) * 2.0**-52
 
 
-def ziggurat_layer(layer: int) -> tuple[int, float]:
-    """numpy's (ki_double, wi_double) at ``layer``, from its draws alone.
-
-    wi is the normal drawn from rabs = 1, sign 0, the next word 0, so that
-    layer 1's slow path accepts. ki is the least rabs whose draw takes more
-    than one word, found by bisection: the fast path is rabs < ki."""
-    wi = ziggurat_draw([(1 << 9) | layer, 0])[0]
-    lo, hi = 0, 1 << 52
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if ziggurat_draw([(mid << 9) | layer, 2**64 - 1])[1] == 1:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo, wi
+def terminal_normals(seed: int, path_index: int, count: int) -> np.ndarray:
+    """The first ``count`` terminal normals of a path: AS241, with numpy's
+    log, of each of the first ``count`` words that numpy's own Philox keyed
+    (seed, path_index) yields from top counter word 2**63."""
+    words = philox(seed, path_index, 2**63).random_raw(count)
+    return np.array([inv_cdf(word_uniform(w), np_log)
+                     for w in words.tolist()])
 
 
 def rebuilt_paths(params: MarketParams, config: SimConfig) -> np.ndarray:
@@ -175,7 +200,8 @@ def rebuilt_paths(params: MarketParams, config: SimConfig) -> np.ndarray:
     prices."""
     kernel = _path_kernel(params, config)
     s0 = config.initial_prices
-    prices = kernel.log_paths(0, config.n_paths, config.n_steps)
+    prices = kernel.log_paths(0, kernel.normals(0, config.n_paths),
+                              config.n_steps)
     np.exp(prices, out=prices)
     prices *= s0
     start = np.broadcast_to(s0, (config.n_paths, 1, len(s0)))

@@ -23,6 +23,7 @@ import tracemalloc
 import warnings
 from dataclasses import fields
 from pathlib import Path
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -45,7 +46,7 @@ from gbmrisk.risk import RiskError, build_report, rolling_var_backtest
 from gbmrisk.simulation import SimConfig, SimulationError, simulate
 
 from conftest import DATA_DIR, assert_no_children, make_params
-from oracles import leaves_fast_path, rebuilt_paths, reference_paths_csv
+from oracles import rebuilt_paths, reference_paths_csv
 
 
 class BlockFailed(Exception):
@@ -413,11 +414,15 @@ class TestRunPipeline:
         w = np.array([w_map[t] for t in tickers])
         values = np.empty(200)
         for p in range(200):
-            # path p's terminal stream: key (17, p), counter top word 2**63
-            gen = np.random.Generator(np.random.Philox(
+            # path p's terminal stream: key (17, p), counter top word 2**63,
+            # each word w drawn as the normal quantile of ((w >> 12) + 0.5)
+            # 2**-52
+            words = np.random.Philox(
                 key=np.array([17, p], dtype=np.uint64),
-                counter=np.array([0, 0, 0, 2**63], dtype=np.uint64)))
-            z = gen.standard_normal(3)
+                counter=np.array([0, 0, 0, 2**63], dtype=np.uint64)
+            ).random_raw(3).tolist()
+            z = np.array([NormalDist().inv_cdf(((w >> 12) + 0.5) * 2.0**-52)
+                          for w in words])
             terminal = s0 * np.exp(drift + l @ z)
             values[p] = 100_000.0 * float((terminal / s0) @ w)
 
@@ -896,7 +901,7 @@ class TestCliCommands:
                               capture_output=True, text=True, env=env,
                               check=False)
         assert done.returncode == 0
-        assert done.stdout == "0.4.0\n"
+        assert done.stdout == "0.5.0\n"
 
 
 class TestPathsCsv:
@@ -905,9 +910,9 @@ class TestPathsCsv:
 
     PINNED = pytest.mark.parametrize("fixture, digest", [
         ("crypto_like",
-         "808ab876324239e4cc60d08850f91a40671db1b909530aab8911b1b380f722ee"),
+         "fd865ae2abf98e6081d0b19844a93324694e94b9bfaf2232a8c7f6316136a941"),
         ("equity_like",
-         "9a1443fdf72c24bbb1c79c95be6fb46bac8e562ecca1a9bc729a5024744f3c2a"),
+         "bcb12097309630831b9b8c25a132a042ae11e08301a9697c6a7f072036f3e669"),
     ], ids=["crypto_like", "equity_like"])
 
     @staticmethod
@@ -1009,6 +1014,8 @@ class TestPathsCsv:
         block = self.block_paths(recorded(1), forking.available_cpus())
         result = recorded(blocks * block + extra)
         paths = rebuilt_paths(result.params, result.simulation.config_echo)
+        assert np.array_equal(paths[:, -1],
+                              result.simulation.terminal_asset_prices)
         expected = reference_paths_csv(paths, result.params.tickers)
         cli.write_report_files(result, tmp_path)
         assert (tmp_path / "paths.csv").read_bytes() == expected
@@ -1403,13 +1410,10 @@ class TestFitPath:
             assert len(counts) == 1
             assert set(counts[0]) == {"normals", "path_streams",
                                       "bytes_computed"}
-            # numpy's Generator draws only the terminal normals of the
-            # paths that leave the ziggurat fast path; the rest come from
-            # the vector draw, which the probe does not see
-            fallback = sum(leaves_fast_path(config.seed, p, 3, 2**63)
-                           for p in range(50))
-            assert 0 < fallback < 50
-            assert counts[0]["normals"] == fallback * 3
+            # simulate builds no numpy Philox or Generator: its one draw
+            # is AS241 of its own Philox words, which the probe does not see
+            assert counts[0]["normals"] == 0
+            assert counts[0]["path_streams"] == 0
 
 
 def test_run_benchmark_script_smoke(tmp_path, monkeypatch, capsys):

@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 from pathlib import Path
 
 import pytest
@@ -49,34 +50,34 @@ def commands() -> dict[str, list[str]]:
 
 
 CONTRACT = {
-            "equity_like/estimate/params.json": "f8438b01b63605e682fc34ced21305c87341df282c8536024f88cd653e2a1558",
-            "equity_like/optimize-mvp/weights.json": "952c6774bf987ed04c58035f4390391652bfdacf8a74b547e8d553a8703a528f",
-            "equity_like/simulate-mvp/percentiles.csv": "94500fa0089217bfb3d84b172c5f1088b9eca3b64927287d9dc93bac340d58b6",
-            "equity_like/simulate-mvp/report.json": "db4f8915558bbdf7c94dec4830837b1cad27863a9d3e6d5ecd6d3ba59914a39c",
-            "equity_like/optimize-max_sharpe/weights.json": "2fbbe4a05b7e34be28ecdd825a085d42114c2be37c615e1bafbc27d9f3e8148a",
-            "equity_like/simulate-max_sharpe/percentiles.csv": "f709a3e09010f381b9e9956d957e14738b136ba09d4a983673690c8852d8719f",
-            "equity_like/simulate-max_sharpe/report.json": "7ee148fd04a1efc21e9097da08ce7af0aec4cf903a20848746e41d6672b609e8",
-            "equity_like/simulate-record/paths.csv": "9a1443fdf72c24bbb1c79c95be6fb46bac8e562ecca1a9bc729a5024744f3c2a",
-            "equity_like/simulate-record/percentiles.csv": "5c098803c126c3975ad9bf4e72ebc220892336ae6c9e6d7e7676320d8d31e54d",
-            "equity_like/simulate-record/report.json": "f32b4dcca21179c4b5b12467b3efdadae9757b28fd41ed556d319f9162931eb8",
-            "equity_like/backtest/backtest.json": "d1ebbd9e3a51319d954467a3a400f2e88a24ea498ed412cbf144b048ff60df42",
-            "crypto_like/estimate/params.json": "4bbd0f3cb8035d99a3a81899c51056bc2bf9c8234106995942bbbb99570be1d5",
-            "crypto_like/optimize-mvp/weights.json": "6b4f66b0a41332ae4570efc767eb5f5842f28c0ebd1620f65e989be214b4060c",
-            "crypto_like/simulate-mvp/percentiles.csv": "a7a048d6ef1be80283522b1622928d442616cdbc7e3f4719c274baa200427e80",
-            "crypto_like/simulate-mvp/report.json": "9d934bf8b8018a48f26ec0f6cf14a6ed589e1356deeeb11e7525d561c21eef58",
-            "crypto_like/optimize-max_sharpe/weights.json": "fd6c1be4766fdcfdcdea5dc02fe46297676c655bf585569e41ae0901bda0c5ff",
-            "crypto_like/simulate-max_sharpe/percentiles.csv": "0422ff4703cdd9e974e6592e16c81d0acef12002f5b03c39a415905a99749d91",
-            "crypto_like/simulate-max_sharpe/report.json": "aa7024655c2599c6d9ef99960dc1904ab3a62dbbd046c023e97c6d47b183888d",
-            "crypto_like/simulate-record/paths.csv": "808ab876324239e4cc60d08850f91a40671db1b909530aab8911b1b380f722ee",
-            "crypto_like/simulate-record/percentiles.csv": "9ff290a2ae5c26b34b9ca4e1de7e166d309b50565267888ce3a34f9019089aa7",
-            "crypto_like/simulate-record/report.json": "8a5ffb5fa16a33a8052a00bccfc78436ae20a1749feae52c1b887a258523d2e7",
-            "crypto_like/backtest/backtest.json": "36fda2b0eabe16ac78f2e6a59c77cc6ae8f1eae350697c4dcebae1e4820dfbd4",
-            "equity_like/simulate-explicit/percentiles.csv": "e8adfb8eacef2daaf601d4f57598d0bdaf61e96cc8b79a2413950d0293af5180",
-            "equity_like/simulate-explicit/report.json": "627130616b35faaa211e75f078c41545a834ea731bb9a7696ce4fd255a626a23",
-            "crypto_like/simulate-record-serial/paths.csv": "808ab876324239e4cc60d08850f91a40671db1b909530aab8911b1b380f722ee",
-            "crypto_like/simulate-record-serial/percentiles.csv": "9ff290a2ae5c26b34b9ca4e1de7e166d309b50565267888ce3a34f9019089aa7",
-            "crypto_like/simulate-record-serial/report.json": "8a5ffb5fa16a33a8052a00bccfc78436ae20a1749feae52c1b887a258523d2e7",
-            "compare/comparison.json": "a8fb28517ba81c92f37cd3d05e257d0af35327a5ced3cf0fa0b1eebf9d8000cc",
+            "equity_like/estimate/params.json": "7218ad18551474871e2b4227936d7dcc4ad48590d78268c55f3f6a72359bf6b5",
+            "equity_like/optimize-mvp/weights.json": "6cc1bec5cf9c3c5000cfba03459368c022d27792801d69fbedbc2710f05f4317",
+            "equity_like/simulate-mvp/percentiles.csv": "c29301ab10dd7a2bff85972c93be967a13111f4bdd26149111a8c4f9ac301898",
+            "equity_like/simulate-mvp/report.json": "93bc67748c67588c39c098c0324310c06447516c96279e8747972193bc350fb7",
+            "equity_like/optimize-max_sharpe/weights.json": "d16537942106df9f0e5bce6746fd0c2370a27699d1098c02efa30da30a79fc82",
+            "equity_like/simulate-max_sharpe/percentiles.csv": "db49cb9a5b7fa4f0c40e643ad396dff65a64e570f9108103b433604e526c19a3",
+            "equity_like/simulate-max_sharpe/report.json": "8c4b672d78b3ff567078282eb9af4f237a4ee63314729d6987e2090390ac7585",
+            "equity_like/simulate-record/paths.csv": "bcb12097309630831b9b8c25a132a042ae11e08301a9697c6a7f072036f3e669",
+            "equity_like/simulate-record/percentiles.csv": "0c670bffa5a318d04589d18cb919edd5e9c14947c079d583169005f0347ba481",
+            "equity_like/simulate-record/report.json": "50b9142fcaa6e6cfb2ccbc22da8911109b5130ac5e4efe5854634f40105fe23b",
+            "equity_like/backtest/backtest.json": "6c6dc4901344c09270524eaed1d6c818e2e27fddd1d9f4462efb8f6e74a21b19",
+            "crypto_like/estimate/params.json": "12c5ba59921e71d1cdb7e1ff9afdef3e1881854f822837b2762011c4c95e910c",
+            "crypto_like/optimize-mvp/weights.json": "c8d60d0d56c31abcc4cd71f4a08a91ac0ee7f846d84cd96efbd5c2d4027860bd",
+            "crypto_like/simulate-mvp/percentiles.csv": "e9eea3c998a956dc34becb7ed3fba609c0214945d3f7cf3ed25f5a4c0ba9f6fb",
+            "crypto_like/simulate-mvp/report.json": "34d367d9e008354687035271fed7a14adff38e17d07e3d102854d3932143116f",
+            "crypto_like/optimize-max_sharpe/weights.json": "826df1b51ce3e902267cff8fc87d5f543952444559add0f863050c8ecb065cdf",
+            "crypto_like/simulate-max_sharpe/percentiles.csv": "ee1e8729cfe389a6a598729dd026d5f3bb47ef1d35b70bf25c23f88152ab90b2",
+            "crypto_like/simulate-max_sharpe/report.json": "51a3bc0268658b151e287e794d226203bb2098b2fdf165a497119e9860f6784c",
+            "crypto_like/simulate-record/paths.csv": "fd865ae2abf98e6081d0b19844a93324694e94b9bfaf2232a8c7f6316136a941",
+            "crypto_like/simulate-record/percentiles.csv": "7262619ae0c37aaf8a53238115261b6fce39317130c42e0afcd756b6fb00e36c",
+            "crypto_like/simulate-record/report.json": "57c69b59aff9e69a27c86a52627f9fe0bf13fe7783f0e400d588fcc9468d2abc",
+            "crypto_like/backtest/backtest.json": "79f53dfcb3d1e3b8738bc218cf9e228727274dd560249b82c0bbec485b31c492",
+            "equity_like/simulate-explicit/percentiles.csv": "b4cb9bc502e6d618e3da24112e47822d2c7f957f0b6a80e40f583b79978fcf1b",
+            "equity_like/simulate-explicit/report.json": "1cd88f2c17919264e6462ba331c84cb3da385916b39f393043edf04b37e321ce",
+            "crypto_like/simulate-record-serial/paths.csv": "fd865ae2abf98e6081d0b19844a93324694e94b9bfaf2232a8c7f6316136a941",
+            "crypto_like/simulate-record-serial/percentiles.csv": "7262619ae0c37aaf8a53238115261b6fce39317130c42e0afcd756b6fb00e36c",
+            "crypto_like/simulate-record-serial/report.json": "57c69b59aff9e69a27c86a52627f9fe0bf13fe7783f0e400d588fcc9468d2abc",
+            "compare/comparison.json": "575562c1c815e242f6f90b3f3b86bb72ff0f45a5b0c2e392c7e08a4cf09fd033",
 }
 
 
@@ -127,5 +128,9 @@ def test_serial_run_writes_the_default_bytes(fresh):
 
 
 def test_version_is_pinned():
-    # every report echoes the version, so the digests above pin it as well
-    assert __version__ == "0.4.0"
+    # every report echoes the version, so the digests above pin it as well;
+    # the package metadata carries the same one
+    assert __version__ == "0.5.0"
+    # (read by pattern: tomllib is 3.11+, and the package supports 3.10)
+    pyproject = (REPO_ROOT / "pyproject.toml").read_text()
+    assert re.findall(r'^version = "(.*)"$', pyproject, re.M) == [__version__]

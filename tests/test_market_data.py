@@ -337,11 +337,17 @@ class TestCanonicalReader:
         self.check_set(tmp_path / "p.csv", cells)
 
     def test_powers_of_two(self, tmp_path):
+        # each power x and its neighbours, and the ties between x and each
+        # neighbour with a unit of their last digit either side: x rounds
+        # from twice as far above it as below
         cells = []
         for e in range(-20, 64):
             x = 2.0**e
             for y in (x, math.nextafter(x, 0.0), math.nextafter(x, math.inf)):
                 cells += [repr(y), f"{y:.17f}", f"{Decimal(y):f}"]
+                mid = (Decimal(x) + Decimal(y)) / 2
+                last = Decimal(1).scaleb(mid.as_tuple().exponent)
+                cells += [f"{mid - last:f}", f"{mid + last:f}"]
         cells = [c if "." in c else c + ".0" for c in cells]
         self.check_set(tmp_path / "p.csv", cells)
 
@@ -388,6 +394,26 @@ class TestCanonicalReader:
         finally:
             tracemalloc.stop()
         assert peak <= 3e6, peak
+
+    def test_round_prices_take_the_vector_pass(self, tmp_path, float_calls):
+        # 1.0, 2.0, 0.5 and 128.0 are powers of two, which the pass
+        # certifies like any other price: their file is not left to
+        # csv.reader whole
+        path = tmp_path / "wide.csv"
+        s = table(np.random.default_rng(200), 253, 200, scale=1.0)
+        prices = s.prices.copy()
+        prices[[0, 5, 100, 252], [0, 17, 199, 60]] = (1.0, 2.0, 0.5, 128.0)
+        save_prices(series(s.tickers, s.dates, prices), path)
+        assert all(cell in path.read_bytes()
+                   for cell in (b",1.0,", b",2.0,", b",0.5\r", b",128.0,"))
+        float_calls[0] = 0
+        loaded = market_data._read_canonical(path)
+        assert loaded is not None and float_calls[0] == 0
+        expected = reference_load_prices(path)
+        assert (loaded.tickers, loaded.dates) == (expected.tickers,
+                                                 expected.dates)
+        assert loaded.prices.tobytes() == expected.prices.tobytes()
+        assert load_prices(path).prices.tobytes() == prices.tobytes()
 
     def test_benchmark_inputs_take_the_vector_pass(
             self, tmp_path, monkeypatch, float_calls):

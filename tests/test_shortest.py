@@ -122,12 +122,13 @@ def test_fast_path_takes_most_prices():
         record_paths=True))
     config = result.simulation.config_echo
     kernel = _path_kernel(result.params, config)
+    z_t = kernel.normals(0, config.n_paths)
     block = paths_csv._block_paths(config, result.params.n_assets,
                                    paths_csv._FORKED_CELLS)
     fast = total = 0
     for start in range(0, config.n_paths, block):
         stop = min(start + block, config.n_paths)
-        x = paths_csv._prices(kernel, config, start, stop)
+        x = paths_csv._prices(kernel, z_t, config, start, stop)
         fast += len(x) - len(_shortest.Reprs(x).slow)
         total += len(x)
     assert total == 1_000 * 253 * 3

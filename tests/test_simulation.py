@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tracemalloc
 from dataclasses import replace
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
-from gbmrisk import _ziggurat, forking, paths_csv, simulation
+from gbmrisk import forking, paths_csv, simulation
 from gbmrisk.optimizer import WeightVector
 from gbmrisk.simulation import (
     CholeskyError,
@@ -29,8 +30,8 @@ from gbmrisk.simulation import (
 
 from conftest import make_params, random_psd, random_universe
 from oracles import (analytic_var_single_asset, draw_standard_normals,
-                     leaves_fast_path, philox, rebuilt_paths,
-                     reference_paths_csv, ziggurat_draw, ziggurat_layer)
+                     inv_cdf, np_log, philox, rebuilt_paths,
+                     reference_paths_csv, terminal_normals, word_uniform)
 
 SQRT2 = 1.4142135623730951
 
@@ -194,15 +195,8 @@ class TestDrawStandardNormals:
 
 
 class TestVectorDraw:
-    """simulate's terminal draw, Philox words for many paths at once through
-    numpy's ziggurat fast path, bit for bit the per-path stream."""
-
-    @staticmethod
-    def both_kinds(seed, paths, count):
-        # the paths compared include some whose first `count` normals all
-        # take the fast path and some that leave it
-        leaves = {leaves_fast_path(seed, p, count, 2**63) for p in paths}
-        assert leaves == {False, True}
+    """simulate's terminal draw, AS241 of Philox words for many paths at
+    once, bit for bit the per-path oracle of tests/oracles.py."""
 
     @pytest.mark.parametrize("blocks", [1, 2, 7, 50])
     @pytest.mark.parametrize("seed", [0, 42, 2**63, 2**64 - 1])
@@ -217,7 +211,70 @@ class TestVectorDraw:
                 philox(seed, p, 2**63, b).random_raw(4)
                 for b in range(blocks)])
             assert np.array_equal(words[:, i], expected), (p, seed)
-        self.both_kinds(seed, paths, 4 * blocks)
+
+    @staticmethod
+    def draw(words) -> np.ndarray:
+        return simulation._inverse_normal(np.array(words, dtype=np.uint64))
+
+    def test_transcription_is_the_standard_librarys(self):
+        # with math.log, the oracle's AS241 is NormalDist().inv_cdf bit for
+        # bit, on 400,000 of the draw's uniforms
+        words = np.random.default_rng(5).integers(
+            0, 2**64, 400_000, dtype=np.uint64, endpoint=False)
+        normal = NormalDist()
+        for w in words.tolist():
+            u = word_uniform(w)
+            assert inv_cdf(u) == normal.inv_cdf(u), w
+
+    def test_draw_is_the_transcription(self):
+        # bit for bit, when both take numpy's log in the tails. Against
+        # NormalDist itself, whose tails take math.log, np.log's values
+        # moved 7 of these 400,000 draws, all tail draws, each by at most
+        # 2 ULP (numpy 2.4.6 on an AVX-512 CPU)
+        words = np.random.default_rng(6).integers(
+            0, 2**64, 400_000, dtype=np.uint64, endpoint=False)
+        expected = [inv_cdf(word_uniform(w), np_log) for w in words.tolist()]
+        assert np.array_equal(self.draw(words), expected)
+
+    @staticmethod
+    def around(q: float) -> list[int]:
+        """The words whose u - 1/2 are the last at or below q and the first
+        above it, with their 12 ignored low bits set."""
+        k = int((q + 0.5) * 2.0**52)
+        ks = [k for k in range(k - 2, k + 3)
+              if word_uniform(k << 12) - 0.5 <= q
+              < word_uniform((k + 1) << 12) - 0.5]
+        assert len(ks) == 1
+        return [ks[0] << 12 | 0xFFF, (ks[0] + 1) << 12]
+
+    @staticmethod
+    def branch(word: int) -> str:
+        u = word_uniform(word)
+        if abs(u - 0.5) <= 0.425:
+            return "central"
+        return "near" if math.sqrt(-np_log(min(u, 1.0 - u))) <= 5.0 else "far"
+
+    def test_every_branch_on_hand_built_words(self):
+        # the central edge |q| = 0.425 from either side; the near tail; the
+        # far tail, r > 5, out to the extreme words, u = 2**-53 and
+        # 1 - 2**-53; each followed by its complement, which has the other
+        # sign of q and draws -z
+        words = [0x8000000000000000, *self.around(0.425),
+                 *(int(u * 2.0**64) for u in (0.05, 1e-6, 1e-10)),
+                 0, 1 << 12, 12_345 << 12, int(1e-12 * 2.0**64)]
+        words = [w for word in words for w in (word, 2**64 - 1 - word)]
+        branches = [self.branch(w) for w in words]
+        assert branches == (["central"] * 4 + ["near"] * 8 + ["far"] * 8)
+        z = self.draw(words)
+        assert np.array_equal(
+            z, [inv_cdf(word_uniform(w), np_log) for w in words])
+        assert np.array_equal(z[1::2], -z[::2])
+        # no log in the central branch: NormalDist's own bits
+        normal = NormalDist()
+        assert [z[i] for i, b in enumerate(branches) if b == "central"] == [
+            normal.inv_cdf(word_uniform(w))
+            for w, b in zip(words, branches) if b == "central"]
+        assert z[12] == -z[13] < -8.2
 
     @pytest.mark.parametrize("count", [*range(1, 11), 50, 200])
     def test_normals_match_the_per_path_stream(self, count):
@@ -225,11 +282,9 @@ class TestVectorDraw:
         seed, start = 2**64 - 1 - count, 2**32 - 500
         z = np.empty((count, 1000))
         simulation._terminal_normals(z, seed, start)
-        paths = range(start, start + 1000)
-        expected = np.array([draw_standard_normals(seed, p, count, 2**63)
-                             for p in paths])
+        expected = np.array([terminal_normals(seed, p, count)
+                             for p in range(start, start + 1000)])
         assert np.array_equal(z.T, expected)
-        self.both_kinds(seed, paths, count)
 
     @pytest.mark.parametrize("delta", [-1, 0, 1])
     @pytest.mark.parametrize("count", [3, 200])
@@ -238,30 +293,21 @@ class TestVectorDraw:
         n = simulation._DRAW_BLOCKS // -(-count // 4) + delta
         z = np.empty((count, n))
         simulation._terminal_normals(z, 9, 12_345)
-        paths = range(12_345, 12_345 + n)
-        expected = np.array([draw_standard_normals(9, p, count, 2**63)
-                             for p in paths])
+        expected = np.array([terminal_normals(9, p, count)
+                             for p in range(12_345, 12_345 + n)])
         assert np.array_equal(z.T, expected)
-        self.both_kinds(9, paths, count)
 
-    def test_tables_are_numpys(self):
-        # at every layer: wi is numpy's draw at rabs 1, and -wi with the
-        # sign bit; rabs = ki - 1 takes the fast path, one word, and rabs =
-        # ki leaves it. A few layers are read afresh by bisection
-        ki, wi = _ziggurat.KI, _ziggurat.WI
-        assert len(ki) == len(wi) == 256
-        for layer in range(256):
-            assert ziggurat_draw([(1 << 9) | layer, 0])[0] == wi[layer]
-            assert ziggurat_draw([(1 << 9) | 256 | layer, 0])[0] == -wi[layer]
-            if ki[layer] > 0:
-                below = ((ki[layer] - 1) << 9) | layer
-                fast = ziggurat_draw([below, 2**64 - 1])
-                assert fast[1] == 1
-                assert fast[0] == (ki[layer] - 1) * wi[layer]
-            slow = ziggurat_draw([(ki[layer] << 9) | layer, 2**64 - 1])
-            assert slow[1] > 1
-        for layer in (0, 1, 2, 128, 255):
-            assert ziggurat_layer(layer) == (ki[layer], wi[layer])
+    @pytest.mark.parametrize("n_assets", [1, 3, 10, 30, 200])
+    def test_simulate_matches_the_per_path_oracle(self, n_assets):
+        # one draw at every width; 400 paths of 200 assets take two vector
+        # passes
+        params, config = wide_inputs(n_assets, n_paths=400, seed=2024)
+        z = np.array([terminal_normals(2024, p, n_assets)
+                      for p in range(400)])
+        log_t = simulation._path_kernel(params, config).log_terminal(z.T)
+        expected = np.exp(log_t) * config.initial_prices
+        assert np.array_equal(simulate(params, config).terminal_asset_prices,
+                              expected)
 
 
 class TestSimConfig:
@@ -349,29 +395,13 @@ class TestStepSlices:
                    for p in range(s, min(s + block, config.n_paths))]
         assert covered == list(range(config.n_paths))
         kernel = simulation._path_kernel(params, config)
-        whole = kernel.log_paths(0, config.n_paths, n_steps)
-        second = kernel.log_paths(block, 2 * block, n_steps)
+        z_t = kernel.normals(0, config.n_paths)
+        whole = kernel.log_paths(0, z_t, n_steps)
+        second = kernel.log_paths(block, z_t[:, block:2 * block], n_steps)
         assert second.shape == (block, n_steps, n_assets)
         assert np.array_equal(second, whole[block:2 * block])
         log_t = kernel.terminal(0, config.n_paths)
         assert np.array_equal(second[:, -1], log_t[block:2 * block])
-
-
-class TestDrawSelection:
-    """simulate draws by the vector pass at few assets and path by path at
-    many, the per-path stream's bits either way."""
-
-    @pytest.mark.parametrize("n_assets, vector", [(10, True), (30, False)])
-    def test_simulate_matches_the_per_path_stream(self, n_assets, vector):
-        params, config = wide_inputs(n_assets, n_paths=300, seed=2024)
-        share = simulation._FAST_NORMAL**n_assets
-        assert (share >= simulation._VECTOR_SHARE) == vector
-        z = np.array([draw_standard_normals(2024, p, n_assets, 2**63)
-                      for p in range(300)])
-        log_t = simulation._path_kernel(params, config).log_terminal(z)
-        expected = np.exp(log_t) * config.initial_prices
-        assert np.array_equal(simulate(params, config).terminal_asset_prices,
-                              expected)
 
 
 class TestSimulate:
@@ -506,7 +536,7 @@ class TestSimulate:
             for i, step in enumerate(scaled):
                 total += step
                 walk[i] = total
-            z_t = draw_standard_normals(0, p, 1, counter=2**63)[0]
+            z_t = terminal_normals(0, p, 1)[0]
             walk += k / n * (math.sqrt(horizon) * z_t - walk[-1])
             log[p, :, 0] = l00 * walk + (drift * dt) * k
             log[p, -1, 0] = l00 * z_t * math.sqrt(horizon) + drift * horizon
@@ -643,7 +673,7 @@ class TestSimulate:
         k = np.arange(1, 253)[:, None]
         for p in (0, 4095, 4096, 4099):
             z = draw_standard_normals(seed, p, 252 * 3).reshape(252, 3)
-            z_t = draw_standard_normals(seed, p, 3, counter=2**63)
+            z_t = terminal_normals(seed, p, 3)
             walk = np.cumsum(math.sqrt(dt) * z, axis=0)
             walk += k / 252 * (math.sqrt(horizon) * z_t - walk[-1])
             log_path = walk @ l.T + k * drift * dt
