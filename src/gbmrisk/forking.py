@@ -3,7 +3,7 @@
 The paths.csv writer splits its blocks this way. A forked process
 inherits everything the work needs (the kernel, numpy already imported,
 the open file) without pickling it, and runs its own interpreter: the
-per-path re-keying and the row formatting hold the GIL, and threads would
+rebuild's numpy calls and the row formatting hold the GIL, and threads would
 queue on it. Each process writes its own bytes with ``os.pwrite``, at an
 offset the calling process derives from the lengths it is sent, so no
 byte of the file passes through a pipe or through the calling process.

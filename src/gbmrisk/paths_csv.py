@@ -2,7 +2,7 @@
 
 Rows are ``path,step,ticker,price`` with floats as ``repr``, in path, step
 and ticker order, step 0 being the initial prices. The paths are not
-stored: each is a pure function of its key (seed, path index), so they are
+stored: each is a pure function of (seed, path index), so they are
 rebuilt a block of whole paths at a time, by the Brownian bridge of
 ``gbmrisk.simulation``, pinned to terminal normals drawn for every path
 before the first block, and each block is formatted apart from every
@@ -134,8 +134,8 @@ _HEADER = b"path,step,ticker,price\n"
 def write_paths_csv(params: MarketParams, sim_config: SimConfig,
                     path: Path) -> None:
     """Write paths.csv for a run of ``sim_config`` on ``params``, rebuilding
-    its paths from their keys, on one process per CPU this process may run
-    on."""
+    its paths from (seed, path index), on one process per CPU this process
+    may run on."""
     block = _block_paths(sim_config, params.n_assets, _FORKED_CELLS)
     forked_blocks = -(-sim_config.n_paths // block)  # rounded up
     processes = forking.process_count(

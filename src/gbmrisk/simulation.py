@@ -7,38 +7,39 @@ standard normals z (A assets) and the Cholesky factor L of the annualized
 covariance (Glasserman, Monte Carlo Methods in Financial Engineering,
 2003, 3.2). ``simulate`` draws those A normals a path.
 
-Randomness contract: path p's terminal normals come from the Philox stream
-keyed (seed, p) whose counter starts at (0, 0, 0, 2**63), the seed in
-[0, 2**64); its step normals from the same key at counter 0, a range the
-terminal draw never reaches (Salmon et al., Random123, SC'11).
+Randomness contract: every normal of a run comes from one Philox4x64-10
+stream (Salmon et al., Random123, SC'11), numpy's ``Philox`` keyed
+(seed, 0), the seed in [0, 2**64), and each path owns a range of its
+counter. Path p's first ``count`` normals of a kind take the
+b = ceil(count / 4) blocks after the counter p b + top 2**192, the top word
+being 2**63 for its A terminal normals and 0 for its n_steps A step
+normals, so the two ranges never meet. A path's normals are thus a pure
+function of (seed, p, count), and those of paths [start, stop) are one run
+of the stream, which ``random_raw`` draws in C; NEP 19 keeps a
+bit generator's stream stable across numpy versions.
 
-Terminal normal i of a path is Phi^-1(u) for the stream's word i, w, and
-u = ((w >> 12) + 0.5) 2**-52: every u is exact, in [2**-53, 1 - 2**-53],
-and the word ~w draws -z. Phi^-1 is Wichura's AS241 (Applied Statistics
-37(3), 1988) with the coefficients and evaluation order of the standard
-library's ``statistics.NormalDist().inv_cdf``. There is no rejection, so
-a path takes exactly A words. Philox is counter-based, so ``simulate``
-computes the words of thousands of paths at once in uint64 arithmetic,
-and evaluates AS241's central polynomial on every u by IEEE +, -, * and
-/, each its own numpy call, whose bits depend on no CPU feature. The ~15%
-of u with |u - 1/2| > 0.425 then take the tail polynomials after
-``np.log`` and ``np.sqrt``: ``np.log`` keeps them in the numpy dispatch
-domain that ``log_returns`` already puts every VaR in.
+A normal is Phi^-1(u) for its word w, u = ((w >> 12) + 0.5) 2**-52: every
+u is exact, in [2**-53, 1 - 2**-53], and the word ~w draws -z. Phi^-1 is
+Wichura's AS241 (Applied Statistics 37(3), 1988) with the coefficients and
+evaluation order of the standard library's ``statistics.NormalDist()
+.inv_cdf``. There is no rejection, so a path takes exactly 4 b words. The
+central polynomial runs on every u by IEEE +, -, * and /, each its own
+numpy call, whose bits depend on no CPU feature. The ~15% of u with
+|u - 1/2| > 0.425 then take the tail polynomials after ``np.log`` and
+``np.sqrt``: ``np.log`` keeps them in the numpy dispatch domain that
+``log_returns`` already puts every VaR in.
 
 ``_PathKernel.log_paths`` rebuilds a path's steps for paths.csv by a
 Brownian bridge (Glasserman, 2003, 3.1): walks B_k of the path's step
 normals are pinned to its terminal normals z_T by
 W_k = B_k + (k/n) (sqrt(T) z_T - B_n), then take L' and k steps of drift.
-z_T is the draw above, and both take it to log prices by
-``log_terminal``: its last step equals ``simulate``'s bitwise. The step
-normals are numpy's ``Generator.standard_normal`` on a Philox re-keyed for
-each path, whose bits NEP 19 keeps only within one numpy version: drawn
-as AS241 of vector words, 1,000 paths x 756 step normals took ~99 ms,
-against 15 ms this way.
+Both take z_T to log prices by ``log_terminal``: its last step equals
+``simulate``'s bitwise.
 
 z L' is a fixed-order elementwise sum, not a BLAS product, whose rounding
-varies with the row and thread counts. So a path's prices depend on its key
-alone: a run's first k paths equal a k-path run bitwise, on any CPU count.
+varies with the row and thread counts. So a path's prices depend on
+(seed, p) alone: a run's first k paths equal a k-path run bitwise, on any
+CPU count.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ __all__ = ["SimulationError", "CholeskyError", "SimConfig", "SimulationResult",
 
 PSD_JITTERS = (0.0, 1e-12, 1e-10, 1e-8)
 _PIVOT_TOL = 1e-10
-_TERMINAL_COUNTER = 2**63  # the top counter word the terminal streams start at
+_TERMINAL_TOP = 2**63  # the top counter word of the terminal normals
 
 
 class SimulationError(ValueError):
@@ -185,31 +186,6 @@ def _repair_and_factor(cov: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
         f"{last_error}", last_error.pivot_index)
 
 
-def _fill_normals(z: np.ndarray, seed: int, paths):
-    """z[i] = the step normals of path paths[i], keyed (seed, paths[i]) at
-    counter 0; a 3-d z fills step-major. One Philox serves every path:
-    assigning it this state re-keys it with a fresh counter and an empty
-    buffer, the state a new Philox starts in, so it is built from a
-    constant seed, not from OS entropy; lists of Python ints assign faster
-    than uint64 arrays."""
-    key = [seed, 0]
-    fresh = {"bit_generator": "Philox", "buffer": [0, 0, 0, 0],
-             "state": {"counter": [0, 0, 0, 0], "key": key},
-             "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    bit_gen = np.random.Philox(0)
-    gen = np.random.Generator(bit_gen)
-    for p, row in zip(paths, z):
-        key[1] = p
-        bit_gen.state = fresh
-        gen.standard_normal(out=row)
-
-
-# Philox4x64-10 (Salmon et al., SC'11), as numpy's Philox computes it: its
-# round multipliers, each with its 32-bit halves, and key increments
-_PHILOX_M = tuple((np.uint64(m), np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32))
-                  for m in (0xD2E7470EE14C6C93, 0xCA5A826395121157))
-_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
-_LOW32, _BITS32 = np.uint64(0xFFFFFFFF), np.uint64(32)
 # AS241's (numerator, denominator) coefficients, highest power first, as
 # statistics._normal_dist_inv_cdf writes them: in r = 0.180625 - q**2 for
 # |q| = |u - 1/2| <= 0.425, and beyond in r = sqrt(-log(min(u, 1 - u)))
@@ -238,54 +214,10 @@ _FAR = ((2.01033_43992_92288_13265e-7, 2.71155_55687_43487_57815e-5,
          1.84631_83175_10054_68180e-5, 7.86869_13114_56132_59100e-4,
          1.48753_61290_85061_48525e-2, 1.36929_88092_27358_05310e-1,
          5.99832_20655_58879_37690e-1, 1.0))
-# (path, block) pairs per vector pass: a pass holds a few dozen arrays of
-# that many words, so this bounds its memory; the bits do not depend on it.
+# Philox blocks per vector pass, in whole paths and at least one: a pass
+# holds a few dozen arrays of 4 words a block, so this bounds its memory;
+# the bits do not depend on it.
 _DRAW_BLOCKS = 16384
-
-
-def _mulhilo(multiplier: tuple,
-             x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The high and low words of the 128-bit products m * x, for an entry
-    (m, m_lo, m_hi) of _PHILOX_M, from 32-bit halves; no partial sum passes
-    2**64 - 1. In place where it can be: a fresh array costs more than the
-    arithmetic on it."""
-    m, m_lo, m_hi = multiplier
-    lo = x * m
-    hi = x >> _BITS32
-    x_lo = x & _LOW32
-    carry = hi * m_lo
-    part = x_lo * m_lo
-    part >>= _BITS32
-    carry += part
-    x_lo *= m_hi
-    np.bitwise_and(carry, _LOW32, out=part)
-    x_lo += part
-    carry >>= _BITS32
-    x_lo >>= _BITS32
-    hi *= m_hi
-    hi += carry
-    hi += x_lo
-    return hi, lo
-
-
-def _philox_words(seed: int, paths: np.ndarray, blocks: int) -> np.ndarray:
-    """The first 4 * blocks words of the terminal streams keyed (seed, p)
-    for p in the uint64 array ``paths``, one column a path: block b is
-    Philox4x64-10 of the counter (b + 1, 0, 0, 2**63), the block numpy's
-    Philox yields b-th after a re-key."""
-    c0 = np.arange(1, blocks + 1, dtype=np.uint64)[:, None]
-    c1 = c2 = np.zeros((1, 1), np.uint64)
-    c3 = np.full((1, 1), _TERMINAL_COUNTER, np.uint64)
-    k0, k1 = seed, paths[None, :].copy()
-    for r in range(10):
-        if r:
-            k0 = (k0 + _PHILOX_W[0]) % 2**64
-            k1 += np.uint64(_PHILOX_W[1])
-        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
-        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ np.uint64(k0), lo1, hi0 ^ c3 ^ k1, lo0
-    words = np.stack(np.broadcast_arrays(c0, c1, c2, c3), axis=1)
-    return words.reshape(4 * blocks, len(paths))
 
 
 def _polynomial(coefficients: tuple, r: np.ndarray) -> np.ndarray:
@@ -334,18 +266,20 @@ def _inverse_normal(words: np.ndarray) -> np.ndarray:
     return z.reshape(words.shape)
 
 
-def _terminal_normals(z: np.ndarray, seed: int, start: int):
-    """z[:, i] = the first len(z) terminal normals of path start + i; z is
-    (normals, paths). A pass draws the words of _DRAW_BLOCKS (path, block)
-    pairs at once."""
-    count = len(z)
+def _normals(seed: int, top: int, start: int, stop: int,
+             count: int) -> np.ndarray:
+    """The first ``count`` normals of each path in [start, stop) at top
+    counter word ``top``, (paths, count): one Philox, built at path start's
+    counter, draws each pass of _DRAW_BLOCKS blocks by one ``random_raw``."""
     blocks = -(-count // 4)
+    bit_gen = np.random.Philox(key=seed, counter=start * blocks + top * 2**192)
+    z = np.empty((stop - start, count))
     step = max(1, _DRAW_BLOCKS // blocks)
-    for lo in range(0, z.shape[1], step):
-        cols = z[:, lo:lo + step]
-        paths = np.arange(start + lo, start + lo + cols.shape[1],
-                          dtype=np.uint64)
-        cols[:] = _inverse_normal(_philox_words(seed, paths, blocks)[:count])
+    for lo in range(0, len(z), step):
+        rows = z[lo:lo + step]
+        words = bit_gen.random_raw(4 * blocks * len(rows))
+        rows[:] = _inverse_normal(words.reshape(len(rows), -1)[:, :count])
+    return z
 
 
 def _correlate(z: np.ndarray, l: np.ndarray) -> np.ndarray:
@@ -373,9 +307,8 @@ class _PathKernel:
 
     def normals(self, start: int, stop: int) -> np.ndarray:
         """Paths [start, stop)'s terminal normals, (assets, paths)."""
-        z = np.empty((len(self.drift), stop - start))
-        _terminal_normals(z, self.seed, start)
-        return z
+        return _normals(self.seed, _TERMINAL_TOP, start, stop,
+                        len(self.drift)).T
 
     def terminal(self, start: int, stop: int) -> np.ndarray:
         """Paths [start, stop)'s log(S_T / S_0), (paths, assets)."""
@@ -397,10 +330,10 @@ class _PathKernel:
         asset-major so that every operation runs along a path's steps."""
         n_assets, count = z_t.shape
         log_t = self.log_terminal(z_t)
-        z = np.empty((count, n_steps, n_assets))
-        _fill_normals(z, self.seed, range(start, start + count))
+        z = _normals(self.seed, 0, start, start + count, n_steps * n_assets)
         dt = self.horizon / n_steps
-        walk = np.ascontiguousarray(z.transpose(2, 0, 1))
+        walk = np.ascontiguousarray(
+            z.reshape(count, n_steps, n_assets).transpose(2, 0, 1))
         walk *= math.sqrt(dt)
         np.cumsum(walk, axis=2, out=walk)
         k = np.arange(1, n_steps + 1)

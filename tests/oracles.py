@@ -1,8 +1,8 @@
 """Independent reference implementations the tests compare the package
 against: the explicit double-sum variance and an exhaustive simplex-lattice
-search for the minimum-variance weights, the per-path step normal stream
-and the per-path terminal normals that simulate must reproduce, the latter
-by a scalar transcription of the standard library's AS241, every recorded
+search for the minimum-variance weights, a path's step and terminal
+normals, which simulate and paths.csv must reproduce, by a scalar
+transcription of the standard library's AS241, every recorded
 path rebuilt in one bridge call, the all-rows paths.csv formatter whose
 bytes the streaming writer must reproduce, the window-by-window loop whose
 VaR thresholds the vector backtest must reproduce, the closed-form
@@ -87,27 +87,6 @@ def grid_oracle_min_variance(
     return WeightVector(params.tickers, lattice[int(np.argmin(objectives))])
 
 
-def philox(seed: int, path_index: int, counter: int = 0,
-           block: int = 0) -> np.random.Philox:
-    """A fresh Philox keyed by (seed, path_index) whose counter is (block, 0,
-    0, counter), so that its first words are the stream's block ``block``.
-    The key and counter go in as uint64 arrays: a list of Python ints above
-    2**63 reaches numpy's Philox through float64."""
-    key = np.array(
-        [seed & 0xFFFFFFFFFFFFFFFF, path_index & 0xFFFFFFFFFFFFFFFF],
-        dtype=np.uint64,
-    )
-    return np.random.Philox(key=key, counter=np.array(
-        [block, 0, 0, counter], dtype=np.uint64))
-
-
-def draw_standard_normals(seed: int, path_index: int,
-                          count: int) -> np.ndarray:
-    """Standard normals from a fresh Philox keyed by (seed, path_index) at
-    counter 0: the per-path step stream that paths.csv must reproduce."""
-    return np.random.Generator(philox(seed, path_index)).standard_normal(count)
-
-
 def np_log(x: float) -> float:
     """numpy's log of one double, taken as an array of them takes it."""
     return float(np.log(np.array([x]))[0])
@@ -185,11 +164,17 @@ def word_uniform(word: int) -> float:
     return ((word >> 12) + 0.5) * 2.0**-52
 
 
-def terminal_normals(seed: int, path_index: int, count: int) -> np.ndarray:
-    """The first ``count`` terminal normals of a path: AS241, with numpy's
-    log, of each of the first ``count`` words that numpy's own Philox keyed
-    (seed, path_index) yields from top counter word 2**63."""
-    words = philox(seed, path_index, 2**63).random_raw(count)
+def normals(seed: int, path_index: int, count: int, top: int) -> np.ndarray:
+    """A path's first ``count`` normals at top counter word ``top``: AS241,
+    with numpy's log, of each of the first ``count`` words that numpy's own
+    Philox keyed (seed, 0) yields after the counter p b + top 2**192, p
+    being ``path_index`` and b = ceil(count / 4). The key and counter go in
+    as Python ints: a list of ints above 2**63 reaches numpy's Philox
+    through float64."""
+    blocks = -(-count // 4)
+    words = np.random.Philox(
+        key=seed, counter=path_index * blocks + top * 2**192,
+    ).random_raw(4 * blocks)[:count]
     return np.array([inv_cdf(word_uniform(w), np_log)
                      for w in words.tolist()])
 

@@ -23,7 +23,6 @@ import tracemalloc
 import warnings
 from dataclasses import fields
 from pathlib import Path
-from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -46,7 +45,8 @@ from gbmrisk.risk import RiskError, build_report, rolling_var_backtest
 from gbmrisk.simulation import SimConfig, SimulationError, simulate
 
 from conftest import DATA_DIR, assert_no_children, make_params
-from oracles import rebuilt_paths, reference_paths_csv
+from oracles import normals, rebuilt_paths, reference_paths_csv
+from test_contract import CONTRACT
 
 
 class BlockFailed(Exception):
@@ -414,16 +414,9 @@ class TestRunPipeline:
         w = np.array([w_map[t] for t in tickers])
         values = np.empty(200)
         for p in range(200):
-            # path p's terminal stream: key (17, p), counter top word 2**63,
-            # each word w drawn as the normal quantile of ((w >> 12) + 0.5)
-            # 2**-52
-            words = np.random.Philox(
-                key=np.array([17, p], dtype=np.uint64),
-                counter=np.array([0, 0, 0, 2**63], dtype=np.uint64)
-            ).random_raw(3).tolist()
-            z = np.array([NormalDist().inv_cdf(((w >> 12) + 0.5) * 2.0**-52)
-                          for w in words])
-            terminal = s0 * np.exp(drift + l @ z)
+            # path p's terminal normals: AS241 of the words of the Philox
+            # stream keyed (17, 0) after the counter p + 2**255
+            terminal = s0 * np.exp(drift + l @ normals(17, p, 3, 2**63))
             values[p] = 100_000.0 * float((terminal / s0) @ w)
 
         assert np.allclose(
@@ -901,18 +894,17 @@ class TestCliCommands:
                               capture_output=True, text=True, env=env,
                               check=False)
         assert done.returncode == 0
-        assert done.stdout == "0.5.0\n"
+        assert done.stdout == "0.6.0\n"
 
 
 class TestPathsCsv:
     """paths.csv is streamed a block of paths at a time; its bytes are
     pinned."""
 
+    # the byte contract's digests of the same 300-path command
     PINNED = pytest.mark.parametrize("fixture, digest", [
-        ("crypto_like",
-         "fd865ae2abf98e6081d0b19844a93324694e94b9bfaf2232a8c7f6316136a941"),
-        ("equity_like",
-         "bcb12097309630831b9b8c25a132a042ae11e08301a9697c6a7f072036f3e669"),
+        (fixture, CONTRACT[f"{fixture}/simulate-record/paths.csv"])
+        for fixture in ("crypto_like", "equity_like")
     ], ids=["crypto_like", "equity_like"])
 
     @staticmethod
@@ -1058,6 +1050,22 @@ class TestPathsCsv:
         paths = rebuilt_paths(result.params, result.simulation.config_echo)
         expected = reference_paths_csv(paths, result.params.tickers)
         assert (out / "paths.csv").read_bytes() == expected
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_builds_no_generator(self, workers, tmp_path, monkeypatch):
+        # every normal is AS241 of a Philox's raw words: no numpy Generator,
+        # whose distributions NEP 19 does not keep across numpy versions,
+        # is built by the run or by the writer, here or in its processes
+        def refuse(*args, **kwargs):
+            raise AssertionError("a numpy Generator was built")
+
+        monkeypatch.setattr(np.random, "Generator", refuse)
+        self.on_cpus(monkeypatch, workers)
+        result = run_pipeline(RunConfig(
+            price_csv=str(DATA_DIR / "crypto_like.csv"), n_paths=60,
+            record_paths=True))
+        cli.write_report_files(result, tmp_path)
+        assert (tmp_path / "paths.csv").stat().st_size > 0
 
     def test_single_block_starts_no_pool(self, recorded, tmp_path,
                                          monkeypatch):
@@ -1334,7 +1342,7 @@ class TestPathsCsv:
 
     def test_recorded_run_memory_is_flat_in_paths(self, tmp_path,
                                                   monkeypatch):
-        # paths are rebuilt from their keys as paths.csv streams, so nothing
+        # paths are rebuilt from (seed, p) as paths.csv streams, so nothing
         # holds every path. 25-step paths keep the test fast.
         monkeypatch.setattr(forking, "available_cpus", lambda: 1)
 
@@ -1410,10 +1418,10 @@ class TestFitPath:
             assert len(counts) == 1
             assert set(counts[0]) == {"normals", "path_streams",
                                       "bytes_computed"}
-            # simulate builds no numpy Philox or Generator: its one draw
-            # is AS241 of its own Philox words, which the probe does not see
+            # simulate builds one numpy Philox, whose words it draws by
+            # random_raw, and no Generator, the probe's only normal count
             assert counts[0]["normals"] == 0
-            assert counts[0]["path_streams"] == 0
+            assert counts[0]["path_streams"] == 1
 
 
 def test_run_benchmark_script_smoke(tmp_path, monkeypatch, capsys):

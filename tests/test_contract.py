@@ -50,34 +50,34 @@ def commands() -> dict[str, list[str]]:
 
 
 CONTRACT = {
-            "equity_like/estimate/params.json": "7218ad18551474871e2b4227936d7dcc4ad48590d78268c55f3f6a72359bf6b5",
-            "equity_like/optimize-mvp/weights.json": "6cc1bec5cf9c3c5000cfba03459368c022d27792801d69fbedbc2710f05f4317",
-            "equity_like/simulate-mvp/percentiles.csv": "c29301ab10dd7a2bff85972c93be967a13111f4bdd26149111a8c4f9ac301898",
-            "equity_like/simulate-mvp/report.json": "93bc67748c67588c39c098c0324310c06447516c96279e8747972193bc350fb7",
-            "equity_like/optimize-max_sharpe/weights.json": "d16537942106df9f0e5bce6746fd0c2370a27699d1098c02efa30da30a79fc82",
-            "equity_like/simulate-max_sharpe/percentiles.csv": "db49cb9a5b7fa4f0c40e643ad396dff65a64e570f9108103b433604e526c19a3",
-            "equity_like/simulate-max_sharpe/report.json": "8c4b672d78b3ff567078282eb9af4f237a4ee63314729d6987e2090390ac7585",
-            "equity_like/simulate-record/paths.csv": "bcb12097309630831b9b8c25a132a042ae11e08301a9697c6a7f072036f3e669",
-            "equity_like/simulate-record/percentiles.csv": "0c670bffa5a318d04589d18cb919edd5e9c14947c079d583169005f0347ba481",
-            "equity_like/simulate-record/report.json": "50b9142fcaa6e6cfb2ccbc22da8911109b5130ac5e4efe5854634f40105fe23b",
-            "equity_like/backtest/backtest.json": "6c6dc4901344c09270524eaed1d6c818e2e27fddd1d9f4462efb8f6e74a21b19",
-            "crypto_like/estimate/params.json": "12c5ba59921e71d1cdb7e1ff9afdef3e1881854f822837b2762011c4c95e910c",
-            "crypto_like/optimize-mvp/weights.json": "c8d60d0d56c31abcc4cd71f4a08a91ac0ee7f846d84cd96efbd5c2d4027860bd",
-            "crypto_like/simulate-mvp/percentiles.csv": "e9eea3c998a956dc34becb7ed3fba609c0214945d3f7cf3ed25f5a4c0ba9f6fb",
-            "crypto_like/simulate-mvp/report.json": "34d367d9e008354687035271fed7a14adff38e17d07e3d102854d3932143116f",
-            "crypto_like/optimize-max_sharpe/weights.json": "826df1b51ce3e902267cff8fc87d5f543952444559add0f863050c8ecb065cdf",
-            "crypto_like/simulate-max_sharpe/percentiles.csv": "ee1e8729cfe389a6a598729dd026d5f3bb47ef1d35b70bf25c23f88152ab90b2",
-            "crypto_like/simulate-max_sharpe/report.json": "51a3bc0268658b151e287e794d226203bb2098b2fdf165a497119e9860f6784c",
-            "crypto_like/simulate-record/paths.csv": "fd865ae2abf98e6081d0b19844a93324694e94b9bfaf2232a8c7f6316136a941",
-            "crypto_like/simulate-record/percentiles.csv": "7262619ae0c37aaf8a53238115261b6fce39317130c42e0afcd756b6fb00e36c",
-            "crypto_like/simulate-record/report.json": "57c69b59aff9e69a27c86a52627f9fe0bf13fe7783f0e400d588fcc9468d2abc",
-            "crypto_like/backtest/backtest.json": "79f53dfcb3d1e3b8738bc218cf9e228727274dd560249b82c0bbec485b31c492",
-            "equity_like/simulate-explicit/percentiles.csv": "b4cb9bc502e6d618e3da24112e47822d2c7f957f0b6a80e40f583b79978fcf1b",
-            "equity_like/simulate-explicit/report.json": "1cd88f2c17919264e6462ba331c84cb3da385916b39f393043edf04b37e321ce",
-            "crypto_like/simulate-record-serial/paths.csv": "fd865ae2abf98e6081d0b19844a93324694e94b9bfaf2232a8c7f6316136a941",
-            "crypto_like/simulate-record-serial/percentiles.csv": "7262619ae0c37aaf8a53238115261b6fce39317130c42e0afcd756b6fb00e36c",
-            "crypto_like/simulate-record-serial/report.json": "57c69b59aff9e69a27c86a52627f9fe0bf13fe7783f0e400d588fcc9468d2abc",
-            "compare/comparison.json": "575562c1c815e242f6f90b3f3b86bb72ff0f45a5b0c2e392c7e08a4cf09fd033",
+            "equity_like/estimate/params.json": "92bb2770f26ed06df3db268c2343a63de25e5b01685fd9229dc1365348754fc2",
+            "equity_like/optimize-mvp/weights.json": "bf6712e002cd982abe45101dd752d0f782b9e2adf99cbe7933f846fa47ab979a",
+            "equity_like/simulate-mvp/percentiles.csv": "affcba32cb2874e68e387da0b5bc8b8fa78327fe116f9a335f9cfa4c955b4aa1",
+            "equity_like/simulate-mvp/report.json": "e19cd35bb041ca2f22825b46256828cf3c0329150a6957f4beb5a5377e1d4b78",
+            "equity_like/optimize-max_sharpe/weights.json": "6fe15835ce4d29cbf7d12e42bd6e6f4c52fbc821f7a4e0e9c21635a9d00323ca",
+            "equity_like/simulate-max_sharpe/percentiles.csv": "6b7e5f391cb731381ed5a8b6b937e21d7ba6ffacc08a6a1b438a86070176c352",
+            "equity_like/simulate-max_sharpe/report.json": "5a8206443b1afd92db98fab38341ee94c88187468f36255fc41c19cf6f8e0df7",
+            "equity_like/simulate-record/paths.csv": "32e2870fead23a33bf520d59dd84c502caaf8f99a6376335eee028c6104b5ba5",
+            "equity_like/simulate-record/percentiles.csv": "0915ea1616a147a3a180517b1fc939f66a7069ce261ce1cc77728f486a120529",
+            "equity_like/simulate-record/report.json": "c9b822cbd53a8780531d32c3c94b965ab646c3936c4590cc79bfcefba04f7203",
+            "equity_like/backtest/backtest.json": "e27f4e66c4ffba0d4e4d69bd4db2626f954a6278f7f06bb9bef19a200870c1b5",
+            "crypto_like/estimate/params.json": "67760360c50e6edb934d2731e40b65f8c57802a4c3b03bf6688378ea0feb75fe",
+            "crypto_like/optimize-mvp/weights.json": "d870375e532557120d27cd510fc1fa34a748e38759065587baabb2b53a8ce908",
+            "crypto_like/simulate-mvp/percentiles.csv": "b65f104dbb1eaf6c9bcbf9b186fc6a15963c58bbd9c1fc311fb628b339b921ba",
+            "crypto_like/simulate-mvp/report.json": "7035b3352ffab8b808baa443f32d7b92d20357c14f9cc785e5a51156ad7d6459",
+            "crypto_like/optimize-max_sharpe/weights.json": "6244cabe1337d444885003f505409e91fcc37ce8105e3c7dc98fa26e7a588ed6",
+            "crypto_like/simulate-max_sharpe/percentiles.csv": "52a8174f951ce155e558816f7df32797adcfdd507ead4f1a48d6ae455a9a3b2d",
+            "crypto_like/simulate-max_sharpe/report.json": "3fb25b3a5e46cd09143b654d0ef1eaf602116f3e52c65a1e685274754fe01dc1",
+            "crypto_like/simulate-record/paths.csv": "a94f310407523ef0752d122b23fc04871e2cb49f56b163b62847b8c818b65f38",
+            "crypto_like/simulate-record/percentiles.csv": "510a9cfa28bf72187892e4b0f88d57c19f500dd067239890fed8f9842268c829",
+            "crypto_like/simulate-record/report.json": "ca5b4665e84f9d5a4fc1372675d14643b9a678ebb500ad28e317ea372a12b959",
+            "crypto_like/backtest/backtest.json": "13ff8be63bce98bfeb191b4fc42b914457f0ca87731d632f3d091d7d56ce720e",
+            "equity_like/simulate-explicit/percentiles.csv": "efe87c5cdd5bbc8d27b8e47f2349cbe15d57276230856cf255fe7f21ca5bb5a4",
+            "equity_like/simulate-explicit/report.json": "d94f0a9c9798ab3fd3568adb0262c61175cfc5eafcd293b06a738e8cff39ebb9",
+            "crypto_like/simulate-record-serial/paths.csv": "a94f310407523ef0752d122b23fc04871e2cb49f56b163b62847b8c818b65f38",
+            "crypto_like/simulate-record-serial/percentiles.csv": "510a9cfa28bf72187892e4b0f88d57c19f500dd067239890fed8f9842268c829",
+            "crypto_like/simulate-record-serial/report.json": "ca5b4665e84f9d5a4fc1372675d14643b9a678ebb500ad28e317ea372a12b959",
+            "compare/comparison.json": "3c3f40508f969a912dcc4657ec465094b5e4efd544584b867bd7b25f4d7e036c",
 }
 
 
@@ -130,7 +130,7 @@ def test_serial_run_writes_the_default_bytes(fresh):
 def test_version_is_pinned():
     # every report echoes the version, so the digests above pin it as well;
     # the package metadata carries the same one
-    assert __version__ == "0.5.0"
+    assert __version__ == "0.6.0"
     # (read by pattern: tomllib is 3.11+, and the package supports 3.10)
     pyproject = (REPO_ROOT / "pyproject.toml").read_text()
     assert re.findall(r'^version = "(.*)"$', pyproject, re.M) == [__version__]

@@ -29,11 +29,12 @@ from gbmrisk.simulation import (
 )
 
 from conftest import make_params, random_psd, random_universe
-from oracles import (analytic_var_single_asset, draw_standard_normals,
-                     inv_cdf, np_log, philox, rebuilt_paths,
-                     reference_paths_csv, terminal_normals, word_uniform)
+from oracles import (analytic_var_single_asset, inv_cdf, normals, np_log,
+                     rebuilt_paths, reference_paths_csv, word_uniform)
 
 SQRT2 = 1.4142135623730951
+# the top counter words of the step and the terminal normals
+TOPS = (0, 2**63)
 
 # A simulate in a fresh interpreter whose affinity mask is the one CPU
 # argv[2], set before numpy loads OpenBLAS; argv[1] is the package's
@@ -165,52 +166,86 @@ class TestRepairPsd:
 
 
 class TestDrawStandardNormals:
+    """simulation._normals, at the step and the terminal top words."""
+
+    @staticmethod
+    def draw(seed: int, start: int, stop: int, top: int) -> np.ndarray:
+        return simulation._normals(seed, top, start, stop, 16)
+
     def test_deterministic_per_key(self):
-        a = draw_standard_normals(42, 0, 16)
-        b = draw_standard_normals(42, 0, 16)
-        assert np.array_equal(a, b)
+        for top in TOPS:
+            assert np.array_equal(self.draw(42, 0, 3, top),
+                                  self.draw(42, 0, 3, top))
 
     def test_streams_differ_by_path(self):
-        a = draw_standard_normals(42, 0, 16)
-        b = draw_standard_normals(42, 1, 16)
-        assert not np.array_equal(a, b)
+        for top in TOPS:
+            a, b = self.draw(42, 0, 2, top)
+            assert not np.array_equal(a, b)
 
     def test_streams_differ_by_seed(self):
-        a = draw_standard_normals(1, 0, 16)
-        b = draw_standard_normals(2, 0, 16)
-        assert not np.array_equal(a, b)
+        for top in TOPS:
+            assert not np.array_equal(self.draw(1, 0, 3, top),
+                                      self.draw(2, 0, 3, top))
 
     def test_prefix_stability(self):
-        # a longer draw starts with exactly the shorter draw
-        long = draw_standard_normals(7, 3, 64)
-        short = draw_standard_normals(7, 3, 16)
-        assert np.array_equal(long[:16], short)
+        # a longer draw starts with exactly the shorter draw, and a path's
+        # normals do not depend on the first path drawn
+        for top in TOPS:
+            long = self.draw(7, 3, 64, top)
+            assert np.array_equal(long[:16], self.draw(7, 3, 19, top))
+            assert np.array_equal(long[10:], self.draw(7, 13, 64, top))
 
     def test_marginal_is_standard_normal(self):
-        sample = np.concatenate(
-            [draw_standard_normals(123, p, 1000) for p in range(20)]
-        )
-        result = scipy_stats.kstest(sample, "norm")
-        assert result.pvalue > 0.01
+        for top in TOPS:
+            sample = simulation._normals(123, top, 0, 20, 1000).ravel()
+            assert scipy_stats.kstest(sample, "norm").pvalue > 0.01
 
 
 class TestVectorDraw:
-    """simulate's terminal draw, AS241 of Philox words for many paths at
-    once, bit for bit the per-path oracle of tests/oracles.py."""
+    """The draw, AS241 of the words of one Philox stream, bit for bit the
+    per-path oracle of tests/oracles.py."""
 
     @pytest.mark.parametrize("blocks", [1, 2, 7, 50])
     @pytest.mark.parametrize("seed", [0, 42, 2**63, 2**64 - 1])
-    def test_philox_words_match_numpy(self, seed, blocks):
-        paths = [*range(40), *range(2**32 - 20, 2**32 + 20),
-                 *(2**63 + k for k in range(-10, 10)), 2**64 - 1]
-        words = simulation._philox_words(
-            seed, np.array(paths, dtype=np.uint64), blocks)
-        assert words.shape == (4 * blocks, len(paths))
-        for i, p in enumerate(paths):
-            expected = np.concatenate([
-                philox(seed, p, 2**63, b).random_raw(4)
-                for b in range(blocks)])
-            assert np.array_equal(words[:, i], expected), (p, seed)
+    def test_philox_words_match_numpy(self, seed, blocks, monkeypatch):
+        # the words _normals draws for 6 paths of `blocks` blocks are each
+        # path's own range of numpy's Philox, also where p * blocks passes
+        # 2**64 and the counter's low word carries into the next
+        drawn = []
+        monkeypatch.setattr(simulation, "_inverse_normal",
+                            lambda words: drawn.append(words) or words)
+        for top in TOPS:
+            for start in (0, 2**32 - 3, 2**64 // blocks - 3):
+                drawn.clear()
+                simulation._normals(seed, top, start, start + 6, 4 * blocks)
+                for p, words in zip(range(start, start + 6),
+                                    np.concatenate(drawn)):
+                    own = np.random.Philox(
+                        key=seed, counter=p * blocks + top * 2**192)
+                    assert np.array_equal(words,
+                                          own.random_raw(4 * blocks)), p
+
+    @pytest.mark.parametrize("counter, key, expected", [
+        ((0, 0, 0, 0), (0, 0),
+         (0x16554D9ECA36314C, 0xDB20FE9D672D0FDC,
+          0xD7E772CEE186176B, 0x7E68B68AEC7BA23B)),
+        ((2**64 - 1,) * 4, (2**64 - 1,) * 2,
+         (0x87B092C3013FE90B, 0x438C3C67BE8D0224,
+          0x9CC7D7C69CD777B6, 0xA09CAEBF594F0BA0)),
+        ((0x243F6A8885A308D3, 0x13198A2E03707344,
+          0xA4093822299F31D0, 0x082EFA98EC4E6C89),
+         (0x452821E638D01377, 0xBE5466CF34E90C6C),
+         (0xA528F45403E61D95, 0x38C72DBD566E9788,
+          0xA5A1610E72FD18B5, 0x57BD43B5E52B7FE6)),
+    ], ids=["zeros", "ones", "pi"])
+    def test_philox_known_answers(self, counter, key, expected):
+        # Random123's philox4x64-10 known-answer vectors (kat_vectors),
+        # words least significant first. numpy increments its counter
+        # before it draws, so its state holds the counter less one
+        c = sum(w << 64 * i for i, w in enumerate(counter))
+        k = sum(w << 64 * i for i, w in enumerate(key))
+        words = np.random.Philox(key=k, counter=(c - 1) % 2**256)
+        assert words.random_raw(4).tolist() == list(expected)
 
     @staticmethod
     def draw(words) -> np.ndarray:
@@ -280,29 +315,29 @@ class TestVectorDraw:
     def test_normals_match_the_per_path_stream(self, count):
         # 1,000 paths across 2**32 at a seed near the top of its range
         seed, start = 2**64 - 1 - count, 2**32 - 500
-        z = np.empty((count, 1000))
-        simulation._terminal_normals(z, seed, start)
-        expected = np.array([terminal_normals(seed, p, count)
-                             for p in range(start, start + 1000)])
-        assert np.array_equal(z.T, expected)
+        for top in TOPS:
+            z = simulation._normals(seed, top, start, start + 1000, count)
+            expected = np.array([normals(seed, p, count, top)
+                                 for p in range(start, start + 1000)])
+            assert np.array_equal(z, expected), top
 
     @pytest.mark.parametrize("delta", [-1, 0, 1])
     @pytest.mark.parametrize("count", [3, 200])
     def test_pass_boundaries(self, count, delta):
         # a pass's worth of paths less one, exactly, and plus one
         n = simulation._DRAW_BLOCKS // -(-count // 4) + delta
-        z = np.empty((count, n))
-        simulation._terminal_normals(z, 9, 12_345)
-        expected = np.array([terminal_normals(9, p, count)
-                             for p in range(12_345, 12_345 + n)])
-        assert np.array_equal(z.T, expected)
+        for top in TOPS:
+            z = simulation._normals(9, top, 12_345, 12_345 + n, count)
+            expected = np.array([normals(9, p, count, top)
+                                 for p in range(12_345, 12_345 + n)])
+            assert np.array_equal(z, expected), top
 
     @pytest.mark.parametrize("n_assets", [1, 3, 10, 30, 200])
     def test_simulate_matches_the_per_path_oracle(self, n_assets):
         # one draw at every width; 400 paths of 200 assets take two vector
         # passes
         params, config = wide_inputs(n_assets, n_paths=400, seed=2024)
-        z = np.array([terminal_normals(2024, p, n_assets)
+        z = np.array([normals(2024, p, n_assets, 2**63)
                       for p in range(400)])
         log_t = simulation._path_kernel(params, config).log_terminal(z.T)
         expected = np.exp(log_t) * config.initial_prices
@@ -497,7 +532,7 @@ class TestSimulate:
                                          workers):
         # workers is checked and otherwise ignored. The kernel's terminal
         # draw over chunks of paths, as the paths.csv writer takes them,
-        # gives the run's bits, as a path's bits depend on its key alone;
+        # gives the run's bits, as a path's bits depend on (seed, p) alone;
         # and the first 64 rebuilt paths end at the run's first 64 prices
         (params, config, reference, kernel, log_t, rebuilt_terminal,
          chunked) = chunk_reference
@@ -531,12 +566,12 @@ class TestSimulate:
         k = np.arange(1, n + 1)
         log = np.empty((9, n, 1))
         for p in range(9):
-            scaled = draw_standard_normals(0, p, n) * math.sqrt(dt)
+            scaled = normals(0, p, n, 0) * math.sqrt(dt)
             walk, total = np.empty(n), 0.0
             for i, step in enumerate(scaled):
                 total += step
                 walk[i] = total
-            z_t = terminal_normals(0, p, 1)[0]
+            z_t = normals(0, p, 1, 2**63)[0]
             walk += k / n * (math.sqrt(horizon) * z_t - walk[-1])
             log[p, :, 0] = l00 * walk + (drift * dt) * k
             log[p, -1, 0] = l00 * z_t * math.sqrt(horizon) + drift * horizon
@@ -672,8 +707,8 @@ class TestSimulate:
         drift = three_asset_params.mu - sigma**2 / 2.0
         k = np.arange(1, 253)[:, None]
         for p in (0, 4095, 4096, 4099):
-            z = draw_standard_normals(seed, p, 252 * 3).reshape(252, 3)
-            z_t = terminal_normals(seed, p, 3)
+            z = normals(seed, p, 252 * 3, 0).reshape(252, 3)
+            z_t = normals(seed, p, 3, 2**63)
             walk = np.cumsum(math.sqrt(dt) * z, axis=0)
             walk += k / 252 * (math.sqrt(horizon) * z_t - walk[-1])
             log_path = walk @ l.T + k * drift * dt
@@ -728,7 +763,7 @@ class TestSimulate:
 
 
 class TestTerminalSampler:
-    """The terminal draw's contract: each path a function of its key alone,
+    """The terminal draw's contract: each path a function of (seed, p) alone,
     exact in law, and the last step of every rebuilt path."""
 
     @pytest.fixture(scope="class", params=[3, 10, 50, 200])
